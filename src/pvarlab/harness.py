@@ -30,6 +30,7 @@ from .modulus import (
     averaged_modulus_check,
     diff_modulus_bound_check,
     omega_sandwich_check,
+    _shift_norm_table,
 )
 from .pvar1d import pvar_cyclic, pvar_oracle
 from .smoothness import chain_check, decompose_lp0, integral_I, integral_J, integral_K
@@ -188,15 +189,13 @@ def hardy_littlewood_check(f: Grid2) -> dict:
     The sup of the prefix-max table over (u, v) equals the sup of the raw
     shift-norm ratios, so the table itself is never materialized.
     """
-    a = f.samples
-    m, n = a.shape
+    m, n = f.m, f.n
+    raw = _shift_norm_table(f.samples, 1.0, mixed=True).tolist()
     s_best = 0.0
     for s in range(1, m):
-        ds = np.roll(a, -s, axis=0) - a
         u = s / m
         for t in range(1, n):
-            d = np.roll(ds, -t, axis=1) - ds
-            val = float(np.mean(np.abs(d))) / (u * (t / n))
+            val = raw[s][t] / (u * (t / n))
             if val > s_best:
                 s_best = val
     v = vitali_finest(f, Exponent(1.0))

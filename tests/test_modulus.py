@@ -14,6 +14,7 @@ from pvarlab import (
     gen_product,
     gen_sine,
     gen_tent_scaled,
+    hardy_littlewood_check,
     lp_norm,
     mixed_diff_norm,
     modulus_1d,
@@ -22,10 +23,14 @@ from pvarlab import (
     shift_norm_1d,
 )
 from pvarlab.modulus import (
+    _norm,
+    _plain_shift_norms_2d,
+    _shift_norm_table,
     averaged_modulus_check,
     diff_modulus_bound_check,
     omega_sandwich_check,
 )
+from pvarlab.vitali2d import vitali_finest
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -158,9 +163,88 @@ class TestLemmas:
         assert r["mixed_min_margin"] >= -1e-12
         assert r["iso_min_margin"] >= -1e-12
 
+    @pytest.mark.parametrize("h_idx", [9, -1])
+    def test_first_difference_rejects_shift_outside_grid(self, h_idx):
+        with pytest.raises(ValueError, match="h_idx"):
+            diff_modulus_bound_check(_random_grid2(0, side=8), h_idx, Exponent(2.0))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(P_VALUES))
     def test_omega_sandwich(self, seed, p):
         r = omega_sandwich_check(_random_grid1(seed), Exponent(p))
         assert r["lower_margin"] >= -1e-12
         assert r["upper_margin"] >= -1e-12
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestKernelBitwise:
+    """The batched kernel against the per-shift np.roll norms, compared with ==.
+
+    40x48 spans several blocks per row shift, with a partial last block;
+    odd and even M cover the mixed rows M - s taken from rotated row-s blocks.
+    """
+
+    SHAPES = ((1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (40, 48))
+
+    @staticmethod
+    def _samples(m: int, n: int) -> np.ndarray:
+        return np.random.default_rng(m * 1000 + n).normal(size=(m, n))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_plain_table(self, shape, p):
+        a = self._samples(*shape)
+        m, n = shape
+        want = [
+            [_norm(np.roll(a, (-s, -t), axis=(0, 1)) - a, p) for t in range(n + 1)]
+            for s in range(m + 1)
+        ]
+        assert np.array_equal(_bits(_shift_norm_table(a, p)), _bits(want))
+        if m >= 2 and n >= 2:
+            got = _plain_shift_norms_2d(Grid2(a), Exponent(p))
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_mixed_table(self, shape, p):
+        a = self._samples(*shape)
+        m, n = shape
+        raw = _shift_norm_table(a, p, mixed=True)
+        if m >= 2 and n >= 2:
+            f, pe = Grid2(a), Exponent(p)
+            want = [[mixed_diff_norm(f, s, t, pe) for t in range(n + 1)] for s in range(m + 1)]
+            table = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+            assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(table))
+        else:
+            # a length-1 axis makes every mixed difference vanish
+            want = np.zeros((m + 1, n + 1))
+        assert np.array_equal(_bits(raw), _bits(want))
+
+    @pytest.mark.parametrize("n", (2, 9, 48))
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_modulus_1d(self, n, p):
+        g, pe = Grid1(self._samples(1, n)[0]), Exponent(p)
+        norms = [shift_norm_1d(g, s % n, pe) for s in range(n + 1)]
+        assert np.array_equal(_bits(_shift_norm_table(g.samples[None, :], p)[0]), _bits(norms))
+        want = np.maximum.accumulate(norms)
+        assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(want))
+
+    def test_hardy_littlewood_matches_per_shift_loop(self):
+        f = Grid2(self._samples(6, 9))
+        a = f.samples
+        m, n = a.shape
+        s_best = 0.0
+        for s in range(1, m):
+            ds = np.roll(a, -s, axis=0) - a
+            u = s / m
+            for t in range(1, n):
+                d = np.roll(ds, -t, axis=1) - ds
+                val = float(np.mean(np.abs(d))) / (u * (t / n))
+                if val > s_best:
+                    s_best = val
+        r = hardy_littlewood_check(f)
+        assert r["sup_ratio"] == s_best
+        assert r["v1_finest"] == vitali_finest(f, Exponent(1.0))
