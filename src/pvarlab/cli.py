@@ -24,12 +24,12 @@ from .grid import (
     save_csv,
     save_report_json,
 )
-from .harness import SuiteConfig, run_suite, sharpness_sweep, sweep_rows_to_csv
+from .harness import SWEEP_FAMILIES, SuiteConfig, run_suite, sharpness_sweep, sweep_rows_to_csv
 from .mixednorm import phi_profile, psi_profile, w_p
-from .modulus import modulus_1d, modulus_iso_2d, modulus_mixed
+from .modulus import MIXED_TABLE_CAP, modulus_1d, modulus_iso_2d, modulus_mixed
 from .pvar1d import pvar_cyclic, pvar_oracle
 from .smoothness import integral_I, integral_J, integral_K
-from .vitali2d import ORACLE_MAX_SIDE, vitali_ascent, vitali_finest, vitali_oracle
+from .vitali2d import certified_vitali_method, vitali_ascent, vitali_finest, vitali_oracle
 
 USAGE_ERROR = 2
 
@@ -67,13 +67,16 @@ def _need_2d(g) -> Grid2:
     return g
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 # ---------------------------------------------------------------- commands
@@ -83,9 +86,10 @@ def cmd_pvar(args) -> int:
     g = _need_1d(_load(args.grid))
     p = _exponent(args.p)
     if args.oracle:
-        if g.n > args.oracle_limit:
-            raise CliError(f"oracle limited to N <= {args.oracle_limit}")
-        value = pvar_oracle(g, p)
+        try:
+            value = pvar_oracle(g, p)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         payload = {"p": p.p, "value": value, "method": "oracle"}
     else:
         value, part = pvar_cyclic(g, p)
@@ -102,17 +106,13 @@ def cmd_pvar(args) -> int:
 def cmd_vitali(args) -> int:
     f = _need_2d(_load(args.grid))
     p = _exponent(args.p)
-    method = args.method
-    if method == "auto":
-        method = (
-            "oracle"
-            if (f.m <= ORACLE_MAX_SIDE and f.n <= ORACLE_MAX_SIDE)
-            else ("finest" if p.p == 1.0 else "ascent")
-        )
+    method = certified_vitali_method(f, p) if args.method == "auto" else args.method
     if method == "oracle":
-        if f.m > ORACLE_MAX_SIDE or f.n > ORACLE_MAX_SIDE:
-            raise CliError(f"oracle limited to {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE} grids")
-        payload = {"p": p.p, "value": vitali_oracle(f, p), "method": "oracle"}
+        try:
+            value = vitali_oracle(f, p)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        payload = {"p": p.p, "value": value, "method": "oracle"}
     elif method == "finest":
         payload = {
             "p": p.p,
@@ -138,45 +138,38 @@ def cmd_vitali(args) -> int:
 def cmd_modulus(args) -> int:
     g = _load(args.grid)
     p = _exponent(args.p)
-    kw = {"cap": args.cap, "override": args.cap_override}
     if isinstance(g, Grid1):
         table = modulus_1d(g, p)
         values = table.values[None, :]
         steps = (0.0, table.step)
     elif args.kind == "iso":
-        table = modulus_iso_2d(g, p, **kw)
+        table = modulus_iso_2d(g, p, cap=args.cap)
         values = table.values[None, :]
         steps = (0.0, table.step)
     else:
-        table = modulus_mixed(g, p, **kw)
+        table = modulus_mixed(g, p, cap=args.cap)
         values = table.values
         steps = table.steps
     if args.format == "json":
         _emit({"p": p.p, "steps": list(steps), "values": values.tolist()}, args)
     else:
         lines = [",".join(repr(float(v)) for v in row) for row in values]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_integrals(args) -> int:
     g = _load(args.grid)
     p = _exponent(args.p, need_gt_1=True)
-    kw = {"cap": args.cap, "override": args.cap_override}
     if isinstance(g, Grid1):
         payload = {"p": p.p, "J": integral_J(modulus_1d(g, p)).to_dict()}
     else:
-        table = modulus_mixed(g, p, **kw)
+        table = modulus_mixed(g, p, cap=args.cap)
         payload = {
             "p": p.p,
             "K": integral_K(table).to_dict(),
             "I": integral_I(table).to_dict(),
-            "J_iso": integral_J(modulus_iso_2d(g, p, **kw)).to_dict(),
+            "J_iso": integral_J(modulus_iso_2d(g, p, cap=args.cap)).to_dict(),
         }
     _emit(payload, args)
     return 0
@@ -196,11 +189,7 @@ def cmd_wp(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    chosen = args.families or args.suite
-    if chosen and chosen != "all":
-        families = tuple(chosen.split(","))
-    else:
-        families = SuiteConfig().families
+    families = SuiteConfig().families if args.suite == "all" else tuple(args.suite.split(","))
     cfg = SuiteConfig(seed=args.seed, families=families)
     try:
         cfg.validate()
@@ -210,30 +199,26 @@ def cmd_verify(args) -> int:
     if args.out:
         save_report_json(report, args.out)
     else:
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        _emit(report.to_dict(), args)
     n_fail = sum(not c["pass"] for c in report.checks)
     sys.stderr.write(f"{len(report.checks)} checks, {n_fail} failed\n")
     return 0 if report.all_pass else 1
 
 
 def cmd_sweep(args) -> int:
-    p_grid = tuple(float(v) for v in args.p_list.split(","))
-    for p in p_grid:
-        _exponent(p)
-    n_grid = tuple(int(v) for v in args.n_list.split(","))
+    p_grid, n_grid = SWEEP_FAMILIES[args.family]
     try:
+        if args.p_list is not None:
+            p_grid = tuple(float(v) for v in args.p_list.split(","))
+        if args.n_list is not None:
+            n_grid = tuple(int(v) for v in args.n_list.split(","))
         rows = sharpness_sweep(args.family, p_grid, n_grid, size=args.size, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.format == "json":
         _emit({"rows": rows}, args)
     else:
-        text = sweep_rows_to_csv(rows)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(sweep_rows_to_csv(rows), args.out)
     return 0
 
 
@@ -279,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pvar", help="cyclic p-variation of a 1-D grid")
     common(sp)
     sp.add_argument("--oracle", action="store_true", help="brute-force all partitions")
-    sp.add_argument("--oracle-limit", type=int, default=18, dest="oracle_limit")
     sp.set_defaults(fn=cmd_pvar)
 
     sp = sub.add_parser("vitali", help="Vitali p-variation of a 2-D grid over nets")
@@ -292,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--kind", choices=("mixed", "iso"), default="mixed")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--cap", type=int, default=128)
-    sp.add_argument("--cap-override", action="store_true", dest="cap_override")
+    sp.add_argument("--cap", type=int, default=MIXED_TABLE_CAP)
     sp.set_defaults(fn=cmd_modulus)
 
     sp = sub.add_parser("integrals", help="certified enclosures of the smoothness integrals")
     common(sp)
-    sp.add_argument("--cap", type=int, default=128)
-    sp.add_argument("--cap-override", action="store_true", dest="cap_override")
+    sp.add_argument("--cap", type=int, default=MIXED_TABLE_CAP)
     sp.set_defaults(fn=cmd_integrals)
 
     sp = sub.add_parser("wp", help="mixed-norm functional of the section profiles")
@@ -310,15 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--suite", default="all",
                     help='"all" or a comma-separated subset of suites')
-    sp.add_argument("--families", help="alias for --suite (comma-separated subset)")
     sp.add_argument("--out", help="write the JSON report here")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="sharpness-diagnostic sweep")
-    sp.add_argument("--family", required=True,
-                    choices=("t1xt1", "tnxt1", "tnxtn", "trigpoly"))
-    sp.add_argument("--p-list", default="2.0", dest="p_list")
-    sp.add_argument("--n-list", default="1,2,4", dest="n_list")
+    sp.add_argument("--family", required=True, choices=tuple(SWEEP_FAMILIES))
+    sp.add_argument("--p-list", dest="p_list",
+                    help="comma-separated p values (default: the family's preset)")
+    sp.add_argument("--n-list", dest="n_list",
+                    help="comma-separated orders n (default: the family's preset)")
     sp.add_argument("--size", type=int, default=64)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")

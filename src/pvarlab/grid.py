@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +16,6 @@ __all__ = [
     "Exponent",
     "Grid1",
     "Grid2",
-    "make_grid1",
     "make_grid2",
     "gen_tent_scaled",
     "gen_sine",
@@ -122,10 +120,6 @@ class Grid2:
     def col(self, j: int) -> Grid1:
         """y-section at y = j/N (a function of x)."""
         return Grid1(self.samples[:, j % self.n])
-
-
-def make_grid1(values: Sequence[float]) -> Grid1:
-    return Grid1(np.asarray(values, dtype=float))
 
 
 def make_grid2(values) -> Grid2:

@@ -23,6 +23,7 @@ from .grid import (
 )
 from .mixednorm import section_lipschitz_check, w_p, w_p_estimate_check
 from .modulus import (
+    MIXED_TABLE_CAP,
     lp_norm,
     modulus_1d,
     modulus_iso_2d,
@@ -32,10 +33,18 @@ from .modulus import (
     omega_sandwich_check,
     _shift_norm_table,
 )
-from .pvar1d import pvar_cyclic, pvar_oracle
-from .smoothness import chain_check, decompose_lp0, integral_I, integral_J, integral_K
+from .pvar1d import ORACLE_MAX_N, pvar_cyclic, pvar_oracle
+from .smoothness import (
+    chain_check,
+    decompose_lp0,
+    estimate_bracket,
+    integral_I,
+    integral_J,
+    integral_K,
+)
 from .vitali2d import (
     ORACLE_MAX_SIDE,
+    certified_vitali,
     staircase_net_bound,
     vitali_ascent,
     vitali_finest,
@@ -43,6 +52,7 @@ from .vitali2d import (
 )
 
 __all__ = [
+    "SWEEP_FAMILIES",
     "SuiteConfig",
     "CheckReport",
     "run_suite",
@@ -57,11 +67,21 @@ __all__ = [
 
 TOL = 1e-9
 
+SUITES = ("generators", "random", "separation", "sweeps")
+
+# Sweep family -> the (p values, n values) of its preset sweep.
+SWEEP_FAMILIES = {
+    "t1xt1": ((1.01, 1.1, 1.5, 2.0, 10.0, 50.0), (1,)),
+    "tnxt1": ((1.5, 2.0, 4.0), (1, 2, 4)),
+    "tnxtn": ((1.5, 2.0, 4.0), (1, 2, 4)),
+    "trigpoly": ((1.0, 2.0, 4.0, 8.0), (1, 2, 3, 4)),
+}
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 7
-    families: tuple[str, ...] = ("generators", "random", "separation", "sweeps")
+    families: tuple[str, ...] = SUITES
     p_grid: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 8.0)
     size_1d: int = 64
     size_2d: int = 32
@@ -72,9 +92,12 @@ class SuiteConfig:
     oracle_trials: int = 40
 
     def validate(self) -> None:
-        if self.oracle_n_1d > 18 or self.oracle_side_2d > ORACLE_MAX_SIDE:
+        unknown = sorted(set(self.families) - set(SUITES))
+        if unknown:
+            raise ValueError(f"unknown suites {unknown}; choose from {list(SUITES)}")
+        if self.oracle_n_1d > ORACLE_MAX_N or self.oracle_side_2d > ORACLE_MAX_SIDE:
             raise ValueError("oracle sizes exceed hard limits")
-        if self.size_2d > 128:
+        if self.size_2d > MIXED_TABLE_CAP:
             raise ValueError("2D corpus size exceeds the mixed-table cap")
 
 
@@ -228,50 +251,36 @@ def embedding_1d_check(g: Grid1, p: Exponent) -> dict:
 def main_estimate_check(f: Grid2, p: Exponent) -> dict:
     """Measured constants for the main Vitali-variation and sup-norm estimates.
 
-    Applied to the doubly mean-free core; the Vitali value is the certified
-    lower bound (oracle on tiny grids), so the recorded ratios are lower
-    bounds on the sharp constant.
+    Applied to the doubly mean-free core against smoothness.estimate_bracket.
+    The Vitali value is vitali2d.certified_vitali (the oracle on grids up to
+    ORACLE_MAX_SIDE, an ascent lower bound otherwise), so the recorded ratios
+    are lower bounds on the sharp constant.
     """
     if p.p == 1.0:
         raise ValueError("the main estimate requires p > 1")
     core = decompose_lp0(f).core
-    table = modulus_mixed(core, p)
-    omega11 = float(table.values[-1, -1])
-    k_hi = integral_K(table).hi
-    i_hi = integral_I(table).hi
-    c = 1.0 / (p.p * p.conj)
-    bracket = omega11 + c * k_hi + c * c * i_hi
-    if bracket == 0.0:
+    terms = estimate_bracket(modulus_mixed(core, p))
+    if terms.total == 0.0:
         return {"skip": True}
-    if core.m <= ORACLE_MAX_SIDE and core.n <= ORACLE_MAX_SIDE:
-        v2 = vitali_oracle(core, p)
-    else:
-        v2 = vitali_ascent(core, p).value
+    v2 = certified_vitali(core, p)
+    c = 1.0 / (p.p * p.conj)
     j_hi = integral_J(modulus_iso_2d(core, p)).hi
-    bracket_inf = lp_norm(core, p) + c * j_hi + c * c * i_hi
+    bracket_inf = lp_norm(core, p) + c * j_hi + terms.i_term
     return {
         "skip": False,
-        "a_obs": v2 / bracket,
+        "a_obs": v2 / terms.total,
         "a_obs_inf": lp_norm(core, math.inf) / bracket_inf,
-        "terms": {"omega11": omega11, "k_term": c * k_hi, "i_term": c * c * i_hi},
+        "terms": terms._asdict(),
     }
 
 
 # ---------------------------------------------------------------- sweeps
 
 
-def _certified_v2_lower(f: Grid2, p: Exponent) -> float:
-    if f.m <= ORACLE_MAX_SIDE and f.n <= ORACLE_MAX_SIDE:
-        return vitali_oracle(f, p)
-    if p.p == 1.0:
-        return vitali_finest(f, p)
-    return vitali_ascent(f, p).value
-
-
 def _sweep_row(f: Grid2, p: Exponent, family: str, n: int, m: int) -> dict:
     table = modulus_mixed(f, p)
     omega11 = float(table.values[-1, -1])
-    v2 = _certified_v2_lower(f, p)
+    v2 = certified_vitali(f, p)
     values = {"v2_lower": v2, "omega11": omega11}
     if p.p > 1.0:
         k = integral_K(table)
@@ -298,28 +307,20 @@ def sharpness_sweep(
 ) -> list[dict]:
     """Diagnostic ratios behind the sharpness remarks, per (p, n) pair.
 
-    Families: t1xt1, tnxt1, tnxtn (sine products) and trigpoly (seeded
-    random coefficients of degree (n, m)).
+    Families (the keys of SWEEP_FAMILIES): t1xt1, tnxt1, tnxtn (sine
+    products) and trigpoly (seeded random coefficients of degree (n, m)).
     """
+    if family not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown sweep family {family!r}")
+    if any(n < 1 for n in n_grid):
+        raise ValueError(f"sweep orders must be at least 1, got {list(n_grid)}")
+    exponents = [Exponent(p) for p in p_grid]
     rows = []
     rng = np.random.default_rng(seed)
-    for p in p_grid:
-        pe = Exponent(p)
+    for pe in exponents:
         if family == "t1xt1":
             f = gen_product(gen_sine(1, size), gen_sine(1, size))
             rows.append(_sweep_row(f, pe, family, 1, 1))
-        elif family == "tnxt1":
-            for n in n_grid:
-                if size % (4 * n):
-                    raise ValueError(f"size {size} misaligned for sine frequency {n}")
-                f = gen_product(gen_sine(n, size), gen_sine(1, size))
-                rows.append(_sweep_row(f, pe, family, n, 1))
-        elif family == "tnxtn":
-            for n in n_grid:
-                if size % (4 * n):
-                    raise ValueError(f"size {size} misaligned for sine frequency {n}")
-                f = gen_product(gen_sine(n, size), gen_sine(n, size))
-                rows.append(_sweep_row(f, pe, family, n, n))
         elif family == "trigpoly":
             for n in n_grid:
                 for m in n_grid:
@@ -329,8 +330,13 @@ def sharpness_sweep(
                     coef = [rng.normal(size=shape) for _ in range(4)]
                     f, _ = gen_trigpoly(*coef, size, size)
                     rows.append(_sweep_row(f, pe, family, n, m))
-        else:
-            raise ValueError(f"unknown sweep family {family!r}")
+        else:  # tnxt1, tnxtn: the second frequency is 1 or n
+            for n in n_grid:
+                if size % (4 * n):
+                    raise ValueError(f"size {size} misaligned for sine frequency {n}")
+                m = n if family == "tnxtn" else 1
+                f = gen_product(gen_sine(n, size), gen_sine(m, size))
+                rows.append(_sweep_row(f, pe, family, n, m))
     return rows
 
 

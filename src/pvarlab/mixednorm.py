@@ -9,7 +9,7 @@ import numpy as np
 from .grid import Exponent, Grid1, Grid2
 from .modulus import modulus_mixed
 from .pvar1d import pvar_cyclic
-from .smoothness import decompose_lp0, integral_I, integral_K
+from .smoothness import decompose_lp0, estimate_bracket
 
 __all__ = [
     "SectionProfile",
@@ -64,7 +64,7 @@ def section_lipschitz_check(f: Grid2, p: Exponent) -> dict:
     return worst
 
 
-def w_p_estimate_check(f: Grid2, p: Exponent, cap: int = 128) -> dict:
+def w_p_estimate_check(f: Grid2, p: Exponent) -> dict:
     """Measured constant for the W_p estimate, applied to the mean-free core.
 
     The ratio W_p(core) / [omega(1,1) + K/(pp') + I/(pp')^2] is recorded;
@@ -74,12 +74,7 @@ def w_p_estimate_check(f: Grid2, p: Exponent, cap: int = 128) -> dict:
     if p.p == 1.0:
         raise ValueError("the W_p estimate requires p > 1")
     core = decompose_lp0(f).core
-    table = modulus_mixed(core, p, cap=cap)
-    omega11 = float(table.values[-1, -1])
-    k_hi = integral_K(table).hi
-    i_hi = integral_I(table).hi
-    c = 1.0 / (p.p * p.conj)
-    bracket = omega11 + c * k_hi + c * c * i_hi
+    bracket = estimate_bracket(modulus_mixed(core, p)).total
     if bracket == 0.0:
         return {"skip": True, "bracket": 0.0, "w_p": 0.0, "a_obs": None}
     w = w_p(core, p)

@@ -158,23 +158,16 @@ def modulus_1d(g: Grid1, p: Exponent) -> ModulusTable1D:
     return ModulusTable1D(np.maximum.accumulate(norms), p, 1.0 / g.n)
 
 
-def _plain_shift_norms_2d(f: Grid2, p: Exponent) -> np.ndarray:
-    """norms[s, t] = ||f(. + (s/M, t/N)) - f||_p for s = 0..M, t = 0..N."""
-    return _shift_norm_table(f.samples, p.p)
-
-
-def modulus_iso_2d(
-    f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP, override: bool = False
-) -> ModulusTable1D:
+def modulus_iso_2d(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusTable1D:
     """Isotropic modulus: sup over vector shifts in the sup-norm ball |h| <= delta.
 
     Grid shifts cover negative h by periodicity.  delta runs over k/K with
     K = max(M, N).
     """
     m, n = f.m, f.n
-    if not override and (m > cap or n > cap):
-        raise ValueError(f"grid {m}x{n} exceeds cap {cap}; pass override=True")
-    norms = _plain_shift_norms_2d(f, p)
+    if m > cap or n > cap:
+        raise ValueError(f"grid {m}x{n} exceeds cap {cap}; pass a larger cap")
+    norms = _shift_norm_table(f.samples, p.p)
     pmax = np.maximum.accumulate(np.maximum.accumulate(norms, axis=0), axis=1)
     K = max(m, n)
     vals = np.zeros(K + 1)
@@ -186,16 +179,14 @@ def modulus_iso_2d(
     return ModulusTable1D(vals, p, 1.0 / K)
 
 
-def modulus_mixed(
-    f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP, override: bool = False
-) -> ModulusTable2D:
+def modulus_mixed(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusTable2D:
     """Mixed modulus table: 2D prefix max over the full shift-norm table.
 
-    Cost is O((MN)^2); grids above the cap are refused without override.
+    Cost is O((MN)^2); grids with a side above cap are refused.
     """
     m, n = f.m, f.n
-    if not override and (m > cap or n > cap):
-        raise ValueError(f"grid {m}x{n} exceeds cap {cap}; pass override=True")
+    if m > cap or n > cap:
+        raise ValueError(f"grid {m}x{n} exceeds cap {cap}; pass a larger cap")
     raw = _shift_norm_table(f.samples, p.p, mixed=True)
     table = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
     return ModulusTable2D(table, p, (1.0 / m, 1.0 / n))
@@ -219,9 +210,7 @@ def averaged_modulus_check(g: Grid1, p: Exponent) -> dict:
     return {"rows": rows, "min_margin": min(r["margin"] for r in rows)}
 
 
-def diff_modulus_bound_check(
-    f: Grid2, h_idx: int, p: Exponent, cap: int = MIXED_TABLE_CAP
-) -> dict:
+def diff_modulus_bound_check(f: Grid2, h_idx: int, p: Exponent) -> dict:
     """First-difference moduli against twice the minimum of the parent moduli.
 
     Checks omega(D1(h)f; u, v) <= 2 min(omega(f; u, v), omega(f; h, v))
@@ -236,13 +225,13 @@ def diff_modulus_bound_check(
     if g is None:
         return {"mixed_min_margin": 0.0, "iso_min_margin": 0.0, "h_idx": h_idx}
 
-    tf = modulus_mixed(f, p, cap=cap)
-    tg = modulus_mixed(g, p, cap=cap)
+    tf = modulus_mixed(f, p)
+    tg = modulus_mixed(g, p)
     bound = 2.0 * np.minimum(tf.values, tf.values[h_idx, :][None, :])
     mixed_margin = float(np.min(bound - tg.values))
 
-    sf = modulus_iso_2d(f, p, cap=cap)
-    sg = modulus_iso_2d(g, p, cap=cap)
+    sf = modulus_iso_2d(f, p)
+    sg = modulus_iso_2d(g, p)
     k_h = min(sf.k_max, int(round(h_idx / f.m / sf.step)))
     iso_bound = 2.0 * np.minimum(sf.values, sf.values[k_h])
     iso_margin = float(np.min(iso_bound - sg.values))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "integral_J",
     "integral_K",
     "integral_I",
+    "EstimateBracket",
+    "estimate_bracket",
     "chain_check",
 ]
 
@@ -158,7 +161,27 @@ def integral_I(
     )
 
 
-def chain_check(f: Grid2, p: Exponent, cap: int = 128) -> list[dict]:
+class EstimateBracket(NamedTuple):
+    """The main-estimate bracket omega(1,1) + K/(pp') + I/(pp')^2, term by term."""
+
+    omega11: float
+    k_term: float
+    i_term: float
+
+    @property
+    def total(self) -> float:
+        return self.omega11 + self.k_term + self.i_term
+
+
+def estimate_bracket(table: ModulusTable2D) -> EstimateBracket:
+    """The bracket of a mixed table; enclosure uppers stand in for K and I."""
+    c = 1.0 / (table.p.p * table.p.conj)
+    return EstimateBracket(
+        float(table.values[-1, -1]), c * integral_K(table).hi, c * c * integral_I(table).hi
+    )
+
+
+def chain_check(f: Grid2, p: Exponent) -> list[dict]:
     """The inequality chain linking K, I, omega(1,1) and J of the mean-free core.
 
     Asserted in the certified directions: K.lo <= (4/p') I.hi,
@@ -167,15 +190,15 @@ def chain_check(f: Grid2, p: Exponent, cap: int = 128) -> list[dict]:
     """
     _require_p_gt_1(p)
     pc = p.conj
-    table = modulus_mixed(f, p, cap=cap)
+    table = modulus_mixed(f, p)
     enc_i = integral_I(table)
     enc_k = integral_K(table)
     omega11 = float(table.values[-1, -1])
 
     core = decompose_lp0(f).core
-    core_mixed = modulus_mixed(core, p, cap=cap)
+    core_mixed = modulus_mixed(core, p)
     enc_k_core = integral_K(core_mixed)
-    enc_j_core = integral_J(modulus_iso_2d(core, p, cap=cap))
+    enc_j_core = integral_J(modulus_iso_2d(core, p))
 
     rows = [
         {

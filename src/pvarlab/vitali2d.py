@@ -24,6 +24,8 @@ __all__ = [
     "vitali_finest",
     "vitali_oracle",
     "vitali_ascent",
+    "certified_vitali_method",
+    "certified_vitali",
     "staircase_net_bound",
     "hardy_section_check",
     "ORACLE_MAX_SIDE",
@@ -291,6 +293,27 @@ def vitali_ascent(
     return AscentResult(*best)
 
 
+def certified_vitali_method(f: Grid2, p: Exponent) -> str:
+    """The evaluator that gives the best certified value of v_p^(2) on f.
+
+    "oracle" (exact) when both sides are at most ORACLE_MAX_SIDE, else
+    "finest" at p = 1 (exact there), else "ascent" (a certified lower bound).
+    """
+    if f.m <= ORACLE_MAX_SIDE and f.n <= ORACLE_MAX_SIDE:
+        return "oracle"
+    return "finest" if p.p == 1.0 else "ascent"
+
+
+def certified_vitali(f: Grid2, p: Exponent) -> float:
+    """v_p^(2) of f by the evaluator certified_vitali_method names."""
+    method = certified_vitali_method(f, p)
+    if method == "oracle":
+        return vitali_oracle(f, p)
+    if method == "finest":
+        return vitali_finest(f, p)
+    return vitali_ascent(f, p).value
+
+
 def staircase_net_bound(n: int, p: Exponent, N: int | None = None) -> float:
     """Mixed-difference sum of the staircase on the offset net with n cells.
 
@@ -318,14 +341,13 @@ def hardy_section_check(
 
     The two-row cyclic net over {x0, x} carries each increment of the
     difference section twice, which gives v_p(f_x - f_{x0}) <= 2^(-1/p) v2;
-    the section-Lipschitz bound then adds the factor 2.  v2 is the best
-    available certified value (oracle on tiny grids, ascent lower bound
-    otherwise).  Reference sections default to the ones of minimal variation.
+    the section-Lipschitz bound then adds the factor 2.  v2 is
+    certified_vitali(f, p): the oracle on grids up to ORACLE_MAX_SIDE, the
+    exact finest-net value at p = 1, an ascent lower bound otherwise.  A
+    lower bound only shrinks the right side, so a passing row is conclusive.
+    Reference sections default to the ones of minimal variation.
     """
-    if f.m <= ORACLE_MAX_SIDE and f.n <= ORACLE_MAX_SIDE:
-        v2 = vitali_oracle(f, p)
-    else:
-        v2 = vitali_ascent(f, p).value
+    v2 = certified_vitali(f, p)
     rows_var = [pvar_cyclic(f.row(i), p)[0] for i in range(f.m)]
     cols_var = [pvar_cyclic(f.col(j), p)[0] for j in range(f.n)]
     if x0 is None:

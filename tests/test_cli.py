@@ -8,6 +8,7 @@ import pytest
 import pvarlab.cli as cli
 from pvarlab import CheckReport, gen_sine, load_csv, save_csv
 from pvarlab.cli import main
+from pvarlab.harness import SWEEP_FAMILIES
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ class TestPvar:
         assert sorted(payload["partition"]) == [8, 24]
 
     def test_oracle_limit(self, sine_csv):
-        assert main(["pvar", "--grid", sine_csv, "--oracle", "--oracle-limit", "12"]) == 2
+        assert main(["pvar", "--grid", sine_csv, "--oracle"]) == 2
 
     def test_needs_1d(self, stair_csv):
         assert main(["pvar", "--grid", stair_csv]) == 2
@@ -90,8 +91,7 @@ class TestModulusAndIntegrals:
 
     def test_cap_enforced(self, stair_csv):
         assert main(["modulus", "--grid", stair_csv, "--p", "2", "--cap", "4"]) == 1
-        assert main(["modulus", "--grid", stair_csv, "--p", "2", "--cap", "4",
-                     "--cap-override"]) == 0
+        assert main(["modulus", "--grid", stair_csv, "--p", "2", "--cap", "8"]) == 0
 
 
 class TestWpAndGen:
@@ -127,15 +127,41 @@ class TestSweep:
     def test_bad_p_rejected(self):
         assert main(["sweep", "--family", "t1xt1", "--p-list", "0.5", "--size", "16"]) == 2
 
+    @pytest.mark.parametrize("family, flags", [
+        ("tnxt1", ["--p-list", "abc"]),
+        ("tnxt1", ["--n-list", "x"]),
+        ("tnxt1", ["--n-list", "0"]),
+        ("trigpoly", ["--n-list", "-1"]),
+    ], ids=["p-not-a-number", "n-not-a-number", "n-zero", "n-negative"])
+    def test_malformed_lists_are_usage_errors(self, family, flags, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--family", family, *flags, "--size", "16",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_lists_default_to_family_preset(self, capsys):
+        assert main(["sweep", "--family", "tnxtn", "--size", "16", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        p_grid, n_grid = SWEEP_FAMILIES["tnxtn"]
+        assert [(r["p"], r["n"], r["m"]) for r in rows] == [
+            (p, n, n) for p in p_grid for n in n_grid
+        ]
+
 
 class TestVerify:
     def test_exit_zero_and_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--seed", "7", "--families", "generators,separation",
+        assert main(["verify", "--seed", "7", "--suite", "generators,separation",
                      "--out", str(a)]) == 0
-        assert main(["verify", "--seed", "7", "--families", "generators,separation",
+        assert main(["verify", "--seed", "7", "--suite", "generators,separation",
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unknown_suite_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--suite", "nosuch", "--seed", "7", "--out", str(out)]) == 2
+        assert "unknown suite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_check_exits_one(self, tmp_path, monkeypatch):
         report = CheckReport(meta={"version": "test", "seed": 0, "timestamp": "-"})

@@ -16,6 +16,7 @@ from pvarlab import (
     main_estimate_check,
     run_suite,
     sharpness_sweep,
+    w_p_estimate_check,
 )
 from pvarlab.harness import random_corpus_1d, random_corpus_2d, sweep_rows_to_csv
 
@@ -37,6 +38,10 @@ class TestConfig:
             SuiteConfig(oracle_side_2d=9).validate()
         with pytest.raises(ValueError):
             SuiteConfig(size_2d=200).validate()
+
+    def test_validate_rejects_unknown_suite(self):
+        with pytest.raises(ValueError, match="nosuch"):
+            SuiteConfig(families=("generators", "nosuch")).validate()
 
     def test_empty_families_empty_report(self):
         report = run_suite(SuiteConfig(families=()))
@@ -116,6 +121,12 @@ class TestChecks:
         assert not r["skip"]
         assert r["a_obs"] > 0.0
         assert set(r["terms"]) == {"omega11", "k_term", "i_term"}
+
+    def test_main_estimate_bracket_matches_wp_estimate(self):
+        f = random_corpus_2d(np.random.default_rng(3), 8, 8, 1)[0][1]
+        t = main_estimate_check(f, Exponent(2.0))["terms"]
+        w = w_p_estimate_check(f, Exponent(2.0))
+        assert t["omega11"] + t["k_term"] + t["i_term"] == w["bracket"]
 
 
 class TestSweeps:

@@ -10,6 +10,7 @@ from pvarlab import (
     Exponent,
     Grid2,
     Net,
+    certified_vitali,
     gen_product,
     gen_sine,
     gen_tent_scaled,
@@ -136,6 +137,25 @@ class TestStaircaseNet:
     def test_degenerate_single_cell(self):
         # with one point per axis the offset net has a single vanishing cell
         assert staircase_net_bound(1, Exponent(2.0)) == 0.0
+
+
+class TestCertifiedVitali:
+    @staticmethod
+    def _field(m: int, n: int) -> Grid2:
+        return Grid2(np.random.default_rng(m * 100 + n).normal(size=(m, n)))
+
+    def test_oracle_up_to_max_side(self):
+        f = self._field(6, 6)
+        for p in (Exponent(1.0), Exponent(2.0)):
+            assert certified_vitali(f, p) == vitali_oracle(f, p)
+
+    def test_finest_at_p1_past_oracle_sizes(self):
+        f, p = self._field(9, 10), Exponent(1.0)
+        assert certified_vitali(f, p) == vitali_finest(f, p)
+
+    def test_ascent_at_p_gt_1_past_oracle_sizes(self):
+        f, p = self._field(9, 10), Exponent(2.0)
+        assert certified_vitali(f, p) == vitali_ascent(f, p).value
 
 
 class TestSectionBound:
