@@ -16,7 +16,6 @@ __all__ = [
     "Exponent",
     "Grid1",
     "Grid2",
-    "make_grid2",
     "gen_tent_scaled",
     "gen_sine",
     "gen_gn",
@@ -120,10 +119,6 @@ class Grid2:
     def col(self, j: int) -> Grid1:
         """y-section at y = j/N (a function of x)."""
         return Grid1(self.samples[:, j % self.n])
-
-
-def make_grid2(values) -> Grid2:
-    return Grid2(np.asarray(values, dtype=float))
 
 
 def dist_to_integer(x):

@@ -50,12 +50,16 @@ def _root(s: float, p: float) -> float:
     return s ** (1.0 / p)
 
 
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as an exact head/tail pair (Knuth's two-sum)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
 def _abs_diff_exact(x: float, y: float) -> tuple[float, float]:
-    """|x - y| as an exact head/tail pair (two-sum error compensation)."""
-    b = -y
-    s = x + b
-    bv = s - x
-    e = (x - (s - bv)) + (b - bv)
+    """|x - y| as an exact head/tail pair."""
+    s, e = _two_sum(x, -y)
     if s < 0.0 or (s == 0.0 and e < 0.0):
         return -s, -e
     return s, e
@@ -88,44 +92,57 @@ def pvar_sum(g: Grid1, part: CyclicPartition, p: Exponent) -> float:
     return _sum_value(g.samples, part.indices, p.p)
 
 
+def _chain_dp(cost, na: int, m: int) -> tuple[float, int, list[int]]:
+    """Maximum-weight cyclic chain of positions 0..m-1, for na anchors at once.
+
+    Position k of anchor a is the k-th index in cyclic order from a, and
+    every chain starts at position 0.  cost(j, k) returns the prices of the
+    steps from positions 0..k-1 to position j as an (na, k) array; the
+    closing step back to position 0 is priced by cost(0, m).  Ties go to the
+    earliest predecessor (or last position before the wrap), then to the
+    earliest anchor: np.argmax along each axis.  O(m^2) time and O(m)
+    memory per anchor.  Returns the best step-cost sum, the winning anchor
+    and its chain positions in increasing order.
+    """
+    lanes = np.arange(na)
+    best = np.zeros((na, m))
+    pred = np.zeros((na, m), dtype=np.intp)
+    for j in range(1, m):
+        cand = best[:, :j] + cost(j, j)
+        i = cand.argmax(axis=1)
+        best[:, j] = cand[lanes, i]
+        pred[:, j] = i
+    closing = best + cost(0, m)
+    last = closing.argmax(axis=1)
+    totals = closing[lanes, last]
+    a = int(totals.argmax())
+    j = int(last[a])
+    chain = [j]
+    while j > 0:
+        j = int(pred[a, j])
+        chain.append(j)
+    return float(totals[a]), a, chain[::-1]
+
+
 def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
     """Exact discrete p-variation: max of pvar_sum over all cyclic partitions.
 
     An optimal cyclic partition may be assumed to contain a global-maximum
     sample (inserting a point with value >= both neighbours never decreases
-    the sum for p >= 1), so a single O(N^2) chain DP anchored there suffices.
-    Ties are broken toward partitions with fewer points.
+    the sum for p >= 1), so one chain DP anchored at the first such sample
+    suffices: O(N^2) time, O(N) memory, step costs priced one position at a
+    time.  Ties in the naive step-cost sum go to the partition whose last
+    point before the wrap comes first, and each point's predecessor is the
+    earliest one attaining its best prefix sum (see _chain_dp).  The value
+    returned is pvar_sum of that partition.
     """
     vals = g.samples
     n = g.n
     pp = p.p
     anchor = int(np.argmax(vals))
     rot = np.roll(vals, -anchor)
-
-    cost = np.abs(rot[None, :] - rot[:, None]) ** pp
-    best = np.zeros(n)
-    npts = np.ones(n, dtype=int)
-    pred = np.full(n, -1, dtype=int)
-    for j in range(1, n):
-        cand = best[:j] + cost[:j, j]
-        m = cand.max()
-        ties = np.flatnonzero(cand == m)
-        i = int(ties[np.argmin(npts[ties])])
-        best[j] = m
-        npts[j] = npts[i] + 1
-        pred[j] = i
-
-    closing = best + cost[:, 0]
-    m = closing.max()
-    ties = np.flatnonzero(closing == m)
-    j = int(ties[np.argmin(npts[ties])])
-
-    chain = []
-    while j >= 0:
-        chain.append(j)
-        j = int(pred[j])
-    indices = sorted((c + anchor) % n for c in chain)
-    part = CyclicPartition(tuple(indices))
+    _, _, chain = _chain_dp(lambda j, k: np.abs(rot[j] - rot[None, :k]) ** pp, 1, n)
+    part = CyclicPartition(tuple(sorted((c + anchor) % n for c in chain)))
     return pvar_sum(g, part, p), part
 
 

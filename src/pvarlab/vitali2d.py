@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2, gen_staircase
-from .pvar1d import CyclicPartition, _root, pvar_cyclic
+from .pvar1d import CyclicPartition, _chain_dp, _root, _two_sum, pvar_cyclic
 
 __all__ = [
     "Net",
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 ORACLE_MAX_SIDE = 7
+MAX_SWEEPS = 20  # alternating half-step pairs per ascent run
+RESTARTS = 8  # seeded random column starts of the ascent
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,6 @@ class AscentResult:
     value: float
     net: Net
     converged: bool
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
 
 
 def _abs_cell_terms(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
@@ -164,33 +160,17 @@ def _chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
 
     cost[i, j] is the price of the step i -> j.  Every anchor is tried (the
     1D global-max anchor argument does not transfer to vector-valued pair
-    costs); the chain DP per anchor is O(M^2).
+    costs), all at once by pvar1d._chain_dp: O(M^3) time, O(M^2) memory.
+    oc[a, y, x] = cost[(a + x) % m, (a + y) % m] is a strided view of the
+    doubled transposed matrix, so the rotated costs are never copied.
     Returns the best p-th-power sum and the chain as sorted indices.
     """
     m = cost.shape[0]
-    best_val = -math.inf
-    best_chain: list[int] = [0]
-    for a in range(m):
-        order = [(a + k) % m for k in range(m)]
-        oc = cost[np.ix_(order, order)]
-        dp = np.zeros(m)
-        pred = np.full(m, -1, dtype=int)
-        for j in range(1, m):
-            cand = dp[:j] + oc[:j, j]
-            i = int(np.argmax(cand))
-            dp[j] = cand[i]
-            pred[j] = i
-        closing = dp + oc[:, 0]
-        j = int(np.argmax(closing))
-        total = float(closing[j])
-        if total > best_val:
-            chain = []
-            while j >= 0:
-                chain.append(order[j])
-                j = int(pred[j])
-            best_val = total
-            best_chain = sorted(chain)
-    return best_val, best_chain
+    flat = np.tile(cost.T, (2, 2)).ravel()
+    step = flat.itemsize
+    oc = np.ndarray((m, m, m), flat.dtype, flat, 0, ((2 * m + 1) * step, 2 * m * step, step))
+    total, a, chain = _chain_dp(lambda j, k: oc[:, j, :k], m, m)
+    return total, sorted((a + x) % m for x in chain)
 
 
 def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
@@ -215,20 +195,15 @@ def _offset_start(m: int, n: int) -> Net | None:
     )
 
 
-def vitali_ascent(
-    f: Grid2,
-    p: Exponent,
-    max_sweeps: int = 20,
-    restarts: int = 8,
-    seed: int = 0,
-) -> AscentResult:
+def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     """Alternating coordinate ascent over nets; a certified lower bound.
 
     Holding one chain fixed, the optimal chain in the other coordinate is
     found exactly by the all-anchor cyclic chain DP on precomputed pair
     costs, so the objective is monotone nondecreasing across sweeps.
-    Started from the finest net, a coarse offset net, and seeded random
-    column chains; the best run is kept.
+    Started from the finest net, a coarse offset net, and RESTARTS seeded
+    random column chains; each run stops after MAX_SWEEPS sweeps or when a
+    sweep gains nothing, and the best run is kept.
     """
     m, n = f.m, f.n
     pp = p.p
@@ -237,7 +212,7 @@ def vitali_ascent(
     def run(rows: list[int], cols: list[int]) -> tuple[float, list[int], list[int], bool]:
         obj = float(np.sum(np.abs(_mixed_cells(f, rows, cols)) ** pp))
         converged = False
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             # optimal row chain given cols: profiles are column differences
             h = _cyc_coldiff(a[:, cols])
             val, rows_new = _chain_max(_pair_costs(h, pp))
@@ -277,7 +252,7 @@ def vitali_ascent(
     if off is not None:
         starts.append((list(off.rows.indices), list(off.cols.indices)))
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         k = int(rng.integers(1, n + 1))
         cols0 = sorted(rng.choice(n, size=k, replace=False).tolist())
         starts.append((list(range(m)), cols0))

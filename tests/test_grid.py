@@ -20,7 +20,6 @@ from pvarlab import (
     gen_tent_scaled,
     gen_trigpoly,
     load_csv,
-    make_grid2,
     save_csv,
 )
 from pvarlab.grid import dist_to_integer
@@ -52,14 +51,14 @@ class TestContainers:
             Grid1(np.array([1.0, np.nan]))
 
     def test_grid2_sections(self):
-        f = make_grid2([[1.0, 2.0], [3.0, 4.0]])
+        f = Grid2([[1.0, 2.0], [3.0, 4.0]])
         assert f.row(1).samples.tolist() == [3.0, 4.0]
         assert f.col(0).samples.tolist() == [1.0, 3.0]
         assert f.steps == (0.5, 0.5)
 
     def test_grid2_rejects_thin(self):
         with pytest.raises(ValueError):
-            make_grid2([[1.0, 2.0]])
+            Grid2([[1.0, 2.0]])
 
 
 class TestGenerators:
@@ -143,10 +142,10 @@ class TestGenerators:
 
     def test_cumulative_needs_zero_means(self):
         with pytest.raises(ValueError):
-            gen_cumulative(make_grid2([[1.0, 1.0], [1.0, 1.0]]))
+            gen_cumulative(Grid2([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_cumulative_of_mean_free_field(self):
-        f = make_grid2([[1.0, -1.0], [-1.0, 1.0]])
+        f = Grid2([[1.0, -1.0], [-1.0, 1.0]])
         F = gen_cumulative(f)
         assert F.samples[0, 0] == 0.0
         assert F.samples[1, 1] == pytest.approx(0.25)

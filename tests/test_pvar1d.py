@@ -1,5 +1,8 @@
 """Cyclic p-variation in one dimension: exact DP against brute force."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,36 @@ from pvarlab import (
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
+
+
+def _fewest_points_dp(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
+    """Reference chain DP: one anchor, an N x N cost matrix, ties broken
+    toward fewer points.  pvar_cyclic must return exactly its results."""
+    vals = g.samples
+    n = g.n
+    anchor = int(np.argmax(vals))
+    rot = np.roll(vals, -anchor)
+    cost = np.abs(rot[None, :] - rot[:, None]) ** p.p
+    best = np.zeros(n)
+    npts = np.ones(n, dtype=int)
+    pred = np.full(n, -1, dtype=int)
+    for j in range(1, n):
+        cand = best[:j] + cost[:j, j]
+        m = cand.max()
+        ties = np.flatnonzero(cand == m)
+        i = int(ties[np.argmin(npts[ties])])
+        best[j] = m
+        npts[j] = npts[i] + 1
+        pred[j] = i
+    closing = best + cost[:, 0]
+    ties = np.flatnonzero(closing == closing.max())
+    j = int(ties[np.argmin(npts[ties])])
+    chain = []
+    while j >= 0:
+        chain.append(j)
+        j = int(pred[j])
+    part = CyclicPartition(tuple(sorted((c + anchor) % n for c in chain)))
+    return pvar_sum(g, part, p), part
 
 
 def _random_grid(seed: int, n_max: int = 10) -> Grid1:
@@ -66,10 +99,40 @@ class TestAgainstOracle:
         pe = Exponent(p)
         assert pvar_cyclic(g, pe)[0] == pvar_oracle(g, pe)
 
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_matches_fewest_points_dp_on_ternary_grids(self, p):
+        pe = Exponent(p)
+        for n in range(2, 7):
+            for v in itertools.product((0.0, 1.0, 2.0), repeat=n):
+                g = Grid1(np.array(v))
+                assert pvar_cyclic(g, pe) == _fewest_points_dp(g, pe), v
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_matches_fewest_points_dp_on_integer_grids(self, p):
+        pe = Exponent(p)
+        rng = np.random.default_rng(2018)
+        for n in range(2, 41):
+            for _ in range(3):
+                g = Grid1(rng.integers(-3, 4, size=n).astype(float))
+                assert pvar_cyclic(g, pe) == _fewest_points_dp(g, pe)
+
     def test_oracle_size_limit(self):
         g = Grid1(np.zeros(19))
         with pytest.raises(ValueError):
             pvar_oracle(g, Exponent(2.0))
+
+
+class TestMemory:
+    def test_linear_memory_at_4096(self):
+        # an N x N cost matrix alone would take 128 MB here
+        g = Grid1(np.cumsum(np.random.default_rng(3).normal(size=4096)))
+        tracemalloc.start()
+        try:
+            pvar_cyclic(g, Exponent(1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestInvariants:

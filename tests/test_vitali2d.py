@@ -1,5 +1,7 @@
 """Vitali p-variation over nets: oracle, finest net and coordinate ascent."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,38 @@ from pvarlab import (
     vitali_oracle,
     vitali_sum,
 )
+from pvarlab.vitali2d import _chain_max
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
+
+
+def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
+    """Reference chain DP: one first-index DP per anchor in a Python loop.
+    _chain_max must return exactly its results."""
+    m = cost.shape[0]
+    best_val = -math.inf
+    best_chain: list[int] = [0]
+    for a in range(m):
+        order = [(a + k) % m for k in range(m)]
+        oc = cost[np.ix_(order, order)]
+        dp = np.zeros(m)
+        pred = np.full(m, -1, dtype=int)
+        for j in range(1, m):
+            cand = dp[:j] + oc[:j, j]
+            i = int(np.argmax(cand))
+            dp[j] = cand[i]
+            pred[j] = i
+        closing = dp + oc[:, 0]
+        j = int(np.argmax(closing))
+        total = float(closing[j])
+        if total > best_val:
+            chain = []
+            while j >= 0:
+                chain.append(order[j])
+                j = int(pred[j])
+            best_val = total
+            best_chain = sorted(chain)
+    return best_val, best_chain
 
 
 def _random_field(seed: int, side: int = 5) -> Grid2:
@@ -84,6 +116,19 @@ class TestAgainstOracle:
         pe = Exponent(p)
         r = vitali_ascent(f, pe)
         assert vitali_sum(f, r.net, pe) == r.value
+
+
+class TestChainMax:
+    @pytest.mark.parametrize("m", (*range(2, 13), 32))
+    def test_matches_per_anchor_dp(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            for cost in (
+                rng.random((m, m)),
+                rng.integers(0, 4, size=(m, m)).astype(float),
+                rng.integers(0, 2, size=(m, m)).astype(float),
+            ):
+                assert _chain_max(cost) == _per_anchor_chain_max(cost)
 
 
 class TestInvariants:
