@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .modulus import (
     MIXED_TABLE_CAP,
     lp_norm,
     modulus_1d,
-    modulus_iso_2d,
     modulus_mixed,
     averaged_modulus_check,
     diff_modulus_bound_check,
@@ -35,8 +35,8 @@ from .modulus import (
 )
 from .pvar1d import ORACLE_MAX_N, pvar_cyclic, pvar_oracle
 from .smoothness import (
+    FieldContext,
     chain_check,
-    decompose_lp0,
     estimate_bracket,
     integral_I,
     integral_J,
@@ -245,7 +245,7 @@ def embedding_1d_check(g: Grid1, p: Exponent) -> dict:
     return out
 
 
-def main_estimate_check(f: Grid2, p: Exponent) -> dict:
+def main_estimate_check(f: Grid2 | FieldContext, p: Exponent) -> dict:
     """Measured constants for the main Vitali-variation and sup-norm estimates.
 
     Applied to the doubly mean-free core against smoothness.estimate_bracket.
@@ -255,18 +255,18 @@ def main_estimate_check(f: Grid2, p: Exponent) -> dict:
     """
     if p.p == 1.0:
         raise ValueError("the main estimate requires p > 1")
-    core = decompose_lp0(f).core
-    terms = estimate_bracket(modulus_mixed(core, p))
+    core = FieldContext.of(f).core
+    terms = estimate_bracket(core.mixed(p))
     if terms.total == 0.0:
         return {"skip": True}
-    v2 = certified_vitali(core, p)
+    v2 = certified_vitali(core.field, p)
     c = 1.0 / (p.p * p.conj)
-    j_hi = integral_J(modulus_iso_2d(core, p)).hi
-    bracket_inf = lp_norm(core, p) + c * j_hi + terms.i_term
+    j_hi = integral_J(core.iso(p)).hi
+    bracket_inf = lp_norm(core.field, p) + c * j_hi + terms.i_term
     return {
         "skip": False,
         "a_obs": v2 / terms.total,
-        "a_obs_inf": lp_norm(core, math.inf) / bracket_inf,
+        "a_obs_inf": lp_norm(core.field, math.inf) / bracket_inf,
         "terms": terms._asdict(),
     }
 
@@ -313,11 +313,16 @@ def sharpness_sweep(
 
     Families (the keys of SWEEP_FAMILIES): t1xt1, tnxt1, tnxtn (sine
     products) and trigpoly (seeded random coefficients of degree (n, m)).
+    t1xt1 has the single order n = 1; size is at most MIXED_TABLE_CAP.
     """
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
     if any(n < 1 for n in n_grid):
         raise ValueError(f"sweep orders must be at least 1, got {list(n_grid)}")
+    if family == "t1xt1" and tuple(n_grid) != (1,):
+        raise ValueError(f"t1xt1 has the single order n = 1, got {list(n_grid)}")
+    if size > MIXED_TABLE_CAP:
+        raise ValueError(f"sweep size {size} exceeds the mixed-table limit {MIXED_TABLE_CAP}")
     exponents = [Exponent(p) for p in p_grid]
     rows = []
     rng = np.random.default_rng(seed)
@@ -369,11 +374,261 @@ def _meta(cfg: SuiteConfig) -> dict:
     }
 
 
+class _Run(NamedTuple):
+    """What the checks of one run_suite call share; they draw from rng in table order.
+
+    A check body is a generator of report rows (id, anchor, inputs, lhs, rhs
+    [, tolerance]).
+    """
+
+    cfg: SuiteConfig
+    rng: np.random.Generator
+    corpus1: list[tuple[str, Grid1]]
+    corpus2: list[tuple[str, FieldContext]]
+    p_small: list[float]
+    sweeps: list[dict]
+
+
+# 1. generator sanity: closed-form variation of aligned generators
+def _generator_sanity(run: _Run):
+    n = run.cfg.size_1d
+    for p in (1.0, 2.0):
+        pe = Exponent(p)
+        for k in (1, 2, 4):
+            if n % (2 * k):
+                continue
+            v, _ = pvar_cyclic(gen_tent_scaled(k, n), pe)
+            exact = 2.0 ** (1.0 / p - 1.0) * k ** (1.0 / p)
+            yield (f"tent_formula_p{p}_n{k}", "v_p(tent_n) = 2^(1/p-1) n^(1/p)",
+                   f"tent n={k} N={n}", abs(v - exact), 0.0, 1e-12)
+
+
+# 1b. mixed-derivative Bernstein bound for trigonometric polynomials
+def _bernstein(run: _Run):
+    n = run.cfg.size_2d
+    worst = 0.0
+    for _ in range(4):
+        deg_x, deg_y = int(run.rng.integers(1, 5)), int(run.rng.integers(1, 5))
+        coef = [run.rng.normal(size=(deg_x + 1, deg_y + 1)) for _ in range(4)]
+        T, D = gen_trigpoly(*coef, n, n)
+        for p in run.cfg.p_grid:
+            denom = 4.0 * math.pi**2 * deg_x * deg_y * lp_norm(T, p)
+            if denom > 0:
+                worst = max(worst, lp_norm(D, p) / denom)
+    yield ("bernstein_mixed_derivative", "||D1D2 T||_p <= 4 pi^2 n m ||T||_p",
+           f"random degrees <= 4 on {n}x{n}", worst, 1.0, 1e-12)
+
+
+# 2. 1D oracle equivalence
+def _pvar_equiv(run: _Run):
+    cfg = run.cfg
+    worst = 0.0
+    for trial in range(cfg.oracle_trials):
+        n = int(run.rng.integers(2, cfg.oracle_n_1d + 1))
+        g = Grid1(run.rng.normal(size=n))
+        pe = Exponent((1.0, 1.5, 2.0, 3.0)[trial % 4])
+        worst = max(worst, abs(pvar_cyclic(g, pe)[0] - pvar_oracle(g, pe)))
+    yield ("pvar_oracle_equivalence", "sup over all partitions attained by the anchored chain DP",
+           f"{cfg.oracle_trials} random grids, N <= {cfg.oracle_n_1d}", worst, 0.0, 0.0)
+
+
+# 3. 2D oracle equivalence + ascent dominance
+def _vitali_equiv(run: _Run):
+    worst_eq = 0.0
+    worst_exceed = 0.0
+    side = run.cfg.oracle_side_2d
+    for trial in range(max(4, run.cfg.oracle_trials // 4)):
+        f = Grid2(run.rng.normal(size=(side, side)))
+        pe = Exponent((1.0, 1.5, 2.0, 3.0)[trial % 4])
+        vo = vitali_oracle(f, pe)
+        va = vitali_ascent(f, pe).value
+        worst_exceed = max(worst_exceed, va - vo)
+        if pe.p == 1.0:
+            worst_eq = max(worst_eq, abs(vitali_finest(f, pe) - vo))
+    inputs = f"random {side}x{side} grids"
+    yield ("vitali_ascent_le_oracle", "every net evaluation is a lower bound for the net supremum",
+           inputs, worst_exceed, 0.0, 1e-12)
+    yield ("vitali_finest_p1_exact",
+           "refinement never decreases a 1-variation of mixed differences",
+           inputs, worst_eq, 0.0, 0.0)
+
+
+# 4. Golubov identity for the double primitive
+def _golubov(run: _Run):
+    n = run.cfg.size_2d
+    for name, f in run.corpus2[:2] + random_corpus_2d(run.rng, n, n, 1):
+        core = FieldContext.of(f).core.field
+        lhs = vitali_finest(gen_cumulative(core), Exponent(1.0))
+        rhs = float(np.mean(np.abs(core.samples)))
+        yield (f"golubov_identity_{name}",
+               "v_1^(2) of the double primitive equals the L^1 norm of the density",
+               name, abs(lhs - rhs), 0.0, 1e-12)
+
+
+# 5. modulus invariants
+def _modulus_invariants(run: _Run):
+    for name, g in run.corpus1:
+        for p in (1.0, 2.0):
+            pe = Exponent(p)
+            t = modulus_1d(g, pe).values
+            mono = float(np.min(np.diff(t)))
+            yield (f"modulus_monotone_{name}_p{p}", "omega nondecreasing", name, -mono, 0.0)
+            doubling = min((2 * t[k] - t[2 * k] for k in range(1, t.size // 2)), default=0.0)
+            yield (f"modulus_doubling_{name}_p{p}", "omega(2 delta) <= 2 omega(delta)",
+                   name, -doubling, 0.0, 1e-12)
+            sw = omega_sandwich_check(g, pe)
+            yield (f"omega_sandwich_{name}_p{p}", "Omega_p <= omega(1)_p <= 2 Omega_p",
+                   name, -min(sw["lower_margin"], sw["upper_margin"]), 0.0)
+    for name, ctx in run.corpus2[:3]:
+        t = ctx.mixed(Exponent(2.0)).values
+        ratio_worst = 0.0
+        for k2 in range(1, t.shape[0] - 1):
+            for k1 in range(k2, t.shape[0]):
+                viol = t[k1, -1] / k1 - 2.0 * t[k2, -1] / k2
+                ratio_worst = max(ratio_worst, viol)
+        yield (f"modulus_ratio_bound_{name}", "omega(u1,v)/u1 <= 2 omega(u2,v)/u2",
+               name, ratio_worst, 0.0)
+
+
+# 6. difference-modulus and averaged-modulus lemmas
+def _lemma_checks(run: _Run):
+    for name, g in run.corpus1[:6]:
+        r = averaged_modulus_check(g, Exponent(2.0))
+        yield (f"averaged_modulus_{name}", "omega(delta) <= (3/delta) integral of shift norms",
+               name, -r["min_margin"], 0.0)
+    for name, ctx in run.corpus2[:3]:
+        f = ctx.field
+        for p in (1.5, 2.0):
+            r = diff_modulus_bound_check(f, max(1, f.m // 8), Exponent(p))
+            yield (f"diff_modulus_{name}_p{p}",
+                   "omega(D1(h)f; u,v) <= 2 min(omega(f;u,v), omega(f;h,v))",
+                   name, -min(r["mixed_min_margin"], r["iso_min_margin"]), 0.0)
+
+
+# 7. integral inequality chain
+def _chain(run: _Run):
+    for name, ctx in run.corpus2:
+        for p in run.p_small:
+            for row in chain_check(ctx, Exponent(p)):
+                yield (f"chain_{row['id']}_{name}_p{p}",
+                       "K <= 4I/p'; omega(1,1) <= 4I/p'^2; J(core) <= 3K(core)",
+                       name, row["lhs"], row["rhs"])
+
+
+# 8. Hardy-Littlewood p=1
+def _hardy_littlewood(run: _Run):
+    n = run.cfg.size_2d
+    r = hardy_littlewood_check(gen_product(gen_sine(1, n), gen_sine(1, n)))
+    yield ("hardy_littlewood_gap", "v_1^(2) equals the sup of omega(u,v)_1/(uv)",
+           f"t1xt1 N={n}", r["relative_gap"], 0.05)
+    yield ("hardy_littlewood_le", "omega(u,v)_1 <= v_1^(2) uv",
+           f"t1xt1 N={n}", -r["le_margin"], 0.0)
+
+
+# 9. measured constants: finite and stable
+def _measured_constants(run: _Run):
+    n = run.cfg.size_1d
+    worst = 0.0
+    for k in (1, 2, 4):
+        if n % (4 * k):
+            continue
+        r = embedding_1d_check(gen_sine(k, n), Exponent(2.0))
+        for key in ("a_obs_inf", "a_obs_var"):
+            if r[key] is not None:
+                worst = max(worst, r[key])
+    yield ("embedding_1d_bounded", "sup-norm and variation embeddings with measured constants",
+           f"sine family N={n}", worst, 50.0)
+    worst2 = 0.0
+    for name, ctx in run.corpus2[:3]:
+        for p in run.p_small:
+            r = main_estimate_check(ctx, Exponent(p))
+            if not r["skip"]:
+                worst2 = max(worst2, r["a_obs"], r["a_obs_inf"])
+    yield ("main_estimate_bounded", "v_p^(2) and sup-norm controlled by omega(1,1), K and I",
+           "corpus", worst2, 50.0)
+
+
+# 10. W_p checks and the separation constructions
+def _wp_checks(run: _Run):
+    for name, ctx in run.corpus2[:3]:
+        for p in (1.0, 2.0):
+            r = section_lipschitz_check(ctx.field, Exponent(p))
+            yield (f"section_lipschitz_{name}_p{p}",
+                   "|v_p(f_x'') - v_p(f_x')| <= 2 v_p(difference section)",
+                   name, -r["margin"], 0.0)
+    worst_a = 0.0
+    for name, ctx in run.corpus2[:3]:
+        for p in (1.1, 2.0, 8.0):
+            r = w_p_estimate_check(ctx, Exponent(p))
+            if not r["skip"]:
+                worst_a = max(worst_a, r["a_obs"])
+    yield ("wp_estimate_bounded", "W_p of the core controlled by omega(1,1), K and I",
+           "corpus, p in {1.1, 2, 8}", worst_a, 50.0)
+    if "separation" not in run.cfg.families:
+        return
+    p2 = Exponent(2.0)
+    for n in (2, 4, 8, 16):
+        yield (f"staircase_net_bound_n{n}",
+               "offset-net mixed sum of the staircase is at least n^(1/p)",
+               f"n={n}", n ** 0.5, staircase_net_bound(n, p2))
+    # desk-scale separation: W_p of the staircase is resolution-free
+    w16 = w_p(gen_staircase(16), p2)
+    w32 = w_p(gen_staircase(32), p2)
+    yield ("staircase_wp_stable",
+           "section-variation profiles of the staircase are constant off "
+           "the degenerate grid sections",
+           "N=16 vs N=32", abs(w16 - w32), 0.0, 1e-12)
+    finest_prev = None
+    for m in range(1, 6):
+        f = gen_series_f(m, p2, 2 ** (m + 1) * 2)
+        fin = vitali_finest(f, p2)
+        if finest_prev is not None and m == 5:
+            yield ("series_finest_bounded", "Vitali value of the dyadic series stays bounded",
+                   "M=4 vs M=5", fin, finest_prev * 1.05)
+        finest_prev = fin
+
+
+# 11. sharpness sweeps
+def _sweeps(run: _Run):
+    if "sweeps" not in run.cfg.families:
+        return
+    n, p_small = run.cfg.size_2d, run.p_small
+    run.sweeps.extend(sharpness_sweep("t1xt1", tuple(p_small), (1,), size=n))
+    orders = tuple(k for k in (1, 2, 4) if n % (4 * k) == 0)
+    run.sweeps.extend(sharpness_sweep("tnxt1", (max(p_small),), orders, size=n))
+    for row in run.sweeps:
+        v = row["values"]
+        if row["family"] == "t1xt1" and "i_hi" in v:
+            pc = Exponent(row["p"]).conj
+            yield (f"sweep_smallp_{row['family']}_p{row['p']}_n{row['n']}",
+                   "I_p(t1 x t1) <= 4 pi^2 p'^2",
+                   f"{row['family']} p={row['p']}", v["i_hi"], 4.0 * math.pi**2 * pc**2)
+
+
+# (check id, paper anchor of its failure row, body), in run order
+_CHECKS = (
+    ("generator_sanity", "closed-form variation of aligned generators", _generator_sanity),
+    ("bernstein_mixed_derivative", "mixed Bernstein bound", _bernstein),
+    ("pvar_oracle_equivalence", "1D supremum", _pvar_equiv),
+    ("vitali_oracle_equivalence", "2D supremum", _vitali_equiv),
+    ("golubov_identity", "double primitive identity", _golubov),
+    ("modulus_invariants", "modulus table invariants", _modulus_invariants),
+    ("lemma_checks", "first-difference modulus bounds", _lemma_checks),
+    ("chain_check", "integral chain", _chain),
+    ("hardy_littlewood", "p=1 characterization", _hardy_littlewood),
+    ("measured_constants", "measured embedding constants", _measured_constants),
+    ("wp_checks", "mixed-norm checks", _wp_checks),
+    ("sharpness_sweeps", "sharpness diagnostics", _sweeps),
+)
+
+
 def run_suite(cfg: SuiteConfig) -> CheckReport:
     """Run every inequality/identity suite on the seeded corpus.
 
-    Sub-check exceptions are caught and recorded as failed checks; the
-    report passes iff every check passes.
+    The checks of _CHECKS run in order on one _Run, whose 2-D corpus is
+    wrapped in FieldContexts that live for this call only.  An exception in
+    a check is recorded as a failed check after the rows it already
+    yielded; the report passes iff every check passes.
     """
     cfg.validate()
     report = CheckReport(meta=_meta(cfg))
@@ -386,356 +641,13 @@ def run_suite(cfg: SuiteConfig) -> CheckReport:
     if not run_random:
         corpus1 = [c for c in corpus1 if not c[0].startswith("random")]
         corpus2 = [c for c in corpus2 if not c[0].startswith("random")]
+    contexts = [(name, FieldContext(f)) for name, f in corpus2]
     p_small = [p for p in cfg.p_grid if p > 1.0]
-
-    def guarded(check_id, anchor, fn):
+    run = _Run(cfg, rng, corpus1, contexts, p_small, report.sweeps)
+    for check_id, anchor, body in _CHECKS:
         try:
-            fn()
+            for row in body(run):
+                report.add(*row)
         except Exception as exc:  # noqa: BLE001 - a panic becomes a failed check
             report.add_failure(check_id, anchor, "-", f"{type(exc).__name__}: {exc}")
-
-    # 1. generator sanity: closed-form variation of aligned generators
-    def gen_sanity():
-        for p in (1.0, 2.0):
-            pe = Exponent(p)
-            for k in (1, 2, 4):
-                if cfg.size_1d % (2 * k):
-                    continue
-                v, _ = pvar_cyclic(gen_tent_scaled(k, cfg.size_1d), pe)
-                exact = 2.0 ** (1.0 / p - 1.0) * k ** (1.0 / p)
-                report.add(
-                    f"tent_formula_p{p}_n{k}",
-                    "v_p(tent_n) = 2^(1/p-1) n^(1/p)",
-                    f"tent n={k} N={cfg.size_1d}",
-                    abs(v - exact),
-                    0.0,
-                    tolerance=1e-12,
-                )
-
-    guarded("generator_sanity", "closed-form variation of aligned generators", gen_sanity)
-
-    # 1b. mixed-derivative Bernstein bound for trigonometric polynomials
-    def bernstein():
-        worst = 0.0
-        for _ in range(4):
-            deg_x, deg_y = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            coef = [rng.normal(size=(deg_x + 1, deg_y + 1)) for _ in range(4)]
-            T, D = gen_trigpoly(*coef, cfg.size_2d, cfg.size_2d)
-            for p in cfg.p_grid:
-                denom = 4.0 * math.pi**2 * deg_x * deg_y * lp_norm(T, p)
-                if denom > 0:
-                    worst = max(worst, lp_norm(D, p) / denom)
-        report.add(
-            "bernstein_mixed_derivative",
-            "||D1D2 T||_p <= 4 pi^2 n m ||T||_p",
-            f"random degrees <= 4 on {cfg.size_2d}x{cfg.size_2d}",
-            worst,
-            1.0,
-            tolerance=1e-12,
-        )
-
-    guarded("bernstein_mixed_derivative", "mixed Bernstein bound", bernstein)
-
-    # 2. 1D oracle equivalence
-    def pvar_equiv():
-        worst = 0.0
-        for trial in range(cfg.oracle_trials):
-            n = int(rng.integers(2, cfg.oracle_n_1d + 1))
-            g = Grid1(rng.normal(size=n))
-            pe = Exponent((1.0, 1.5, 2.0, 3.0)[trial % 4])
-            worst = max(worst, abs(pvar_cyclic(g, pe)[0] - pvar_oracle(g, pe)))
-        report.add(
-            "pvar_oracle_equivalence",
-            "sup over all partitions attained by the anchored chain DP",
-            f"{cfg.oracle_trials} random grids, N <= {cfg.oracle_n_1d}",
-            worst,
-            0.0,
-            tolerance=0.0,
-        )
-
-    guarded("pvar_oracle_equivalence", "1D supremum", pvar_equiv)
-
-    # 3. 2D oracle equivalence + ascent dominance
-    def vitali_equiv():
-        worst_eq = 0.0
-        worst_exceed = 0.0
-        side = cfg.oracle_side_2d
-        for trial in range(max(4, cfg.oracle_trials // 4)):
-            f = Grid2(rng.normal(size=(side, side)))
-            pe = Exponent((1.0, 1.5, 2.0, 3.0)[trial % 4])
-            vo = vitali_oracle(f, pe)
-            va = vitali_ascent(f, pe).value
-            worst_exceed = max(worst_exceed, va - vo)
-            if pe.p == 1.0:
-                worst_eq = max(worst_eq, abs(vitali_finest(f, pe) - vo))
-        report.add(
-            "vitali_ascent_le_oracle",
-            "every net evaluation is a lower bound for the net supremum",
-            f"random {side}x{side} grids",
-            worst_exceed,
-            0.0,
-            tolerance=1e-12,
-        )
-        report.add(
-            "vitali_finest_p1_exact",
-            "refinement never decreases a 1-variation of mixed differences",
-            f"random {side}x{side} grids",
-            worst_eq,
-            0.0,
-            tolerance=0.0,
-        )
-
-    guarded("vitali_oracle_equivalence", "2D supremum", vitali_equiv)
-
-    # 4. Golubov identity for the double primitive
-    def golubov():
-        for name, f in corpus2[:2] + random_corpus_2d(rng, cfg.size_2d, cfg.size_2d, 1):
-            core = decompose_lp0(f).core
-            F = gen_cumulative(core)
-            lhs = vitali_finest(F, Exponent(1.0))
-            rhs = float(np.mean(np.abs(core.samples)))
-            report.add(
-                f"golubov_identity_{name}",
-                "v_1^(2) of the double primitive equals the L^1 norm of the density",
-                name,
-                abs(lhs - rhs),
-                0.0,
-                tolerance=1e-12,
-            )
-
-    guarded("golubov_identity", "double primitive identity", golubov)
-
-    # 5. modulus invariants
-    def modulus_invariants():
-        for name, g in corpus1:
-            for p in (1.0, 2.0):
-                pe = Exponent(p)
-                t = modulus_1d(g, pe).values
-                mono = float(np.min(np.diff(t)))
-                report.add(
-                    f"modulus_monotone_{name}_p{p}", "omega nondecreasing", name, -mono, 0.0
-                )
-                doubling = min(
-                    (2 * t[k] - t[2 * k] for k in range(1, t.size // 2)), default=0.0
-                )
-                report.add(
-                    f"modulus_doubling_{name}_p{p}",
-                    "omega(2 delta) <= 2 omega(delta)",
-                    name,
-                    -doubling,
-                    0.0,
-                    tolerance=1e-12,
-                )
-                sw = omega_sandwich_check(g, pe)
-                report.add(
-                    f"omega_sandwich_{name}_p{p}",
-                    "Omega_p <= omega(1)_p <= 2 Omega_p",
-                    name,
-                    -min(sw["lower_margin"], sw["upper_margin"]),
-                    0.0,
-                )
-        for name, f in corpus2[:3]:
-            pe = Exponent(2.0)
-            t = modulus_mixed(f, pe).values
-            ratio_worst = 0.0
-            for k2 in range(1, t.shape[0] - 1):
-                for k1 in range(k2, t.shape[0]):
-                    viol = t[k1, -1] / k1 - 2.0 * t[k2, -1] / k2
-                    ratio_worst = max(ratio_worst, viol)
-            report.add(
-                f"modulus_ratio_bound_{name}",
-                "omega(u1,v)/u1 <= 2 omega(u2,v)/u2",
-                name,
-                ratio_worst,
-                0.0,
-            )
-
-    guarded("modulus_invariants", "modulus table invariants", modulus_invariants)
-
-    # 6. difference-modulus and averaged-modulus lemmas
-    def lemma_checks():
-        for name, g in corpus1[:6]:
-            r = averaged_modulus_check(g, Exponent(2.0))
-            report.add(
-                f"averaged_modulus_{name}",
-                "omega(delta) <= (3/delta) integral of shift norms",
-                name,
-                -r["min_margin"],
-                0.0,
-            )
-        for name, f in corpus2[:3]:
-            for p in (1.5, 2.0):
-                r = diff_modulus_bound_check(f, max(1, f.m // 8), Exponent(p))
-                report.add(
-                    f"diff_modulus_{name}_p{p}",
-                    "omega(D1(h)f; u,v) <= 2 min(omega(f;u,v), omega(f;h,v))",
-                    name,
-                    -min(r["mixed_min_margin"], r["iso_min_margin"]),
-                    0.0,
-                )
-
-    guarded("lemma_checks", "first-difference modulus bounds", lemma_checks)
-
-    # 7. integral inequality chain
-    def chain():
-        for name, f in corpus2:
-            for p in p_small:
-                for row in chain_check(f, Exponent(p)):
-                    report.add(
-                        f"chain_{row['id']}_{name}_p{p}",
-                        "K <= 4I/p'; omega(1,1) <= 4I/p'^2; J(core) <= 3K(core)",
-                        name,
-                        row["lhs"],
-                        row["rhs"],
-                    )
-
-    guarded("chain_check", "integral chain", chain)
-
-    # 8. Hardy-Littlewood p=1
-    def hardy_littlewood():
-        f = gen_product(gen_sine(1, cfg.size_2d), gen_sine(1, cfg.size_2d))
-        r = hardy_littlewood_check(f)
-        report.add(
-            "hardy_littlewood_gap",
-            "v_1^(2) equals the sup of omega(u,v)_1/(uv)",
-            f"t1xt1 N={cfg.size_2d}",
-            r["relative_gap"],
-            0.05,
-        )
-        report.add(
-            "hardy_littlewood_le",
-            "omega(u,v)_1 <= v_1^(2) uv",
-            f"t1xt1 N={cfg.size_2d}",
-            -r["le_margin"],
-            0.0,
-        )
-
-    guarded("hardy_littlewood", "p=1 characterization", hardy_littlewood)
-
-    # 9. measured constants: finite and stable
-    def measured_constants():
-        worst = 0.0
-        for k in (1, 2, 4):
-            if cfg.size_1d % (4 * k):
-                continue
-            r = embedding_1d_check(gen_sine(k, cfg.size_1d), Exponent(2.0))
-            for key in ("a_obs_inf", "a_obs_var"):
-                if r[key] is not None:
-                    worst = max(worst, r[key])
-        report.add(
-            "embedding_1d_bounded",
-            "sup-norm and variation embeddings with measured constants",
-            f"sine family N={cfg.size_1d}",
-            worst,
-            50.0,
-        )
-        worst2 = 0.0
-        for name, f in corpus2[:3]:
-            for p in p_small:
-                r = main_estimate_check(f, Exponent(p))
-                if not r["skip"]:
-                    worst2 = max(worst2, r["a_obs"], r["a_obs_inf"])
-        report.add(
-            "main_estimate_bounded",
-            "v_p^(2) and sup-norm controlled by omega(1,1), K and I",
-            "corpus",
-            worst2,
-            50.0,
-        )
-
-    guarded("measured_constants", "measured embedding constants", measured_constants)
-
-    # 10. W_p checks and the separation constructions
-    def wp_checks():
-        for name, f in corpus2[:3]:
-            for p in (1.0, 2.0):
-                r = section_lipschitz_check(f, Exponent(p))
-                report.add(
-                    f"section_lipschitz_{name}_p{p}",
-                    "|v_p(f_x'') - v_p(f_x')| <= 2 v_p(difference section)",
-                    name,
-                    -r["margin"],
-                    0.0,
-                )
-        worst_a = 0.0
-        for name, f in corpus2[:3]:
-            for p in (1.1, 2.0, 8.0):
-                r = w_p_estimate_check(f, Exponent(p))
-                if not r["skip"]:
-                    worst_a = max(worst_a, r["a_obs"])
-        report.add(
-            "wp_estimate_bounded",
-            "W_p of the core controlled by omega(1,1), K and I",
-            "corpus, p in {1.1, 2, 8}",
-            worst_a,
-            50.0,
-        )
-        if "separation" in cfg.families:
-            p2 = Exponent(2.0)
-            for n in (2, 4, 8, 16):
-                val = staircase_net_bound(n, p2)
-                report.add(
-                    f"staircase_net_bound_n{n}",
-                    "offset-net mixed sum of the staircase is at least n^(1/p)",
-                    f"n={n}",
-                    n ** 0.5,
-                    val,
-                )
-            # desk-scale separation: W_p of the staircase is resolution-free
-            w16 = w_p(gen_staircase(16), p2)
-            w32 = w_p(gen_staircase(32), p2)
-            report.add(
-                "staircase_wp_stable",
-                "section-variation profiles of the staircase are constant off "
-                "the degenerate grid sections",
-                "N=16 vs N=32",
-                abs(w16 - w32),
-                0.0,
-                tolerance=1e-12,
-            )
-            finest_prev = None
-            for m in range(1, 6):
-                f = gen_series_f(m, p2, 2 ** (m + 1) * 2)
-                fin = vitali_finest(f, p2)
-                if finest_prev is not None and m == 5:
-                    report.add(
-                        "series_finest_bounded",
-                        "Vitali value of the dyadic series stays bounded",
-                        "M=4 vs M=5",
-                        fin,
-                        finest_prev * 1.05,
-                    )
-                finest_prev = fin
-
-    guarded("wp_checks", "mixed-norm checks", wp_checks)
-
-    # 11. sharpness sweeps
-    if "sweeps" in cfg.families:
-
-        def sweeps():
-            report.sweeps.extend(
-                sharpness_sweep("t1xt1", tuple(p_small), (1,), size=cfg.size_2d)
-            )
-            report.sweeps.extend(
-                sharpness_sweep(
-                    "tnxt1",
-                    (max(p_small),),
-                    tuple(k for k in (1, 2, 4) if cfg.size_2d % (4 * k) == 0),
-                    size=cfg.size_2d,
-                )
-            )
-            for row in report.sweeps:
-                v = row["values"]
-                if row["family"] == "t1xt1" and "i_hi" in v:
-                    pc = Exponent(row["p"]).conj
-                    report.add(
-                        f"sweep_smallp_{row['family']}_p{row['p']}_n{row['n']}",
-                        "I_p(t1 x t1) <= 4 pi^2 p'^2",
-                        f"{row['family']} p={row['p']}",
-                        v["i_hi"],
-                        4.0 * math.pi**2 * pc**2,
-                    )
-
-        guarded("sharpness_sweeps", "sharpness diagnostics", sweeps)
-
     return report

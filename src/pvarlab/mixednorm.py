@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2
-from .modulus import modulus_mixed
-from .pvar1d import pvar_cyclic
-from .smoothness import decompose_lp0, estimate_bracket
+from .pvar1d import _pvar_rows, pvar_cyclic
+from .smoothness import FieldContext, estimate_bracket
 
 __all__ = [
     "SectionProfile",
@@ -32,14 +31,12 @@ class SectionProfile:
 
 def phi_profile(f: Grid2, p: Exponent) -> SectionProfile:
     """x -> v_p(f_x), computed exactly per row."""
-    vals = np.array([pvar_cyclic(f.row(i), p)[0] for i in range(f.m)])
-    return SectionProfile(Grid1(vals), "x", p)
+    return SectionProfile(Grid1(_pvar_rows(f.samples, p)), "x", p)
 
 
 def psi_profile(f: Grid2, p: Exponent) -> SectionProfile:
     """y -> v_p(f_y), computed exactly per column."""
-    vals = np.array([pvar_cyclic(f.col(j), p)[0] for j in range(f.n)])
-    return SectionProfile(Grid1(vals), "y", p)
+    return SectionProfile(Grid1(_pvar_rows(f.samples.T, p)), "y", p)
 
 
 def w_p(f: Grid2, p: Exponent) -> float:
@@ -51,20 +48,16 @@ def w_p(f: Grid2, p: Exponent) -> float:
 
 def section_lipschitz_check(f: Grid2, p: Exponent) -> dict:
     """|v_p(f_x'') - v_p(f_x')| <= 2 v_p(difference section), all row pairs."""
-    rows_var = [pvar_cyclic(f.row(i), p)[0] for i in range(f.m)]
-    worst = None
-    for i in range(f.m):
-        for j in range(i + 1, f.m):
-            d = Grid1(f.samples[j] - f.samples[i])
-            bound = 2.0 * pvar_cyclic(d, p)[0]
-            margin = bound - abs(rows_var[j] - rows_var[i])
-            if worst is None or margin < worst["margin"]:
-                worst = {"pair": (i, j), "margin": margin, "bound": bound}
-    assert worst is not None
-    return worst
+    a = f.samples
+    rows_var = _pvar_rows(a, p)
+    i, j = np.triu_indices(f.m, 1)  # every row pair, in row-major order
+    bounds = 2.0 * _pvar_rows(a[j] - a[i], p)
+    margins = bounds - np.abs(rows_var[j] - rows_var[i])
+    k = int(np.argmin(margins))
+    return {"pair": (int(i[k]), int(j[k])), "margin": float(margins[k]), "bound": float(bounds[k])}
 
 
-def w_p_estimate_check(f: Grid2, p: Exponent) -> dict:
+def w_p_estimate_check(f: Grid2 | FieldContext, p: Exponent) -> dict:
     """Measured constant for the W_p estimate, applied to the mean-free core.
 
     The ratio W_p(core) / [omega(1,1) + K/(pp') + I/(pp')^2] is recorded;
@@ -73,9 +66,9 @@ def w_p_estimate_check(f: Grid2, p: Exponent) -> dict:
     """
     if p.p == 1.0:
         raise ValueError("the W_p estimate requires p > 1")
-    core = decompose_lp0(f).core
-    bracket = estimate_bracket(modulus_mixed(core, p)).total
+    core = FieldContext.of(f).core
+    bracket = estimate_bracket(core.mixed(p)).total
     if bracket == 0.0:
         return {"skip": True, "bracket": 0.0, "w_p": 0.0, "a_obs": None}
-    w = w_p(core, p)
+    w = w_p(core.field, p)
     return {"skip": False, "bracket": bracket, "w_p": w, "a_obs": w / bracket}

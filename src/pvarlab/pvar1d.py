@@ -146,6 +146,11 @@ def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
     return pvar_sum(g, part, p), part
 
 
+def _pvar_rows(a: np.ndarray, p: Exponent) -> np.ndarray:
+    """pvar_cyclic value of each row of the 2-D array a (pass a.T for columns)."""
+    return np.array([pvar_cyclic(Grid1(row), p)[0] for row in a])
+
+
 def pvar_oracle(g: Grid1, p: Exponent) -> float:
     """Brute-force ground truth: max of pvar_sum over every nonempty index subset."""
     n = g.n

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "Enclosure",
     "Decomposition",
     "decompose_lp0",
+    "FieldContext",
     "integral_J",
     "integral_K",
     "integral_I",
@@ -72,6 +74,40 @@ def decompose_lp0(f: Grid2) -> Decomposition:
     return Decomposition(Grid2(core), Grid1(phi1), Grid1(phi2))
 
 
+class FieldContext:
+    """One field and what the estimates derive from it, each computed on first use.
+
+    .core is the context of the doubly mean-free core; .mixed(p) and .iso(p)
+    are the field's mixed and isotropic modulus tables.  A context holds its
+    results for as long as it lives, so callers keep one only as long as
+    they work on that field (run_suite: one call).
+    """
+
+    def __init__(self, field: Grid2):
+        self.field = field
+        self._mixed: dict[float, ModulusTable2D] = {}
+        self._iso: dict[float, ModulusTable1D] = {}
+
+    @classmethod
+    def of(cls, f: Grid2 | FieldContext) -> FieldContext:
+        """f itself if it is a context, else a fresh context of the field f."""
+        return f if isinstance(f, FieldContext) else cls(f)
+
+    @cached_property
+    def core(self) -> FieldContext:
+        return FieldContext(decompose_lp0(self.field).core)
+
+    def mixed(self, p: Exponent) -> ModulusTable2D:
+        if p.p not in self._mixed:
+            self._mixed[p.p] = modulus_mixed(self.field, p)
+        return self._mixed[p.p]
+
+    def iso(self, p: Exponent) -> ModulusTable1D:
+        if p.p not in self._iso:
+            self._iso[p.p] = modulus_iso_2d(self.field, p)
+        return self._iso[p.p]
+
+
 def _require_p_gt_1(p: Exponent) -> None:
     if p.p == 1.0:
         raise ValueError("the weighted smoothness integrals require p > 1")
@@ -82,9 +118,7 @@ def _cell_weights(n_cells: int, step: float, t_min: float, p: float) -> np.ndarr
     k = np.arange(n_cells)
     lo = k * step
     hi = lo + step
-    w = np.where(lo >= t_min - 1e-12, p * (lo ** (-1.0 / p) - hi ** (-1.0 / p)), 0.0)
-    w[lo < t_min - 1e-12] = 0.0
-    return w
+    return np.where(lo >= t_min - 1e-12, p * (lo ** (-1.0 / p) - hi ** (-1.0 / p)), 0.0)
 
 
 def _enclose_1d(values: np.ndarray, step: float, p: float, t_min: float) -> tuple[float, float]:
@@ -181,7 +215,7 @@ def estimate_bracket(table: ModulusTable2D) -> EstimateBracket:
     )
 
 
-def chain_check(f: Grid2, p: Exponent) -> list[dict]:
+def chain_check(f: Grid2 | FieldContext, p: Exponent) -> list[dict]:
     """The inequality chain linking K, I, omega(1,1) and J of the mean-free core.
 
     Asserted in the certified directions: K.lo <= (4/p') I.hi,
@@ -190,15 +224,15 @@ def chain_check(f: Grid2, p: Exponent) -> list[dict]:
     """
     _require_p_gt_1(p)
     pc = p.conj
-    table = modulus_mixed(f, p)
+    ctx = FieldContext.of(f)
+    table = ctx.mixed(p)
     enc_i = integral_I(table)
     enc_k = integral_K(table)
     omega11 = float(table.values[-1, -1])
 
-    core = decompose_lp0(f).core
-    core_mixed = modulus_mixed(core, p)
-    enc_k_core = integral_K(core_mixed)
-    enc_j_core = integral_J(modulus_iso_2d(core, p))
+    core = ctx.core
+    enc_k_core = integral_K(core.mixed(p))
+    enc_j_core = integral_J(core.iso(p))
 
     rows = [
         {

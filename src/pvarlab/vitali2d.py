@@ -15,7 +15,8 @@ from itertools import combinations
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2, gen_staircase
-from .pvar1d import CyclicPartition, _chain_dp, _root, _two_sum, pvar_cyclic
+from .modulus import _BLOCK
+from .pvar1d import CyclicPartition, _chain_dp, _pvar_rows, _root, _two_sum
 
 __all__ = [
     "Net",
@@ -174,14 +175,17 @@ def _chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
 
 
 def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
-    """cost[r, r'] = sum_j |profile_{r'}(j) - profile_r(j)|^pp."""
-    m = profiles.shape[0]
-    if m * m * profiles.shape[1] <= 4_000_000:
-        d = np.abs(profiles[None, :, :] - profiles[:, None, :]) ** pp
-        return d.sum(axis=2)
+    """cost[r, r'] = sum_j |profile_{r'}(j) - profile_r(j)|^pp.
+
+    Rows r are taken in blocks of about _BLOCK differences; each entry sums
+    one contiguous run of N differences, so the blocking does not change it.
+    """
+    m, n = profiles.shape
+    rows = max(1, _BLOCK // (m * n))
     out = np.empty((m, m))
-    for r in range(m):
-        out[r] = (np.abs(profiles - profiles[r]) ** pp).sum(axis=1)
+    for r0 in range(0, m, rows):
+        d = np.abs(profiles - profiles[r0 : r0 + rows, None]) ** pp
+        d.sum(axis=2, out=out[r0 : r0 + rows])
     return out
 
 
@@ -323,8 +327,8 @@ def hardy_section_check(
     Reference sections default to the ones of minimal variation.
     """
     v2 = certified_vitali(f, p)
-    rows_var = [pvar_cyclic(f.row(i), p)[0] for i in range(f.m)]
-    cols_var = [pvar_cyclic(f.col(j), p)[0] for j in range(f.n)]
+    rows_var = _pvar_rows(f.samples, p).tolist()
+    cols_var = _pvar_rows(f.samples.T, p).tolist()
     if x0 is None:
         x0 = int(np.argmin(rows_var))
     if y0 is None:

@@ -132,11 +132,20 @@ class TestSweep:
         ("tnxt1", ["--n-list", "x"]),
         ("tnxt1", ["--n-list", "0"]),
         ("trigpoly", ["--n-list", "-1"]),
-    ], ids=["p-not-a-number", "n-not-a-number", "n-zero", "n-negative"])
+        ("t1xt1", ["--n-list", "3"]),
+    ], ids=["p-not-a-number", "n-not-a-number", "n-zero", "n-negative", "t1xt1-n-not-1"])
     def test_malformed_lists_are_usage_errors(self, family, flags, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--family", family, *flags, "--size", "16",
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_size_over_table_cap_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--family", "t1xt1", "--size", "256", "--p-list", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "256" in err and "128" in err and "pass a larger cap" not in err
         assert not out.exists()
 
     def test_lists_default_to_family_preset(self, capsys):

@@ -1,6 +1,9 @@
 """Verification harness: corpus suites, report schema and determinism."""
 
+import hashlib
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,6 +100,34 @@ class TestSuite:
         bad = [c for c in report.checks if c.get("error")]
         assert bad and not report.all_pass
         assert "synthetic failure" in bad[0]["error"]
+
+
+class TestDerivedOnce:
+    def test_each_core_and_iso_table_computed_once(self, monkeypatch):
+        """run_suite derives each (field, p) core and isotropic table once."""
+        from pvarlab import modulus, smoothness
+
+        seen = Counter()
+
+        def counted(fn):
+            def wrapper(f, *args, **kwargs):
+                p = args[0].p if args else None
+                digest = hashlib.sha256(f.samples.tobytes()).hexdigest()
+                seen[fn.__name__, f.samples.shape, digest, p] += 1
+                return fn(f, *args, **kwargs)
+            return wrapper
+
+        for module, name in ((smoothness, "decompose_lp0"), (modulus, "modulus_iso_2d")):
+            original = getattr(module, name)
+            wrapper = counted(original)
+            for mod in list(sys.modules.values()):
+                in_package = getattr(mod, "__name__", "").startswith("pvarlab")
+                if in_package and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+        cfg = SuiteConfig(families=("generators", "random"), size_1d=16, size_2d=16)
+        assert run_suite(cfg).all_pass
+        assert {key[0] for key in seen} == {"decompose_lp0", "modulus_iso_2d"}
+        assert [key for key, calls in seen.items() if calls > 1] == []
 
 
 class TestChecks:

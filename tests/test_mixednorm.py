@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pvarlab import (
     Exponent,
+    Grid1,
     Grid2,
     gen_product,
     gen_series_f,
@@ -94,6 +95,34 @@ class TestWp:
         v4 = vitali_finest(gen_series_f(4, pe, 64), pe)
         v5 = vitali_finest(gen_series_f(5, pe, 128), pe)
         assert v5 <= 1.05 * v4
+
+
+def _row_pair_lipschitz(f: Grid2, p: Exponent) -> dict:
+    """Reference: one pvar_cyclic call per row and per row pair, scanned in
+    row-major order; section_lipschitz_check must return exactly its result."""
+    rows_var = [pvar_cyclic(f.row(i), p)[0] for i in range(f.m)]
+    worst = None
+    for i in range(f.m):
+        for j in range(i + 1, f.m):
+            bound = 2.0 * pvar_cyclic(Grid1(f.samples[j] - f.samples[i]), p)[0]
+            margin = bound - abs(rows_var[j] - rows_var[i])
+            if worst is None or margin < worst["margin"]:
+                worst = {"pair": (i, j), "margin": margin, "bound": bound}
+    return worst
+
+
+class TestSectionsBitwise:
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("shape", [(2, 5), (7, 4), (9, 9)])
+    def test_matches_per_section_calls(self, shape, p):
+        pe = Exponent(p)
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for f in (Grid2(rng.normal(size=shape)), Grid2(rng.integers(0, 3, size=shape))):
+            assert section_lipschitz_check(f, pe) == _row_pair_lipschitz(f, pe)
+            phi = [pvar_cyclic(f.row(i), pe)[0] for i in range(f.m)]
+            psi = [pvar_cyclic(f.col(j), pe)[0] for j in range(f.n)]
+            assert phi_profile(f, pe).values.samples.tolist() == phi
+            assert psi_profile(f, pe).values.samples.tolist() == psi
 
 
 class TestChecks:

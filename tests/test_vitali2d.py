@@ -1,6 +1,7 @@
 """Vitali p-variation over nets: oracle, finest net and coordinate ascent."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pvarlab import (
     vitali_oracle,
     vitali_sum,
 )
-from pvarlab.vitali2d import _chain_max
+from pvarlab.vitali2d import _chain_max, _pair_costs
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -129,6 +130,27 @@ class TestChainMax:
                 rng.integers(0, 2, size=(m, m)).astype(float),
             ):
                 assert _chain_max(cost) == _per_anchor_chain_max(cost)
+
+
+class TestPairCosts:
+    @pytest.mark.parametrize("m, n", [(1, 3), (5, 7), (33, 40), (64, 64), (128, 64), (40, 1000)])
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_matches_fused_expression(self, m, n, p):
+        """Row blocks (one block, a partial last block, one row per block)
+        give the M x M x N expression bit for bit."""
+        profiles = np.random.default_rng(m * n).normal(size=(m, n))
+        fused = (np.abs(profiles[None, :, :] - profiles[:, None, :]) ** p).sum(axis=2)
+        assert np.array_equal(_pair_costs(profiles, p), fused)
+
+    def test_peak_memory_at_64(self):
+        profiles = np.random.default_rng(0).normal(size=(64, 64))
+        tracemalloc.start()
+        try:
+            _pair_costs(profiles, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the M x M x N temporaries alone take 2 MB each
 
 
 class TestInvariants:
