@@ -470,13 +470,13 @@ def _modulus_invariants(run: _Run):
     for name, g in run.corpus1:
         for p in (1.0, 2.0):
             pe = Exponent(p)
-            t = modulus_1d(g, pe).values
+            sw = omega_sandwich_check(g, pe)
+            t = sw["table"].values
             mono = float(np.min(np.diff(t)))
             yield (f"modulus_monotone_{name}_p{p}", "omega nondecreasing", name, -mono, 0.0)
             doubling = min((2 * t[k] - t[2 * k] for k in range(1, t.size // 2)), default=0.0)
             yield (f"modulus_doubling_{name}_p{p}", "omega(2 delta) <= 2 omega(delta)",
                    name, -doubling, 0.0, 1e-12)
-            sw = omega_sandwich_check(g, pe)
             yield (f"omega_sandwich_{name}_p{p}", "Omega_p <= omega(1)_p <= 2 Omega_p",
                    name, -min(sw["lower_margin"], sw["upper_margin"]), 0.0)
     for name, ctx in run.corpus2[:3]:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Exponent, Grid1, Grid2
-from .pvar1d import omega_p_functional
+from .pvar1d import _BLOCK, omega_p_functional
 
 __all__ = [
     "ModulusTable1D",
@@ -34,11 +34,6 @@ __all__ = [
 ]
 
 MIXED_TABLE_CAP = 128
-
-# Elements of one batched block of differences: large enough to amortize
-# numpy's per-call overhead on 32^2 grids, small enough to stay in cache at
-# the 128^2 cap.
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -240,12 +235,18 @@ def diff_modulus_bound_check(f: Grid2, h_idx: int, p: Exponent) -> dict:
 
 
 def omega_sandwich_check(g: Grid1, p: Exponent) -> dict:
-    """Omega_p <= omega(f; 1)_p <= 2 Omega_p on the grid."""
+    """Omega_p <= omega(f; 1)_p <= 2 Omega_p on the grid.
+
+    The result also carries the 1-D modulus table it read omega(f; 1)_p
+    from, so callers that check the table itself need not compute it again.
+    """
     om = omega_p_functional(g, p)
-    w1 = modulus_1d(g, p).values[-1]
+    table = modulus_1d(g, p)
+    w1 = table.values[-1]
     return {
         "omega_p": om,
         "modulus_at_1": w1,
         "lower_margin": w1 - om,
         "upper_margin": 2.0 * om - w1,
+        "table": table,
     }

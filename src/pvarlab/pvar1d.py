@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,12 @@ __all__ = [
 ]
 
 ORACLE_MAX_N = 18
+
+# Elements of one batched block of work: large enough to amortize numpy's
+# per-call overhead on 32^2 grids, small enough to stay in cache at the
+# 128^2 cap.  Shared by the lane blocks of the chain DP, the shift-norm
+# tables and the pair costs.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,24 +71,16 @@ def _abs_diff_exact(x: float, y: float) -> tuple[float, float]:
     return s, e
 
 
-def _sum_value(vals: np.ndarray, idx: Iterable[int], p: float) -> float:
+def _sum_value(vals: Sequence[float], idx: Iterable[int], p: float) -> float:
     """(sum |increments|^p)^(1/p) over cyclically consecutive pairs, fsum-compensated.
 
     For p = 1 the sum is exactly rounded (each difference is carried with its
     rounding error), so partitions that tie in exact arithmetic tie in floats.
     """
-    idx = list(idx)
-    pairs = [
-        (float(vals[idx[(k + 1) % len(idx)]]), float(vals[idx[k]]))
-        for k in range(len(idx))
-    ]
+    xs = [float(vals[i]) for i in idx]
+    pairs = zip(xs[1:] + xs[:1], xs)
     if p == 1.0:
-        terms: list[float] = []
-        for x, y in pairs:
-            s, e = _abs_diff_exact(x, y)
-            terms.append(s)
-            terms.append(e)
-        return math.fsum(terms)
+        return math.fsum(t for x, y in pairs for t in _abs_diff_exact(x, y))
     return _root(math.fsum(abs(x - y) ** p for x, y in pairs), p)
 
 
@@ -92,17 +90,17 @@ def pvar_sum(g: Grid1, part: CyclicPartition, p: Exponent) -> float:
     return _sum_value(g.samples, part.indices, p.p)
 
 
-def _chain_dp(cost, na: int, m: int) -> tuple[float, int, list[int]]:
-    """Maximum-weight cyclic chain of positions 0..m-1, for na anchors at once.
+def _chain_dp(cost, na: int, m: int) -> tuple[np.ndarray, Callable[[int], list[int]]]:
+    """Maximum-weight cyclic chains of positions 0..m-1, for na independent lanes.
 
-    Position k of anchor a is the k-th index in cyclic order from a, and
-    every chain starts at position 0.  cost(j, k) returns the prices of the
-    steps from positions 0..k-1 to position j as an (na, k) array; the
-    closing step back to position 0 is priced by cost(0, m).  Ties go to the
-    earliest predecessor (or last position before the wrap), then to the
-    earliest anchor: np.argmax along each axis.  O(m^2) time and O(m)
-    memory per anchor.  Returns the best step-cost sum, the winning anchor
-    and its chain positions in increasing order.
+    Every chain starts at position 0.  cost(j, k) returns each lane's prices
+    of the steps from positions 0..k-1 to position j as an (na, k) array;
+    the closing step back to position 0 is priced by cost(0, m).  Lanes
+    never mix: ties go to the earliest predecessor (or last position before
+    the wrap) within each lane, by np.argmax along each row.  O(m^2) time
+    and O(m) memory per lane.  Returns the best step-cost sum of each lane
+    as an (na,) array, and chain(lane), which backtracks that lane's best
+    chain as positions in increasing order.
     """
     lanes = np.arange(na)
     best = np.zeros((na, m))
@@ -114,14 +112,47 @@ def _chain_dp(cost, na: int, m: int) -> tuple[float, int, list[int]]:
         pred[:, j] = i
     closing = best + cost(0, m)
     last = closing.argmax(axis=1)
-    totals = closing[lanes, last]
-    a = int(totals.argmax())
-    j = int(last[a])
-    chain = [j]
-    while j > 0:
-        j = int(pred[a, j])
-        chain.append(j)
-    return float(totals[a]), a, chain[::-1]
+
+    def chain(a: int) -> list[int]:
+        back = pred[a].tolist()
+        j = int(last[a])
+        out = [j]
+        while j > 0:
+            j = back[j]
+            out.append(j)
+        return out[::-1]
+
+    return closing[lanes, last], chain
+
+
+def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, ...]]]:
+    """pvar_cyclic of each row (lane) of the 2-D array a, as (value, partition
+    indices) pairs in lane order.
+
+    Every lane is rotated to its own first global-maximum sample and its
+    steps are priced with the same elementwise operations as a lone
+    sequence, so each lane gets exactly the value and partition it would get
+    alone.  Lanes run through _chain_dp in blocks of about _BLOCK samples and
+    are yielded one at a time, so the working memory does not grow with the
+    number of lanes.  Like Grid1, lanes need at least 2 samples, all finite.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[1] < 2 or not np.isfinite(a).all():
+        raise ValueError("each lane needs at least 2 samples, all finite")
+    nl, n = a.shape
+    pp = p.p
+    width = max(1, _BLOCK // n)
+    for l0 in range(0, nl, width):
+        blk = a[l0 : l0 + width]
+        anchors = blk.argmax(axis=1)
+        rot = blk[np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n]
+        # col[j] is each lane's sample j as an (L, 1) column; a lone lane takes
+        # it as a scalar, which spares numpy's broadcasting iterator per step
+        col = rot[0] if len(blk) == 1 else rot.T[:, :, None]
+        _, chain = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, len(blk), n)
+        for lane, (row, anchor) in enumerate(zip(blk.tolist(), anchors.tolist())):
+            idx = tuple(sorted((c + anchor) % n for c in chain(lane)))
+            yield _sum_value(row, idx, pp), idx
 
 
 def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
@@ -134,21 +165,16 @@ def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
     time.  Ties in the naive step-cost sum go to the partition whose last
     point before the wrap comes first, and each point's predecessor is the
     earliest one attaining its best prefix sum (see _chain_dp).  The value
-    returned is pvar_sum of that partition.
+    returned is pvar_sum of that partition.  This is the one-lane case of
+    _pvar_lanes.
     """
-    vals = g.samples
-    n = g.n
-    pp = p.p
-    anchor = int(np.argmax(vals))
-    rot = np.roll(vals, -anchor)
-    _, _, chain = _chain_dp(lambda j, k: np.abs(rot[j] - rot[None, :k]) ** pp, 1, n)
-    part = CyclicPartition(tuple(sorted((c + anchor) % n for c in chain)))
-    return pvar_sum(g, part, p), part
+    value, idx = next(_pvar_lanes(g.samples[None, :], p))
+    return value, CyclicPartition(idx)
 
 
 def _pvar_rows(a: np.ndarray, p: Exponent) -> np.ndarray:
     """pvar_cyclic value of each row of the 2-D array a (pass a.T for columns)."""
-    return np.array([pvar_cyclic(Grid1(row), p)[0] for row in a])
+    return np.array([value for value, _ in _pvar_lanes(a, p)])
 
 
 def pvar_oracle(g: Grid1, p: Exponent) -> float:

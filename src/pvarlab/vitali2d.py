@@ -15,8 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2, gen_staircase
-from .modulus import _BLOCK
-from .pvar1d import CyclicPartition, _chain_dp, _pvar_rows, _root, _two_sum
+from .pvar1d import _BLOCK, CyclicPartition, _chain_dp, _pvar_rows, _root, _two_sum
 
 __all__ = [
     "Net",
@@ -161,17 +160,19 @@ def _chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
 
     cost[i, j] is the price of the step i -> j.  Every anchor is tried (the
     1D global-max anchor argument does not transfer to vector-valued pair
-    costs), all at once by pvar1d._chain_dp: O(M^3) time, O(M^2) memory.
-    oc[a, y, x] = cost[(a + x) % m, (a + y) % m] is a strided view of the
-    doubled transposed matrix, so the rotated costs are never copied.
-    Returns the best p-th-power sum and the chain as sorted indices.
+    costs), each as one lane of pvar1d._chain_dp: O(M^3) time, O(M^2)
+    memory.  oc[a, y, x] = cost[(a + x) % m, (a + y) % m] is a strided view
+    of the doubled transposed matrix, so the rotated costs are never
+    copied.  The best anchor is the earliest one attaining the largest lane
+    total.  Returns the best p-th-power sum and the chain as sorted indices.
     """
     m = cost.shape[0]
     flat = np.tile(cost.T, (2, 2)).ravel()
     step = flat.itemsize
     oc = np.ndarray((m, m, m), flat.dtype, flat, 0, ((2 * m + 1) * step, 2 * m * step, step))
-    total, a, chain = _chain_dp(lambda j, k: oc[:, j, :k], m, m)
-    return total, sorted((a + x) % m for x in chain)
+    totals, chain = _chain_dp(lambda j, k: oc[:, j, :k], m, m)
+    a = int(totals.argmax())
+    return float(totals[a]), sorted((a + x) % m for x in chain(a))
 
 
 def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:

@@ -129,6 +129,30 @@ class TestDerivedOnce:
         assert {key[0] for key in seen} == {"decompose_lp0", "modulus_iso_2d"}
         assert [key for key, calls in seen.items() if calls > 1] == []
 
+    def test_modulus_invariants_compute_each_1d_table_once(self, monkeypatch):
+        """Check 5 reads its table checks and its sandwich off one 1-D
+        modulus table per (grid, p)."""
+        from pvarlab import modulus
+
+        original = modulus.modulus_1d
+        calls = []
+
+        def counted(g, p):
+            calls.append(p.p)
+            return original(g, p)
+
+        for mod in list(sys.modules.values()):
+            in_package = getattr(mod, "__name__", "").startswith("pvarlab")
+            if in_package and getattr(mod, "modulus_1d", None) is original:
+                monkeypatch.setattr(mod, "modulus_1d", counted)
+        cfg = SuiteConfig(families=("generators",), size_1d=16, size_2d=16)
+        rng = np.random.default_rng(0)
+        corpus1 = harness._corpus_1d(cfg, rng)
+        run = harness._Run(cfg, rng, corpus1, [], [], [])
+        rows = list(harness._modulus_invariants(run))
+        assert len(rows) == 3 * 2 * len(corpus1)
+        assert sorted(calls) == sorted([1.0, 2.0] * len(corpus1))
+
 
 class TestChecks:
     def test_hardy_littlewood_on_product(self):

@@ -1,5 +1,7 @@
 """Section-variation profiles and the mixed-norm functional."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,8 +115,10 @@ def _row_pair_lipschitz(f: Grid2, p: Exponent) -> dict:
 
 class TestSectionsBitwise:
     @pytest.mark.parametrize("p", P_VALUES)
-    @pytest.mark.parametrize("shape", [(2, 5), (7, 4), (9, 9)])
+    @pytest.mark.parametrize("shape", [(2, 5), (7, 4), (9, 9), (48, 40)])
     def test_matches_per_section_calls(self, shape, p):
+        """(48, 40) has 1128 difference sections of 40 samples: two lane
+        blocks of the chain DP, the second one partial."""
         pe = Exponent(p)
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         for f in (Grid2(rng.normal(size=shape)), Grid2(rng.integers(0, 3, size=shape))):
@@ -123,6 +127,21 @@ class TestSectionsBitwise:
             psi = [pvar_cyclic(f.col(j), pe)[0] for j in range(f.n)]
             assert phi_profile(f, pe).values.samples.tolist() == phi
             assert psi_profile(f, pe).values.samples.tolist() == psi
+
+
+class TestMemory:
+    def test_section_lipschitz_peak_at_128(self):
+        """The 8128 difference sections of a 128^2 field take 8 MiB, and
+        forming them briefly takes twice that; the chain DP adds only its
+        lane blocks on top (one block of all sections peaks near 56 MiB)."""
+        f = Grid2(np.random.default_rng(128).normal(size=(128, 128)))
+        tracemalloc.start()
+        try:
+            section_lipschitz_check(f, Exponent(1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20
 
 
 class TestChecks:

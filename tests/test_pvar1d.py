@@ -19,6 +19,7 @@ from pvarlab import (
     pvar_oracle,
     pvar_sum,
 )
+from pvarlab.pvar1d import _pvar_lanes, _pvar_rows
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -120,6 +121,76 @@ class TestAgainstOracle:
         g = Grid1(np.zeros(19))
         with pytest.raises(ValueError):
             pvar_oracle(g, Exponent(2.0))
+
+
+class TestLanes:
+    """Many sequences in one _pvar_lanes call: every lane must get exactly
+    the value and partition it gets alone, whatever its neighbours."""
+
+    @staticmethod
+    def _assert_lanes_match(rows: np.ndarray, pe: Exponent) -> None:
+        lanes = list(_pvar_lanes(rows, pe))
+        assert len(lanes) == len(rows)
+        for row, (value, idx) in zip(rows, lanes):
+            assert (value, CyclicPartition(idx)) == _fewest_points_dp(Grid1(row), pe), row
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_ternary_grids_as_lanes(self, p):
+        pe = Exponent(p)
+        for n in range(2, 7):
+            rows = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=n)))
+            self._assert_lanes_match(rows, pe)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_integer_grids_as_lanes(self, p):
+        pe = Exponent(p)
+        rng = np.random.default_rng(2018)
+        for n in range(2, 41):
+            rows = np.array([rng.integers(-3, 4, size=n).astype(float) for _ in range(3)])
+            self._assert_lanes_match(rows, pe)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rows_reject_non_finite(self, bad):
+        a = np.arange(12.0).reshape(3, 4)
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            _pvar_rows(a, Exponent(2.0))
+
+    def test_rows_reject_single_samples(self):
+        with pytest.raises(ValueError):
+            _pvar_rows(np.zeros((3, 1)), Exponent(2.0))
+
+
+def _mp_optimum(g: Grid1, p: float, mpmath):
+    """The anchored chain DP of pvar_cyclic, in 50-digit arithmetic: the exact
+    maximum over cyclic partitions up to a relative error far below 1e-40."""
+    vals = g.samples
+    n = g.n
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(v)) for v in np.roll(vals, -int(np.argmax(vals)))]
+        pp = mpmath.mpf(p)
+        best = [mpmath.mpf(0)] * n
+        for j in range(1, n):
+            best[j] = max(best[i] + abs(x[j] - x[i]) ** pp for i in range(j))
+        total = max(best[j] + abs(x[0] - x[j]) ** pp for j in range(n))
+        return total ** (1 / pp)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_float_dp_reaches_the_precise_optimum(self, p):
+        """At p > 1 the DP compares naive float sums, so a near-tie can pick a
+        slightly worse partition; the loss must stay at rounding level."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(10 * p))
+        grids = (
+            Grid1(np.cumsum(rng.normal(size=200))),
+            Grid1(np.round(rng.normal(size=200), 1)),
+            Grid1(np.round(np.cumsum(rng.normal(size=160)), 1)),
+        )
+        for g in grids:
+            value, _ = pvar_cyclic(g, Exponent(p))
+            assert value >= _mp_optimum(g, p, mpmath) * (1 - 1e-12)
 
 
 class TestMemory:

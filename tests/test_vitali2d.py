@@ -16,6 +16,7 @@ from pvarlab import (
     certified_vitali,
     gen_product,
     gen_sine,
+    gen_staircase,
     gen_tent_scaled,
     hardy_section_check,
     pvar_cyclic,
@@ -25,6 +26,7 @@ from pvarlab import (
     vitali_oracle,
     vitali_sum,
 )
+from pvarlab import vitali2d
 from pvarlab.vitali2d import _chain_max, _pair_costs
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -130,6 +132,27 @@ class TestChainMax:
                 rng.integers(0, 2, size=(m, m)).astype(float),
             ):
                 assert _chain_max(cost) == _per_anchor_chain_max(cost)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_matches_per_anchor_dp_inside_ascent(self, p, monkeypatch):
+        """Every pair-cost matrix the ascent meets, on small grids (chain
+        enumeration) and on larger ones (alternating sweeps)."""
+        calls = []
+
+        def recording(cost):
+            result = _chain_max(cost)
+            calls.append((cost.copy(), result))
+            return result
+
+        monkeypatch.setattr(vitali2d, "_chain_max", recording)
+        fields = [_random_field(seed) for seed in range(8)]
+        fields += [Grid2(np.random.default_rng(9).normal(size=(12, 10))), gen_staircase(12)]
+        pe = Exponent(p)
+        for f in fields:
+            vitali_ascent(f, pe)
+        assert len(calls) > 100
+        for cost, result in calls:
+            assert result == _per_anchor_chain_max(cost)
 
 
 class TestPairCosts:
