@@ -161,9 +161,11 @@ class TestLanes:
             _pvar_rows(np.zeros((3, 1)), Exponent(2.0))
 
 
-def _mp_optimum(g: Grid1, p: float, mpmath):
+def _mp_optimum(g: Grid1, p: float):
     """The anchored chain DP of pvar_cyclic, in 50-digit arithmetic: the exact
     maximum over cyclic partitions up to a relative error far below 1e-40."""
+    import mpmath
+
     vals = g.samples
     n = g.n
     with mpmath.workdps(50):
@@ -181,7 +183,7 @@ class TestAgainstMpmath:
     def test_float_dp_reaches_the_precise_optimum(self, p):
         """At p > 1 the DP compares naive float sums, so a near-tie can pick a
         slightly worse partition; the loss must stay at rounding level."""
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(int(10 * p))
         grids = (
             Grid1(np.cumsum(rng.normal(size=200))),
@@ -190,7 +192,7 @@ class TestAgainstMpmath:
         )
         for g in grids:
             value, _ = pvar_cyclic(g, Exponent(p))
-            assert value >= _mp_optimum(g, p, mpmath) * (1 - 1e-12)
+            assert value >= _mp_optimum(g, p) * (1 - 1e-12)
 
 
 class TestMemory:
