@@ -1,10 +1,16 @@
-"""Exact Wiener p-variation of a sampled periodic function over cyclic partitions."""
+"""Exact Wiener p-variation of a sampled periodic function over cyclic partitions.
+
+pvar_cyclic computes it by one anchored chain DP; pvar_oracle is the
+independent brute force over every index subset.  The oracle prices all
+subsets at once as naive sums of pair costs and evaluates exactly only the
+subsets that _near_max cannot rule out, so its value stays bit for bit the
+maximum of pvar_sum over all subsets.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +33,8 @@ ORACLE_MAX_N = 18
 # 128^2 cap.  Shared by the lane blocks of the chain DP, the shift-norm
 # tables and the pair costs.
 _BLOCK = 1 << 15
+
+_U = 2.0**-53  # unit roundoff of IEEE binary64
 
 
 @dataclass(frozen=True)
@@ -177,20 +185,93 @@ def _pvar_rows(a: np.ndarray, p: Exponent) -> np.ndarray:
     return np.array([value for value, _ in _pvar_lanes(a, p)])
 
 
+def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Positions (ascending) of the entries of naive that may attain the
+    largest exact value; the brute-force oracles' filter.
+
+    Entry i stands for one candidate (a partition or a net) whose exact
+    value is root(e_i): e_i is the fsum of the candidate's nonnegative
+    terms t (at most k of them), root the 1/p-th power (the identity at
+    p = 1).  naive[i] must be a float sum, in any order, of the candidate's
+    terms as priced by the exact path (at p > 1 the same CPython pow of the
+    same float difference) or correctly rounded from the exact terms (at
+    p = 1, where the exact path sums exact differences).  With u = 2^-53
+    and gamma_j = ju/(1 - ju), and all terms nonnegative:
+
+    - naive_i = T_i(1 + theta), |theta| <= gamma_k, T_i the real sum of the
+      terms the exact path sums (at p = 1 of the exact differences): each
+      priced term is off by at most u, and a float sum of
+      k nonnegative terms by at most gamma_(k-1) (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, ch. 4).  e_i = T_i(1 + theta'),
+      |theta'| <= u, since fsum is correctly rounded.
+    - The largest e, e*, is at least the e of the naive argmax, so
+      e* >= top (1 - u)/(1 + gamma_k), top = max(naive).
+    - The platform pow behind CPython's root is not promised to be
+      correctly rounded, so the root need not be monotone.  With an error
+      below one ulp (at most 2u relative), root(e_i) >= root(e*) forces
+      e_i >= e*(1 - 4u)^p >= e*(1 - rho), rho = 4pu (rho = 0 at p = 1,
+      where the root is the identity).
+    - Hence every candidate whose root can reach the largest root has
+      naive_i >= top (1 - rho)(1 - gamma_k)(1 - u)/((1 + u)(1 + gamma_k))
+      >= top (1 - rho - 2 gamma_(k+1)), and 2 gamma_(k+1) <= (2k + 3)u
+      for k <= 10^6.
+    - Computing top - top*w in floats raises the cut by at most 2u top, so
+      w = (2k + 6)u + rho keeps all of them.
+
+    So a candidate left out has an exact value below the one returned: it
+    can neither beat the maximum nor, where the caller keeps the first
+    candidate attaining it, come earlier than the kept one.  When top is 0
+    every priced term is 0, and so is every exact term (at p > 1 they are
+    the same floats; a nonzero exact difference never rounds to 0), so
+    every exact value is 0 and the first entry stands for all.
+    """
+    top = float(naive.max())
+    if top == 0.0:
+        return np.zeros(1, dtype=np.intp)
+    w = (2 * k + 6) * _U + (4.0 * p * _U if p != 1.0 else 0.0)
+    return np.flatnonzero(naive >= top - top * w)
+
+
+def _members(mask: int, n: int) -> list[int]:
+    """The members of range(n) in the subset with bitmask mask, ascending."""
+    return [i for i in range(n) if mask >> i & 1]
+
+
 def pvar_oracle(g: Grid1, p: Exponent) -> float:
-    """Brute-force ground truth: max of pvar_sum over every nonempty index subset."""
+    """Brute-force ground truth: max of pvar_sum over every nonempty index subset.
+
+    Independent of the chain DP.  Naive pass: with pair costs
+    P[i, j] = |g_j - g_i|^p (CPython pow, as the exact path prices them;
+    the plain float |g_j - g_i|, correctly rounded, at p = 1), the chain
+    through a subset's points in increasing order is the chain of the
+    subset without its largest point plus one step, so one pass over the
+    largest point prices all 2^N subsets from shorter ones (O(2^N) memory,
+    no 2^N x N^2 matrix); the closing step is added last.  Exact pass:
+    pvar_sum's arithmetic (_sum_value) on the subsets _near_max keeps; the
+    largest of those values is the largest over all subsets.
+    """
     n = g.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to N <= {ORACLE_MAX_N}, got {n}")
-    vals = g.samples
     pp = p.p
+    diff = np.abs(g.samples[None, :] - g.samples[:, None])
+    cost = diff if pp == 1.0 else np.array([d**pp for d in diff.ravel().tolist()]).reshape(n, n)
+    chain = np.zeros(1 << n)  # chain[mask]: naive sum of the open chain through mask
+    first = np.zeros(1 << n, dtype=np.uint8)
+    last = np.zeros(1 << n, dtype=np.uint8)
+    for x in range(n):
+        lo = 1 << x
+        first[lo] = last[lo] = x
+        chain[lo + 1 : 2 * lo] = chain[1:lo] + cost[last[1:lo], x]
+        first[lo + 1 : 2 * lo] = first[1:lo]
+        last[lo + 1 : 2 * lo] = x
+    naive = chain[1:] + cost[last[1:], first[1:]]
+    vals = g.samples.tolist()
     best = 0.0
-    idx = range(n)
-    for size in range(1, n + 1):
-        for combo in combinations(idx, size):
-            v = _sum_value(vals, combo, pp)
-            if v > best:
-                best = v
+    for i in _near_max(naive, n, pp).tolist():
+        v = _sum_value(vals, _members(i + 1, n), pp)
+        if v > best:
+            best = v
     return best
 
 

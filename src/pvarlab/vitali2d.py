@@ -4,18 +4,34 @@ Three evaluators with different guarantees: the finest-net value (exact
 supremum at p = 1, lower bound otherwise), an exhaustive oracle for tiny
 grids, and an alternating coordinate-ascent maximizer that returns a
 certified lower bound together with the net that attains it.
+
+The oracle and the ascent's exhaustive branch price many nets at once as
+naive sums of per-cell terms and call vitali_sum only on the nets that
+pvar1d._near_max cannot rule out, so their results are bit for bit those of
+calling vitali_sum on every net.  The oracle never calls the chain DP: it
+is the independent reference for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain as _chain, combinations, product
 
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2, gen_staircase
-from .pvar1d import _BLOCK, CyclicPartition, _chain_dp, _pvar_rows, _root, _two_sum
+from .pvar1d import (
+    _BLOCK,
+    CyclicPartition,
+    _chain_dp,
+    _members,
+    _near_max,
+    _pvar_rows,
+    _root,
+    _two_sum,
+)
 
 __all__ = [
     "Net",
@@ -128,30 +144,103 @@ def vitali_finest(f: Grid2, p: Exponent) -> float:
     return vitali_sum(f, _full_net(f.m, f.n), p)
 
 
+def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
+    """|mixed difference|^pp of the cells with row step r0 -> r1 and column
+    step c0 -> c1 (broadcastable index arrays), priced for pvar1d._near_max.
+
+    At p > 1 each term is CPython pow of the float cell
+    (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]), bit for bit the term
+    vitali_sum sums; at p = 1 it is the correctly rounded |exact cell| (the
+    fsum of its _abs_cell_terms expansion).  Reversing either step only
+    negates the float cell (rounding is symmetric), so its term is the same.
+    """
+    r0, r1, c0, c1 = np.broadcast_arrays(r0, r1, c0, c1)
+    if pp == 1.0:
+        corners = ((r1, c1), (r1, c0), (r0, c1), (r0, c0))
+        cells = zip(*(a[r, c].ravel().tolist() for r, c in corners))
+        terms = [math.fsum(_abs_cell_terms(*q)) for q in cells]
+    else:
+        cells = (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0])
+        terms = [x**pp for x in np.abs(cells).ravel().tolist()]
+    return np.array(terms, dtype=float).reshape(r0.shape)
+
+
+@lru_cache(maxsize=ORACLE_MAX_SIDE)
+def _pair_incidence(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of range(s), as an (s(s-1)/2, 2) array, and the
+    (2^s - 1) x s(s-1)/2 matrix whose row mask - 1 counts the steps between
+    cyclically consecutive members of the subset with bitmask mask that use
+    each pair (a two-member subset steps its pair both ways: 2).  Read-only;
+    cached for each side the oracle accepts (s <= ORACLE_MAX_SIDE: at most
+    127 x 21 entries)."""
+    pairs = np.array(list(combinations(range(s), 2)), dtype=np.intp).reshape(-1, 2)
+    col = {(int(i), int(j)): q for q, (i, j) in enumerate(pairs)}
+    inc = np.zeros(((1 << s) - 1, len(pairs)))
+    for mask in range(1, 1 << s):
+        sub = _members(mask, s)
+        if len(sub) > 1:
+            for i, j in _steps(sub):
+                inc[mask - 1, col[min(i, j), max(i, j)]] += 1
+    pairs.setflags(write=False)
+    inc.setflags(write=False)
+    return pairs, inc
+
+
+def _steps(idx: list[int]) -> list[tuple[int, int]]:
+    """The cyclically consecutive pairs of a chain, wrap step last."""
+    return list(zip(idx, idx[1:] + idx[:1]))
+
+
+def _naive_sums(a: np.ndarray, nets: list[tuple[list[int], list[int]]], pp: float) -> np.ndarray:
+    """Float sum of the _cell_terms of each net (rows, cols), for
+    pvar1d._near_max.  Nets are priced in blocks of at most _BLOCK cells, so
+    the working memory does not grow with their number."""
+    width = max(1, _BLOCK // a.size)
+    out = []
+    for i in range(0, len(nets), width):
+        blk = nets[i : i + width]
+        cells = np.fromiter(
+            _chain.from_iterable(
+                rs + cs for rws, cls in blk for rs, cs in product(_steps(rws), _steps(cls))
+            ),
+            dtype=np.intp,
+        ).reshape(-1, 4)
+        starts = np.cumsum([0] + [len(rws) * len(cls) for rws, cls in blk[:-1]])
+        out.append(np.add.reduceat(_cell_terms(a, *cells.T, pp), starts))
+    return np.concatenate(out)
+
+
 def vitali_oracle(f: Grid2, p: Exponent) -> float:
-    """Brute-force maximum of vitali_sum over every net; grids up to 7 x 7."""
+    """Brute-force maximum of vitali_sum over every net; grids up to 7 x 7.
+
+    Naive pass: a net's p-th-power sum is the sum, over its row steps and
+    column steps, of one cell term each (_cell_terms, priced once per pair
+    of row pairs and column pairs).  With Er and Ec the pair incidences of
+    every row and column subset (_pair_incidence), Er @ terms @ Ec.T prices
+    all (2^M - 1)(2^N - 1) nets at once; each entry is a float sum of the
+    net's at most MN terms (the 0/1/2 coefficients multiply exactly).
+    Exact pass: vitali_sum on the nets pvar1d._near_max keeps; the largest
+    of those values is the largest over all nets.  No chain DP is used.
+    """
     m, n = f.m, f.n
     if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
-        raise ValueError(f"oracle limited to {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE} grids")
-    pp = p.p
-    col_subsets = [
-        list(c) for size in range(1, n + 1) for c in combinations(range(n), size)
-    ]
+        raise ValueError(
+            f"oracle limited to {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE} grids, got {m}x{n}"
+        )
+    rpairs, rinc = _pair_incidence(m)
+    cpairs, cinc = _pair_incidence(n)
+    terms = _cell_terms(
+        f.samples, rpairs[:, :1], rpairs[:, 1:], cpairs[:, 0], cpairs[:, 1], p.p
+    )
+    naive = (rinc @ terms @ cinc.T).ravel()
     best = 0.0
-    for rsize in range(1, m + 1):
-        for rows in combinations(range(m), rsize):
-            if pp == 1.0:
-                for cols in col_subsets:
-                    v = _sum_p1(f.samples, list(rows), cols)
-                    if v > best:
-                        best = v
-                continue
-            rd = _cyc_rowdiff(f.samples[list(rows), :])
-            for cols in col_subsets:
-                cells = _cyc_coldiff(rd[:, cols])
-                v = _root(math.fsum(abs(float(x)) ** pp for x in cells.ravel()), pp)
-                if v > best:
-                    best = v
+    for i in _near_max(naive, m * n, p.p).tolist():
+        rmask, cmask = divmod(i, (1 << n) - 1)
+        rows = CyclicPartition(tuple(_members(rmask + 1, m)))
+        cols = CyclicPartition(tuple(_members(cmask + 1, n)))
+        v = vitali_sum(f, Net(rows, cols), p)
+        if v > best:
+            best = v
     return best
 
 
@@ -234,21 +323,27 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
         return obj, rows, cols, converged
 
     # On small grids, enumerating every chain of the smaller axis and solving
-    # the other axis exactly by DP yields the global discrete supremum.
+    # the other axis exactly by DP yields the global discrete supremum.  The
+    # first net attaining the largest vitali_sum wins; only the nets whose
+    # naive value (priced as in vitali_oracle) _near_max keeps can be it.
     if min(m, n) <= 8:
-        best_small: tuple[float, Net] | None = None
         transpose = m < n
         a2 = a.T if transpose else a
         k = a2.shape[1]
+        nets = []
         for size in range(1, k + 1):
             for cols in combinations(range(k), size):
                 h = _cyc_coldiff(a2[:, list(cols)])
                 _, rows = _chain_max(_pair_costs(h, pp))
-                rws, cls = (list(cols), rows) if transpose else (rows, list(cols))
-                net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
-                value = vitali_sum(f, net, p)
-                if best_small is None or value > best_small[0]:
-                    best_small = (value, net)
+                nets.append((list(cols), rows) if transpose else (rows, list(cols)))
+        naive = _naive_sums(a, nets, pp)
+        best_small: tuple[float, Net] | None = None
+        for i in _near_max(naive, m * n, pp).tolist():
+            rws, cls = nets[i]
+            net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
+            value = vitali_sum(f, net, p)
+            if best_small is None or value > best_small[0]:
+                best_small = (value, net)
         assert best_small is not None
         return AscentResult(best_small[0], best_small[1], True)
 

@@ -62,10 +62,12 @@ class TestVitali:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] and payload["cols"]
 
-    def test_oracle_refuses_large(self, tmp_path):
+    def test_oracle_refuses_large(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         assert main(["gen", "--family", "staircase", "--N", "16", "--out", str(path)]) == 0
+        capsys.readouterr()
         assert main(["vitali", "--grid", str(path), "--method", "oracle"]) == 2
+        assert "got 16x16" in capsys.readouterr().err
 
 
 class TestModulusAndIntegrals:

@@ -19,7 +19,8 @@ from pvarlab import (
     pvar_oracle,
     pvar_sum,
 )
-from pvarlab.pvar1d import _pvar_lanes, _pvar_rows
+from pvarlab import pvar1d
+from pvarlab.pvar1d import ORACLE_MAX_N, _pvar_lanes, _pvar_rows, _sum_value
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -52,6 +53,30 @@ def _fewest_points_dp(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
         j = int(pred[j])
     part = CyclicPartition(tuple(sorted((c + anchor) % n for c in chain)))
     return pvar_sum(g, part, p), part
+
+
+def _loop_oracle(g: Grid1, p: Exponent) -> float:
+    """Reference brute force: _sum_value on every subset, one at a time.
+    pvar_oracle must return exactly its value."""
+    best = 0.0
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            v = _sum_value(g.samples, combo, p.p)
+            if v > best:
+                best = v
+    return best
+
+
+def _oracle_grids(n: int) -> list[np.ndarray]:
+    """Gaussian, {0, 1, 2}-valued, 0.1-rounded and constant samples: the
+    last three are full of exact and near ties between subsets."""
+    rng = np.random.default_rng(100 + n)
+    return [
+        rng.normal(size=n),
+        rng.integers(0, 3, size=n).astype(float),
+        np.round(rng.normal(size=n), 1),
+        np.full(n, 0.3),
+    ]
 
 
 def _random_grid(seed: int, n_max: int = 10) -> Grid1:
@@ -119,8 +144,46 @@ class TestAgainstOracle:
 
     def test_oracle_size_limit(self):
         g = Grid1(np.zeros(19))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 19"):
             pvar_oracle(g, Exponent(2.0))
+
+
+class TestTwoPassOracle:
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_loop_oracle(self, n, p):
+        pe = Exponent(p)
+        for samples in _oracle_grids(n):
+            g = Grid1(samples)
+            assert pvar_oracle(g, pe) == _loop_oracle(g, pe), samples
+
+    def test_matches_loop_oracle_on_ternary_grids(self):
+        """Every {0, 1, 2}-valued grid of length 6: exact ties everywhere."""
+        for p in (1.0, 2.0):
+            pe = Exponent(p)
+            for v in itertools.product((0.0, 1.0, 2.0), repeat=6):
+                g = Grid1(np.array(v))
+                assert pvar_oracle(g, pe) == _loop_oracle(g, pe), v
+
+    def test_near_max_keeps_near_ties_only(self):
+        naive = np.array([1.0, 1.0 - 2.0**-52, 0.5, 1.0])
+        assert pvar1d._near_max(naive, 4, 2.0).tolist() == [0, 1, 3]
+        # all-zero sums: every exact value is 0 and the first entry stands for all
+        assert pvar1d._near_max(np.zeros(5), 4, 2.0).tolist() == [0]
+
+
+class TestOracleMemory:
+    def test_peak_at_the_size_cap(self):
+        # 2^18 naive sums of 8 bytes with their two index bytes; a
+        # 2^N x N^2 matrix would take 680 MB
+        g = Grid1(np.random.default_rng(18).normal(size=ORACLE_MAX_N))
+        tracemalloc.start()
+        try:
+            pvar_oracle(g, Exponent(1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestLanes:

@@ -1,5 +1,6 @@
 """Vitali p-variation over nets: oracle, finest net and coordinate ascent."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvarlab import (
+    AscentResult,
     CyclicPartition,
     Exponent,
+    Grid1,
     Grid2,
     Net,
     certified_vitali,
@@ -27,7 +30,15 @@ from pvarlab import (
     vitali_sum,
 )
 from pvarlab import vitali2d
-from pvarlab.vitali2d import _chain_max, _pair_costs
+from pvarlab.vitali2d import (
+    ORACLE_MAX_SIDE,
+    _chain_max,
+    _cyc_coldiff,
+    _cyc_rowdiff,
+    _pair_costs,
+    _root,
+    _sum_p1,
+)
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -59,6 +70,64 @@ def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
             best_val = total
             best_chain = sorted(chain)
     return best_val, best_chain
+
+
+def _loop_oracle(f: Grid2, p: Exponent) -> float:
+    """Reference brute force: every net evaluated on its own, as vitali_sum
+    evaluates it.  vitali_oracle must return exactly its value."""
+    m, n = f.m, f.n
+    pp = p.p
+    col_subsets = [
+        list(c) for size in range(1, n + 1) for c in itertools.combinations(range(n), size)
+    ]
+    best = 0.0
+    for rsize in range(1, m + 1):
+        for rows in itertools.combinations(range(m), rsize):
+            if pp == 1.0:
+                for cols in col_subsets:
+                    v = _sum_p1(f.samples, list(rows), cols)
+                    if v > best:
+                        best = v
+                continue
+            rd = _cyc_rowdiff(f.samples[list(rows), :])
+            for cols in col_subsets:
+                cells = _cyc_coldiff(rd[:, cols])
+                v = _root(math.fsum(abs(float(x)) ** pp for x in cells.ravel()), pp)
+                if v > best:
+                    best = v
+    return best
+
+
+def _loop_exhaustive_ascent(f: Grid2, p: Exponent) -> AscentResult:
+    """Reference for vitali_ascent when a side has at most 8 samples:
+    vitali_sum on the net of every chain of that side (the other side
+    solved by _chain_max); the first net attaining the largest value wins."""
+    pp = p.p
+    transpose = f.m < f.n
+    a2 = f.samples.T if transpose else f.samples
+    best = None
+    for size in range(1, a2.shape[1] + 1):
+        for cols in itertools.combinations(range(a2.shape[1]), size):
+            _, rows = _chain_max(_pair_costs(_cyc_coldiff(a2[:, list(cols)]), pp))
+            rws, cls = (list(cols), rows) if transpose else (rows, list(cols))
+            net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
+            value = vitali_sum(f, net, p)
+            if best is None or value > best[0]:
+                best = (value, net)
+    return AscentResult(best[0], best[1], True)
+
+
+def _oracle_fields(m: int, n: int) -> list[Grid2]:
+    """Gaussian, {0, 1, 2}-valued, 0.1-rounded, constant and separable
+    fields; all but the first are full of exact and near ties between nets."""
+    rng = np.random.default_rng(m * 10 + n)
+    return [
+        Grid2(rng.normal(size=(m, n))),
+        Grid2(rng.integers(0, 3, size=(m, n)).astype(float)),
+        Grid2(np.round(rng.normal(size=(m, n)), 1)),
+        Grid2(np.full((m, n), 0.3)),
+        gen_product(Grid1(np.round(rng.normal(size=m), 1)), Grid1(rng.normal(size=n))),
+    ]
 
 
 def _random_field(seed: int, side: int = 5) -> Grid2:
@@ -93,8 +162,38 @@ class TestBasics:
 
     def test_oracle_size_limit(self):
         f = Grid2(np.zeros((8, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 8x3"):
             vitali_oracle(f, Exponent(2.0))
+
+
+class TestTwoPassOracle:
+    """The batched oracle and the filtered exhaustive ascent against the
+    per-net loops they replace, compared with ==.  Grid2 needs two samples
+    per side, so the thinnest shapes are 2 x 7 and 7 x 2."""
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (6, 6), (7, 7)])
+    def test_matches_loop_oracle(self, shape, p):
+        pe = Exponent(p)
+        for f in _oracle_fields(*shape):
+            assert vitali_oracle(f, pe) == _loop_oracle(f, pe), f.samples
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (6, 6), (7, 7), (4, 9)])
+    def test_exhaustive_ascent_matches_loop(self, shape, p):
+        pe = Exponent(p)
+        for f in _oracle_fields(*shape):
+            assert vitali_ascent(f, pe) == _loop_exhaustive_ascent(f, pe), f.samples
+
+    def test_peak_memory_at_the_size_cap(self):
+        f = Grid2(np.random.default_rng(7).normal(size=(ORACLE_MAX_SIDE, ORACLE_MAX_SIDE)))
+        tracemalloc.start()
+        try:
+            vitali_oracle(f, Exponent(1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 127 x 127 naive sums take 126 KiB
 
 
 class TestAgainstOracle:
