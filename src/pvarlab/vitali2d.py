@@ -173,17 +173,18 @@ def _pair_incidence(s: int) -> tuple[np.ndarray, np.ndarray]:
     each pair (a two-member subset steps its pair both ways: 2).  Read-only;
     cached for each side the oracle accepts (s <= ORACLE_MAX_SIDE: at most
     127 x 21 entries)."""
-    pairs = np.array(list(combinations(range(s), 2)), dtype=np.intp).reshape(-1, 2)
-    col = {(int(i), int(j)): q for q, (i, j) in enumerate(pairs)}
+    pairs = list(combinations(range(s), 2))
+    col = {pair: q for q, pair in enumerate(pairs)}
     inc = np.zeros(((1 << s) - 1, len(pairs)))
     for mask in range(1, 1 << s):
         sub = _members(mask, s)
         if len(sub) > 1:
             for i, j in _steps(sub):
                 inc[mask - 1, col[min(i, j), max(i, j)]] += 1
-    pairs.setflags(write=False)
+    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    idx.setflags(write=False)
     inc.setflags(write=False)
-    return pairs, inc
+    return idx, inc
 
 
 def _steps(idx: list[int]) -> list[tuple[int, int]]:
