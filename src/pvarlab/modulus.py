@@ -5,6 +5,24 @@ between grid shifts, so every inequality check is exact at grid arguments.
 Every shift-norm table comes from one batched kernel, `_shift_norm_table`,
 whose entries are bitwise equal to the per-shift reference norms
 `shift_norm_1d` and `mixed_diff_norm`.
+
+The kernel evaluates |D|^p once for each pair of shifts whose differences
+are exact negatives of each other.  IEEE subtraction is antisymmetric,
+x - y = -(y - x) bit for bit, and rotating an array moves its entries
+without changing them.  Write a_(s,t) = a(. + s, . + t) on the (M, N) grid.
+
+* Plain tables, D(s, t) = a_(s,t) - a.  Rotating D(s, t) by (s, t) gives
+  a - a_(-s,-t), so D(M - s, N - t) = a_(-s,-t) - a = -roll(D(s, t), (s, t)).
+* Mixed tables, D(s, t) = ds(., . + t) - ds with ds = a_(s,0) - a.
+  Rotating ds by s rows gives a - a_(-s,0), the negated ds of row shift
+  M - s, so D(M - s, t) = -roll(D(s, t), s rows).  Rotating D(s, t) by t
+  columns gives ds - ds(., . - t), so D(s, N - t) = -roll(D(s, t), t
+  columns).  The two compose to D(M - s, N - t) = -roll(D(s, t), (s, t)).
+
+|.|^p drops the sign, so each partner's |D|^p is the rotated block, entry
+for entry.  Its mean is then summed over the rotated block in its own
+row-major order, the order in which _norm sums the partner's difference,
+so the mirrored entries keep the per-shift bits too.
 """
 
 from __future__ import annotations
@@ -13,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Exponent, Grid1, Grid2
 from .pvar1d import _BLOCK, omega_p_functional
@@ -107,43 +124,102 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
 
     D(s, t) is a(. + s, . + t) - a, or with mixed=True the mixed difference
     ds(., . + t) - ds with ds = a(. + s, .) - a; the mixed row and column 0
-    are left at zero.  For each row shift the column shifts are windows of
-    [src, src], differenced in blocks of _BLOCK elements.  Every entry repeats
-    the operations of _norm on a contiguous (M, N) slice, so the table is
-    bitwise equal to the per-shift norms.  Floating-point subtraction is
-    antisymmetric, so the mixed D(M - s, t) is exactly -D(s, t) rotated by s
-    rows; mixed row M - s is averaged from the rotated |D(s, t)|^p block.
+    are left at zero.  |D|^p is evaluated once per mirror pair (see the
+    module docstring): for t <= N/2 only, and for s <= M/2 in mixed tables
+    and in the self-mirrored plain columns t = 0 and t = N/2.
+
+    A block is the row shifts s0..s0+w-1 of one column shift t, each a
+    contiguous (M*N) window of dbl[:, 0]; dbl[:, 1] repeats the block.  In
+    plain tables a window is a flat slice of a rolled by t columns and then
+    stacked twice, so no row shift needs a copy of its own.  Rotating
+    window k by (i rows, j columns) reads the flat window of [D_k, D_k]
+    that starts i*N + j before the second copy, except in the first j
+    columns of each row, which wrap within the row and so read N further
+    on.  Both reads are strided views with one step between windows, so a
+    whole block is rotated in two copies however many windows it holds.
+
+    Every mean, direct or mirrored, is np.add.reduce over one contiguous
+    row of M*N values in the row-major order of that shift's |D|^p, divided
+    by M*N: the operations of _norm on the same numbers in the same order.
+    So every entry is bitwise equal to the per-shift norms shift_norm_1d and
+    mixed_diff_norm.
     """
+    a = np.asarray(a, dtype=float)  # the strided views below read float64
     m, n = a.shape
+    if m == 1 < n:
+        # a row and its transpose hold the same numbers in the same order, and
+        # as a column every shift lands in one block
+        return _shift_norm_table(a.T, p, mixed).T.copy()
+    mn = a.size
     raw = np.zeros((m + 1, n + 1))
-    first = int(mixed)
-    width = max(1, _BLOCK // a.size)
-    buf = np.empty((min(width, n), m, n))
+    width = max(1, min(_BLOCK // mn, m // 2 if mixed else m))
+    dbl = np.empty((width, 2, mn))
+    out = np.empty((width, mn))
+    flip = (m - np.arange(m)) % m
     inv = 1.0 / p
 
-    def put(s: int, t0: int, block: np.ndarray) -> None:
-        means = block.reshape(len(block), -1).mean(axis=1)
-        raw[s, t0 : t0 + len(block)] = means if p == 1.0 else [v**inv for v in means.tolist()]
+    def view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+        # a strided view in elements; np.ndarray checks that it fits in buf
+        return np.ndarray(shape, float, buf, 8 * start, tuple(8 * k for k in steps))
 
-    for s in range(first, m // 2 + 1 if mixed else m):
-        src = np.roll(a, -s, axis=0)
-        base = a
-        if mixed:
-            src = base = src - a
-        win = sliding_window_view(np.concatenate((src, src), axis=1), n, axis=1)
-        win = win.transpose(1, 0, 2)
-        for t0 in range(first, n, width):
-            d = buf[: min(n - t0, width)]
-            np.subtract(win[t0 : t0 + len(d)], base, out=d)
+    def put(rows, t: int, block: np.ndarray) -> None:
+        means = np.add.reduce(block, axis=1) / mn
+        raw[rows, t] = means if p == 1.0 else [v**inv for v in means.tolist()]
+
+    def finish(t: int, s0: int, w: int, mirrors: list) -> None:
+        # mirrors: (r, c, lo, hi) sends (s, t) to ((M - s) % M if r else s,
+        # (N - t) % N if c else t) by a rotation of (r*s, c*t), for lo <= s < hi
+        d = dbl[:w, 0]
+        if p == 2.0:
+            np.multiply(d, d, out=d)  # x*x equals |x|*|x| bit for bit
+        else:
             np.abs(d, out=d)
             if p != 1.0:
                 d **= p
-            put(s, t0, d)
-            if mixed and s < m - s:
-                put(m - s, t0, np.roll(d, s, axis=1))
+        put(slice(s0, s0 + w), t, d)
+        spans = [(r, c, max(lo, s0), min(hi, s0 + w)) for r, c, lo, hi in mirrors]
+        spans = [span for span in spans if span[2] < span[3]]
+        if spans:
+            dbl[:w, 1] = d
+        for r, c, lo, hi in spans:
+            kk, ct = hi - lo, c * t
+            step = 2 * mn - r * n
+            start = (lo - s0) * 2 * mn + mn - r * lo * n - ct
+            o = out[:kk]
+            np.copyto(o, view(dbl, start, (kk, mn), (step, 1)))
+            if ct:
+                o.reshape(kk, m, n)[:, :, :ct] = view(dbl, start + n, (kk, m, ct), (step, n, 1))
+            put(flip[lo:hi] if r else slice(lo, hi), (n - t) % n if c else t, o)
+
+    if mixed:
+        s_hi, half = m // 2 + 1, (m + 1) // 2  # 2s < M  <=>  s < half
+        src = np.concatenate((a, a)).ravel()
+        ds = np.empty((width, m, 2 * n))  # ds of each row shift, columns doubled
+        blocks = dbl.reshape(width, 2, m, n)
+        for s0 in range(1, s_hi, width):
+            w = min(s_hi - s0, width)
+            np.subtract(view(src, s0 * n, (w, m, n), (n, n, 1)), a, out=ds[:w, :, :n])
+            ds[:w, :, n:] = ds[:w, :, :n]
+            for t in range(1, n // 2 + 1):
+                np.subtract(ds[:w, :, t : t + n], ds[:w, :, :n], out=blocks[:w, 0])
+                mirrors = [(1, 0, 1, half)]
+                if 2 * t < n:
+                    mirrors += [(0, 1, 1, s_hi), (1, 1, 1, half)]
+                finish(t, s0, w, mirrors)
+    else:
+        flat = a.ravel()
+        for t in range(n // 2 + 1):
+            lone = 2 * t % n == 0  # column t is its own mirror
+            s_hi = m // 2 + 1 if lone else m
+            src = np.concatenate((np.roll(a, -t, axis=1),) * 2).ravel()
+            mirrors = [(1, 1, 1, (m + 1) // 2) if lone else (1, 1, 0, m)]
+            for s0 in range(0, s_hi, width):
+                w = min(s_hi - s0, width)
+                np.subtract(view(src, s0 * n, (w, mn), (n, 1)), flat, out=dbl[:w, 0])
+                finish(t, s0, w, mirrors)
     # shifts M and N wrap to 0
     raw[m] = raw[0]
-    raw[:, n] = raw[:, 0]
+    raw[:m, n] = raw[:m, 0]
     return raw
 
 
@@ -190,16 +266,22 @@ def modulus_mixed(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusT
 def averaged_modulus_check(g: Grid1, p: Exponent) -> dict:
     """omega(delta) against (3/delta) * integral of shift norms over [0, delta].
 
-    The integral is a trapezoid rule on the grid shift norms.  Returns per-
+    The integral is a trapezoid rule on the grid shift norms.  Its panel
+    terms are those np.trapezoid forms, computed once; each prefix is then
+    reduced by np.add.reduce, as np.trapezoid reduces them, so every
+    integral keeps the bits of np.trapezoid(norms[:k + 1], dx=1/N).  (A
+    cumsum would add them in sequence and round differently.)  Returns per-
     delta margins (rhs - lhs) and the minimum margin.
     """
     n = g.n
     norms = _shift_norm_table(g.samples[None, :], p.p)[0]
     table = np.maximum.accumulate(norms)
+    dx = 1.0 / n
+    terms = dx * (norms[1:] + norms[:-1]) / 2.0
     rows = []
     for k in range(1, n + 1):
         delta = k / n
-        integral = float(np.trapezoid(norms[: k + 1], dx=1.0 / n))
+        integral = float(np.add.reduce(terms[:k]))
         rhs = 3.0 / delta * integral
         rows.append({"delta": delta, "lhs": table[k], "rhs": rhs, "margin": rhs - table[k]})
     return {"rows": rows, "min_margin": min(r["margin"] for r in rows)}

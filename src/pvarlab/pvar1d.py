@@ -31,7 +31,10 @@ ORACLE_MAX_N = 18
 # Elements of one batched block of work: large enough to amortize numpy's
 # per-call overhead on 32^2 grids, small enough to stay in cache at the
 # 128^2 cap.  Shared by the lane blocks of the chain DP, the shift-norm
-# tables and the pair costs.
+# tables and the pair costs.  The shift-norm kernel holds three blocks of
+# 256 KB (|D|^p, its repeat and one rotated mirror: 768 KB); mixed tables
+# add the column-doubled row differences, two more (1.25 MB in all), still
+# inside a 2 MB L2.
 _BLOCK = 1 << 15
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64

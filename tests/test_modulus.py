@@ -1,10 +1,11 @@
 """L^p moduli of continuity: tables, invariants and the difference lemmas."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvarlab import (
@@ -22,7 +23,9 @@ from pvarlab import (
     modulus_mixed,
     shift_norm_1d,
 )
+from pvarlab import modulus
 from pvarlab.modulus import (
+    _BLOCK,
     _norm,
     _shift_norm_table,
     averaged_modulus_check,
@@ -155,6 +158,16 @@ class TestLemmas:
         r = averaged_modulus_check(_random_grid1(seed), Exponent(p))
         assert r["min_margin"] >= -1e-12
 
+    @pytest.mark.parametrize("n", (2, 9, 64))
+    def test_averaged_modulus_integrals_are_trapezoid_bits(self, n):
+        g = _random_grid1(n, n)
+        for p in (1.0, 1.5, 2.0):
+            norms = _shift_norm_table(g.samples[None, :], p)[0]
+            rows = averaged_modulus_check(g, Exponent(p))["rows"]
+            for k, row in enumerate(rows, 1):
+                integral = float(np.trapezoid(norms[: k + 1], dx=1.0 / n))
+                assert row["rhs"] == 3.0 / (k / n) * integral
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from((1.5, 2.0)), st.integers(1, 5))
     def test_first_difference_bounds(self, seed, p, h_idx):
@@ -179,45 +192,158 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+class _CountedTable(np.ndarray):
+    """A float table that counts the assignments made to each of its entries."""
+
+    def __setitem__(self, key, value):
+        np.add.at(self.writes, key, 1)
+        super().__setitem__(key, value)
+
+
+class _NumpyCountingTables:
+    """numpy, except that zeros() hands out counted tables and keeps them."""
+
+    def __init__(self):
+        self.tables = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        table = np.zeros(shape, dtype).view(_CountedTable)
+        table.writes = np.zeros(shape, dtype=int)
+        self.tables.append(table)
+        return table
+
+
+def _per_shift_table(a: np.ndarray, p: float, mixed: bool, rows=None) -> np.ndarray:
+    """The rows of the kernel's table from one np.roll difference per shift.
+
+    The mixed entries repeat the operations of mixed_diff_norm, which needs a
+    Grid2 and so no length-1 axis.
+    """
+    m, n = a.shape
+    rows = range(m + 1) if rows is None else rows
+    want = []
+    for s in rows:
+        if mixed:
+            ds = np.roll(a, -s, axis=0) - a
+            want.append([_norm(np.roll(ds, -t, axis=1) - ds, p) for t in range(n + 1)])
+        else:
+            want.append([_norm(np.roll(a, (-s, -t), axis=(0, 1)) - a, p) for t in range(n + 1)])
+    return np.array(want)
+
+
 class TestKernelBitwise:
     """The batched kernel against the per-shift np.roll norms, compared with ==.
 
-    40x48 spans several blocks per row shift, with a partial last block;
-    odd and even M cover the mixed rows M - s taken from rotated row-s blocks.
+    Every shape is checked on a Gaussian and on a {0, 1, 2}-valued field; the
+    latter has many exactly tied differences.  Shapes 0-5 keep their indices.
+    Even and odd M and N hit the self-mirrored shifts s = M/2 and t = N/2 or
+    miss them; 1 x N and M x 1 leave one axis without shifts; 40x48 spans
+    many windows per block.
     """
 
-    SHAPES = ((1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (40, 48))
+    SHAPES = (
+        (1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (40, 48),
+        (2, 2), (1, 8), (8, 1), (6, 8), (7, 6), (6, 9), (8, 6),
+    )
+    P_KERNEL = (1.0, 1.1, 1.5, 2.0, 3.0, 8.0)
+
+    @staticmethod
+    def _fields(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(m * 1000 + n)
+        return rng.normal(size=(m, n)), rng.integers(0, 3, size=(m, n)).astype(float)
 
     @staticmethod
     def _samples(m: int, n: int) -> np.ndarray:
-        return np.random.default_rng(m * 1000 + n).normal(size=(m, n))
+        return TestKernelBitwise._fields(m, n)[0]
 
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("p", P_KERNEL)
     def test_plain_table(self, shape, p):
-        a = self._samples(*shape)
-        m, n = shape
-        want = [
-            [_norm(np.roll(a, (-s, -t), axis=(0, 1)) - a, p) for t in range(n + 1)]
-            for s in range(m + 1)
-        ]
-        assert np.array_equal(_bits(_shift_norm_table(a, p)), _bits(want))
+        for a in self._fields(*shape):
+            want = _per_shift_table(a, p, mixed=False)
+            assert np.array_equal(_bits(_shift_norm_table(a, p)), _bits(want))
 
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("p", P_KERNEL)
     def test_mixed_table(self, shape, p):
-        a = self._samples(*shape)
         m, n = shape
-        raw = _shift_norm_table(a, p, mixed=True)
-        if m >= 2 and n >= 2:
-            f, pe = Grid2(a), Exponent(p)
-            want = [[mixed_diff_norm(f, s, t, pe) for t in range(n + 1)] for s in range(m + 1)]
-            table = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
-            assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(table))
-        else:
-            # a length-1 axis makes every mixed difference vanish
-            want = np.zeros((m + 1, n + 1))
-        assert np.array_equal(_bits(raw), _bits(want))
+        for a in self._fields(*shape):
+            raw = _shift_norm_table(a, p, mixed=True)
+            if m >= 2 and n >= 2:
+                f, pe = Grid2(a), Exponent(p)
+                want = [[mixed_diff_norm(f, s, t, pe) for t in range(n + 1)] for s in range(m + 1)]
+                table = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+                assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(table))
+            else:
+                # a length-1 axis makes every mixed difference vanish
+                want = np.zeros((m + 1, n + 1))
+            assert np.array_equal(_bits(raw), _bits(want))
+
+    @pytest.mark.parametrize(
+        "shape, p, mixed",
+        [((90, 182), 2.0, False), ((92, 178), 1.0, True)],
+        ids=["plain", "mixed"],
+    )
+    def test_full_size_blocks_of_two_windows(self, shape, p, mixed):
+        """M*N just under _BLOCK/2, so every block holds two row shifts.
+
+        Blocks start at s = 0 (plain) or s = 1 (mixed), so with these M one
+        block holds both M/2 - 1 and the self-mirrored M/2.  Those rows, the
+        mirror M/2 + 1 of M/2 - 1 and the mirror M - 1 of row 1 are compared
+        in full.
+        """
+        m, n = shape
+        a = self._samples(m, n)
+        assert _BLOCK // a.size == 2
+        rows = (m // 2 - 1, m // 2, m // 2 + 1, m - 1)
+        raw = _shift_norm_table(a, p, mixed)
+        want = _per_shift_table(a, p, mixed, rows)
+        assert np.array_equal(_bits(raw[list(rows)]), _bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from(P_KERNEL),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from((1, 2, 3, None)),
+        st.integers(0, 2**32 - 1),
+    )
+    # blocks whose edges fall on both sides of M/2: plain self-mirrored
+    # columns take s = 0..3 in blocks {0, 1}, {2, 3}; mixed rows s = 1..4 in
+    # blocks {1, 2}, {3, 4}
+    @example(6, 8, 1.5, False, False, 2, 0)
+    @example(8, 6, 1.5, True, False, 2, 0)
+    @example(7, 6, 2.0, True, True, 1, 0)
+    @example(9, 1, 1.0, False, False, 2, 0)
+    @example(1, 9, 2.0, False, True, 3, 0)
+    @example(2, 2, 1.0, True, False, 1, 0)
+    def test_every_entry_written_once(self, m, n, p, mixed, ties, windows, seed):
+        """Each entry is assigned exactly once and equals its per-shift norm.
+
+        windows shrinks _BLOCK so that a block holds one, two or three row
+        shifts, as at 256^2 and 128^2.  Only the mixed row 0 and column 0
+        are never assigned; they keep the zeros the table starts with.  Row
+        M and column N are assigned once, by the wrap from row 0 and column 0.
+        """
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, size=(m, n)).astype(float) if ties else rng.normal(size=(m, n))
+        counting = _NumpyCountingTables()
+        block = _BLOCK if windows is None else windows * m * n
+        with mock.patch.object(modulus, "np", counting), mock.patch.object(modulus, "_BLOCK", block):
+            raw = _shift_norm_table(a, p, mixed)
+        (table,) = counting.tables
+        want_writes = np.ones(table.shape, dtype=int)
+        if mixed:
+            rows, cols = table.shape
+            want_writes[0, : cols - 1] = 0
+            want_writes[: rows - 1, 0] = 0
+        assert np.array_equal(table.writes, want_writes)
+        assert np.array_equal(_bits(raw), _bits(_per_shift_table(a, p, mixed)))
 
     @pytest.mark.parametrize("n", (2, 9, 48))
     @pytest.mark.parametrize("p", P_VALUES)
