@@ -38,14 +38,27 @@ class CliError(Exception):
     """A usage-level problem; reported on stderr with exit code 2."""
 
 
-def _exponent(value: float, need_gt_1: bool = False) -> Exponent:
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the ValueError by which fn refuses its
+    input (a p out of range, a grid above a size cap) as a usage error."""
     try:
-        p = Exponent(value)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _exponent(value: float, need_gt_1: bool = False) -> Exponent:
+    p = _checked(Exponent, value)
     if need_gt_1 and p.p == 1.0:
         raise CliError("p must exceed 1 for the weighted smoothness integrals")
     return p
+
+
+def _seed(text: str) -> int:
+    """argparse type of the --seed flags: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _load(path: str) -> Grid1 | Grid2:
@@ -86,10 +99,7 @@ def cmd_pvar(args) -> int:
     g = _need_1d(_load(args.grid))
     p = _exponent(args.p)
     if args.oracle:
-        try:
-            value = pvar_oracle(g, p)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        value = _checked(pvar_oracle, g, p)
         payload = {"p": p.p, "value": value, "method": "oracle"}
     else:
         value, part = pvar_cyclic(g, p)
@@ -108,10 +118,7 @@ def cmd_vitali(args) -> int:
     p = _exponent(args.p)
     method = certified_vitali_method(f, p) if args.method == "auto" else args.method
     if method == "oracle":
-        try:
-            value = vitali_oracle(f, p)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        value = _checked(vitali_oracle, f, p)
         payload = {"p": p.p, "value": value, "method": "oracle"}
     elif method == "finest":
         payload = {
@@ -143,11 +150,11 @@ def cmd_modulus(args) -> int:
         values = table.values[None, :]
         steps = (0.0, table.step)
     elif args.kind == "iso":
-        table = modulus_iso_2d(g, p, cap=args.cap)
+        table = _checked(modulus_iso_2d, g, p, cap=args.cap)
         values = table.values[None, :]
         steps = (0.0, table.step)
     else:
-        table = modulus_mixed(g, p, cap=args.cap)
+        table = _checked(modulus_mixed, g, p, cap=args.cap)
         values = table.values
         steps = table.steps
     if args.format == "json":
@@ -164,7 +171,7 @@ def cmd_integrals(args) -> int:
     if isinstance(g, Grid1):
         payload = {"p": p.p, "J": integral_J(modulus_1d(g, p)).to_dict()}
     else:
-        table = modulus_mixed(g, p, cap=args.cap)
+        table = _checked(modulus_mixed, g, p, cap=args.cap)
         payload = {
             "p": p.p,
             "K": integral_K(table).to_dict(),
@@ -191,10 +198,7 @@ def cmd_wp(args) -> int:
 def cmd_verify(args) -> int:
     families = SuiteConfig().families if args.suite == "all" else tuple(args.suite.split(","))
     cfg = SuiteConfig(seed=args.seed, families=families)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    _checked(cfg.validate)
     report = run_suite(cfg)
     if args.out:
         save_report_json(report, args.out)
@@ -236,7 +240,9 @@ def cmd_gen(args) -> int:
         elif args.family == "series":
             g = gen_series_f(n, _exponent(args.p, need_gt_1=False), N)
         elif args.family == "sineprod":
-            g = gen_product(gen_sine(n, N), gen_sine(max(1, args.m), N))
+            if args.m < 1:
+                raise CliError(f"--m must be at least 1, got {args.m}")
+            g = gen_product(gen_sine(n, N), gen_sine(args.m, N))
         else:
             raise CliError(f"unknown family {args.family!r}")
     except ValueError as exc:
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("vitali", help="Vitali p-variation of a 2-D grid over nets")
     common(sp)
     sp.add_argument("--method", choices=("auto", "finest", "ascent", "oracle"), default="auto")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(fn=cmd_vitali)
 
     sp = sub.add_parser("modulus", help="modulus-of-continuity table")
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_wp)
 
     sp = sub.add_parser("verify", help="run the full inequality suite")
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--seed", type=_seed, default=7)
     sp.add_argument("--suite", default="all",
                     help='"all" or a comma-separated subset of suites')
     sp.add_argument("--out", help="write the JSON report here")
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", dest="n_list",
                     help="comma-separated orders n (default: the family's preset)")
     sp.add_argument("--size", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_sweep)

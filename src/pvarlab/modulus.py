@@ -142,14 +142,11 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
     row of M*N values in the row-major order of that shift's |D|^p, divided
     by M*N: the operations of _norm on the same numbers in the same order.
     So every entry is bitwise equal to the per-shift norms shift_norm_1d and
-    mixed_diff_norm.
+    mixed_diff_norm.  The 1-D callers pass an (N, 1) column, whose row
+    shifts all fit in one block.
     """
     a = np.asarray(a, dtype=float)  # the strided views below read float64
     m, n = a.shape
-    if m == 1 < n:
-        # a row and its transpose hold the same numbers in the same order, and
-        # as a column every shift lands in one block
-        return _shift_norm_table(a.T, p, mixed).T.copy()
     mn = a.size
     raw = np.zeros((m + 1, n + 1))
     width = max(1, min(_BLOCK // mn, m // 2 if mixed else m))
@@ -225,7 +222,7 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
 
 def modulus_1d(g: Grid1, p: Exponent) -> ModulusTable1D:
     """omega(f; k/N)_p as the prefix max of circular-shift norms."""
-    norms = _shift_norm_table(g.samples[None, :], p.p)[0]
+    norms = _shift_norm_table(g.samples[:, None], p.p)[:, 0]
     return ModulusTable1D(np.maximum.accumulate(norms), p, 1.0 / g.n)
 
 
@@ -274,7 +271,7 @@ def averaged_modulus_check(g: Grid1, p: Exponent) -> dict:
     delta margins (rhs - lhs) and the minimum margin.
     """
     n = g.n
-    norms = _shift_norm_table(g.samples[None, :], p.p)[0]
+    norms = _shift_norm_table(g.samples[:, None], p.p)[:, 0]
     table = np.maximum.accumulate(norms)
     dx = 1.0 / n
     terms = dx * (norms[1:] + norms[:-1]) / 2.0

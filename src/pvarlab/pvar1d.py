@@ -3,8 +3,8 @@
 pvar_cyclic computes it by one anchored chain DP; pvar_oracle is the
 independent brute force over every index subset.  The oracle prices all
 subsets at once as naive sums of pair costs and evaluates exactly only the
-subsets that _near_max cannot rule out, so its value stays bit for bit the
-maximum of pvar_sum over all subsets.
+subsets that _near_max cannot rule out (_first_max), so its value stays bit
+for bit the maximum of pvar_sum over all subsets.
 """
 
 from __future__ import annotations
@@ -157,9 +157,7 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
         blk = a[l0 : l0 + width]
         anchors = blk.argmax(axis=1)
         rot = blk[np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n]
-        # col[j] is each lane's sample j as an (L, 1) column; a lone lane takes
-        # it as a scalar, which spares numpy's broadcasting iterator per step
-        col = rot[0] if len(blk) == 1 else rot.T[:, :, None]
+        col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
         _, chain = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, len(blk), n)
         for lane, (row, anchor) in enumerate(zip(blk.tolist(), anchors.tolist())):
             idx = tuple(sorted((c + anchor) % n for c in chain(lane)))
@@ -190,7 +188,7 @@ def _pvar_rows(a: np.ndarray, p: Exponent) -> np.ndarray:
 
 def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     """Positions (ascending) of the entries of naive that may attain the
-    largest exact value; the brute-force oracles' filter.
+    largest exact value; the filter of _first_max, its one caller.
 
     Entry i stands for one candidate (a partition or a net) whose exact
     value is root(e_i): e_i is the fsum of the candidate's nonnegative
@@ -198,7 +196,9 @@ def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     p = 1).  naive[i] must be a float sum, in any order, of the candidate's
     terms as priced by the exact path (at p > 1 the same CPython pow of the
     same float difference) or correctly rounded from the exact terms (at
-    p = 1, where the exact path sums exact differences).  With u = 2^-53
+    p = 1, where the exact path sums exact differences).  For nets both
+    paths take their terms from one routine, vitali2d._cell_terms, so this
+    holds by construction there.  With u = 2^-53
     and gamma_j = ju/(1 - ju), and all terms nonnegative:
 
     - naive_i = T_i(1 + theta), |theta| <= gamma_k, T_i the real sum of the
@@ -235,6 +235,18 @@ def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     return np.flatnonzero(naive >= top - top * w)
 
 
+def _first_max(naive, k: int, p: float, value: Callable[[int], float]) -> tuple[int, float]:
+    """The exact pass of the brute-force oracles: (i, value(i)) for the first
+    candidate i attaining the largest exact value, given each candidate's
+    naive sum of at most k terms (see _near_max).  value runs only on the
+    candidates _near_max keeps; every other one has a smaller exact value.
+    """
+    keep = _near_max(naive, k, p).tolist()
+    values = [value(i) for i in keep]
+    j = values.index(max(values))
+    return keep[j], values[j]
+
+
 def _members(mask: int, n: int) -> list[int]:
     """The members of range(n) in the subset with bitmask mask, ascending."""
     return [i for i in range(n) if mask >> i & 1]
@@ -250,8 +262,9 @@ def pvar_oracle(g: Grid1, p: Exponent) -> float:
     subset without its largest point plus one step, so one pass over the
     largest point prices all 2^N subsets from shorter ones (O(2^N) memory,
     no 2^N x N^2 matrix); the closing step is added last.  Exact pass:
-    pvar_sum's arithmetic (_sum_value) on the subsets _near_max keeps; the
-    largest of those values is the largest over all subsets.
+    _first_max with pvar_sum's arithmetic (_sum_value), which evaluates only
+    the subsets _near_max keeps; the largest of those values is the largest
+    over all subsets.
     """
     n = g.n
     if n > ORACLE_MAX_N:
@@ -270,12 +283,7 @@ def pvar_oracle(g: Grid1, p: Exponent) -> float:
         last[lo + 1 : 2 * lo] = x
     naive = chain[1:] + cost[last[1:], first[1:]]
     vals = g.samples.tolist()
-    best = 0.0
-    for i in _near_max(naive, n, pp).tolist():
-        v = _sum_value(vals, _members(i + 1, n), pp)
-        if v > best:
-            best = v
-    return best
+    return _first_max(naive, n, pp, lambda i: _sum_value(vals, _members(i + 1, n), pp))[1]
 
 
 def omega_p_functional(g: Grid1, p: Exponent) -> float:

@@ -6,10 +6,10 @@ grids, and an alternating coordinate-ascent maximizer that returns a
 certified lower bound together with the net that attains it.
 
 The oracle and the ascent's exhaustive branch price many nets at once as
-naive sums of per-cell terms and call vitali_sum only on the nets that
-pvar1d._near_max cannot rule out, so their results are bit for bit those of
-calling vitali_sum on every net.  The oracle never calls the chain DP: it
-is the independent reference for it.
+naive sums of the cell terms vitali_sum sums (_cell_terms) and call it only
+on the nets that pvar1d._near_max cannot rule out (pvar1d._first_max), so
+their results are bit for bit those of calling vitali_sum on every net.
+The oracle never calls the chain DP: it is the independent reference for it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as _chain, combinations, product
+from typing import Iterator
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .pvar1d import (
     _BLOCK,
     CyclicPartition,
     _chain_dp,
+    _first_max,
     _members,
-    _near_max,
     _pvar_rows,
     _root,
     _two_sum,
@@ -87,25 +88,6 @@ def _abs_cell_terms(a: float, b: float, c: float, d: float) -> tuple[float, ...]
     return (s3, e3, e2, e1)
 
 
-def _sum_p1(samples: np.ndarray, rows, cols) -> float:
-    """Exactly rounded 1-variation mixed-difference sum over one net."""
-    terms: list[float] = []
-    nr, nc = len(rows), len(cols)
-    for k in range(nr):
-        r0, r1 = rows[k], rows[(k + 1) % nr]
-        for l in range(nc):
-            c0, c1 = cols[l], cols[(l + 1) % nc]
-            terms.extend(
-                _abs_cell_terms(
-                    float(samples[r1, c1]),
-                    float(samples[r1, c0]),
-                    float(samples[r0, c1]),
-                    float(samples[r0, c0]),
-                )
-            )
-    return math.fsum(terms)
-
-
 def _cyc_rowdiff(a: np.ndarray) -> np.ndarray:
     return np.vstack([a[1:], a[:1]]) - a
 
@@ -122,15 +104,16 @@ def _mixed_cells(f: Grid2, rows, cols) -> np.ndarray:
 def vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     """Mixed-difference sum over one net, both index chains cyclic.
 
-    The p = 1 path is exactly rounded (see _sum_p1); the p > 1 path uses a
-    compensated sum of the powered cell magnitudes.
+    At p = 1 one fsum of every cell's _abs_cell_terms expansion (exactly
+    rounded); at p > 1 a compensated sum of the cells' _cell_terms.
     """
     net.validate(f.m, f.n)
-    rows, cols = list(net.rows.indices), list(net.cols.indices)
+    rows, cols = net.rows.indices, net.cols.indices
+    r0, r1 = np.array([rows, rows[1:] + rows[:1]])[:, :, None]
+    c0, c1 = np.array([cols, cols[1:] + cols[:1]])
     if p.p == 1.0:
-        return _sum_p1(f.samples, rows, cols)
-    cells = _mixed_cells(f, rows, cols)
-    return _root(math.fsum(abs(float(v)) ** p.p for v in cells.ravel()), p.p)
+        return math.fsum(_chain.from_iterable(_cell_expansions(f.samples, r0, r1, c0, c1)))
+    return _root(math.fsum(_cell_terms(f.samples, r0, r1, c0, c1, p.p).ravel()), p.p)
 
 
 def _full_net(m: int, n: int) -> Net:
@@ -144,25 +127,33 @@ def vitali_finest(f: Grid2, p: Exponent) -> float:
     return vitali_sum(f, _full_net(f.m, f.n), p)
 
 
+def _cell_expansions(a: np.ndarray, r0, r1, c0, c1) -> Iterator[tuple[float, ...]]:
+    """The _abs_cell_terms expansion of each cell with row step r0 -> r1 and
+    column step c0 -> c1 (index arrays that fancy indexing broadcasts), one
+    cell at a time in row-major order of the broadcast shape."""
+    corners = ((r1, c1), (r1, c0), (r0, c1), (r0, c0))
+    return (_abs_cell_terms(*q) for q in zip(*(a[r, c].ravel().tolist() for r, c in corners)))
+
+
 def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
     """|mixed difference|^pp of the cells with row step r0 -> r1 and column
-    step c0 -> c1 (broadcastable index arrays), priced for pvar1d._near_max.
+    step c0 -> c1 (broadcastable index arrays): the terms of vitali_sum at
+    p > 1, and the naive prices of pvar1d._near_max at every p.
 
     At p > 1 each term is CPython pow of the float cell
-    (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]), bit for bit the term
-    vitali_sum sums; at p = 1 it is the correctly rounded |exact cell| (the
-    fsum of its _abs_cell_terms expansion).  Reversing either step only
-    negates the float cell (rounding is symmetric), so its term is the same.
+    (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]); at p = 1 it is the
+    correctly rounded |exact cell| (the fsum of the _cell_expansions term
+    vitali_sum sums).  Reversing either step only negates the float cell
+    (rounding is symmetric), so its term is the same.  p > 1 terms are
+    powered a row of cells at a time: no list of every cell's float is held.
     """
-    r0, r1, c0, c1 = np.broadcast_arrays(r0, r1, c0, c1)
+    shape = np.broadcast(r0, r1, c0, c1).shape
     if pp == 1.0:
-        corners = ((r1, c1), (r1, c0), (r0, c1), (r0, c0))
-        cells = zip(*(a[r, c].ravel().tolist() for r, c in corners))
-        terms = [math.fsum(_abs_cell_terms(*q)) for q in cells]
+        terms = map(math.fsum, _cell_expansions(a, r0, r1, c0, c1))
     else:
-        cells = (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0])
-        terms = [x**pp for x in np.abs(cells).ravel().tolist()]
-    return np.array(terms, dtype=float).reshape(r0.shape)
+        cells = np.abs((a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]))
+        terms = (x**pp for row in np.atleast_2d(cells) for x in row.tolist())
+    return np.fromiter(terms, dtype=float, count=math.prod(shape)).reshape(shape)
 
 
 @lru_cache(maxsize=ORACLE_MAX_SIDE)
@@ -220,8 +211,9 @@ def vitali_oracle(f: Grid2, p: Exponent) -> float:
     every row and column subset (_pair_incidence), Er @ terms @ Ec.T prices
     all (2^M - 1)(2^N - 1) nets at once; each entry is a float sum of the
     net's at most MN terms (the 0/1/2 coefficients multiply exactly).
-    Exact pass: vitali_sum on the nets pvar1d._near_max keeps; the largest
-    of those values is the largest over all nets.  No chain DP is used.
+    Exact pass: pvar1d._first_max with vitali_sum, which evaluates only the
+    nets pvar1d._near_max keeps; the largest of those values is the largest
+    over all nets.  No chain DP is used.
     """
     m, n = f.m, f.n
     if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
@@ -234,15 +226,14 @@ def vitali_oracle(f: Grid2, p: Exponent) -> float:
         f.samples, rpairs[:, :1], rpairs[:, 1:], cpairs[:, 0], cpairs[:, 1], p.p
     )
     naive = (rinc @ terms @ cinc.T).ravel()
-    best = 0.0
-    for i in _near_max(naive, m * n, p.p).tolist():
+
+    def value(i: int) -> float:
         rmask, cmask = divmod(i, (1 << n) - 1)
         rows = CyclicPartition(tuple(_members(rmask + 1, m)))
         cols = CyclicPartition(tuple(_members(cmask + 1, n)))
-        v = vitali_sum(f, Net(rows, cols), p)
-        if v > best:
-            best = v
-    return best
+        return vitali_sum(f, Net(rows, cols), p)
+
+    return _first_max(naive, m * n, p.p, value)[1]
 
 
 def _chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
@@ -325,8 +316,8 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
 
     # On small grids, enumerating every chain of the smaller axis and solving
     # the other axis exactly by DP yields the global discrete supremum.  The
-    # first net attaining the largest vitali_sum wins; only the nets whose
-    # naive value (priced as in vitali_oracle) _near_max keeps can be it.
+    # first net attaining the largest vitali_sum wins (_first_max, on naive
+    # values priced as in vitali_oracle).
     if min(m, n) <= 8:
         transpose = m < n
         a2 = a.T if transpose else a
@@ -337,16 +328,13 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
                 h = _cyc_coldiff(a2[:, list(cols)])
                 _, rows = _chain_max(_pair_costs(h, pp))
                 nets.append((list(cols), rows) if transpose else (rows, list(cols)))
+
+        def net(i: int) -> Net:
+            return Net(*(CyclicPartition(tuple(chain)) for chain in nets[i]))
+
         naive = _naive_sums(a, nets, pp)
-        best_small: tuple[float, Net] | None = None
-        for i in _near_max(naive, m * n, pp).tolist():
-            rws, cls = nets[i]
-            net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
-            value = vitali_sum(f, net, p)
-            if best_small is None or value > best_small[0]:
-                best_small = (value, net)
-        assert best_small is not None
-        return AscentResult(best_small[0], best_small[1], True)
+        i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, net(i), p))
+        return AscentResult(value, net(i), True)
 
     starts = [(list(range(m)), list(range(n)))]
     off = _offset_start(m, n)

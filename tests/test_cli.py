@@ -91,9 +91,14 @@ class TestModulusAndIntegrals:
         assert payload["K"]["lo"] <= payload["K"]["hi"]
         assert {"K", "I", "J_iso"} <= set(payload)
 
-    def test_cap_enforced(self, stair_csv):
-        assert main(["modulus", "--grid", stair_csv, "--p", "2", "--cap", "4"]) == 1
+    def test_cap_enforced(self, stair_csv, capsys):
+        assert main(["modulus", "--grid", stair_csv, "--p", "2", "--cap", "4"]) == 2
+        assert capsys.readouterr().err == "error: grid 8x8 exceeds cap 4; pass a larger cap\n"
         assert main(["modulus", "--grid", stair_csv, "--p", "2", "--cap", "8"]) == 0
+
+    def test_integrals_cap_enforced(self, stair_csv, capsys):
+        assert main(["integrals", "--grid", stair_csv, "--p", "2", "--cap", "4"]) == 2
+        assert capsys.readouterr().err == "error: grid 8x8 exceeds cap 4; pass a larger cap\n"
 
 
 class TestWpAndGen:
@@ -112,6 +117,14 @@ class TestWpAndGen:
     def test_gen_misaligned_is_usage_error(self, tmp_path):
         assert main(["gen", "--family", "sine", "--n", "3", "--N", "16",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_gen_sineprod_bad_m_is_usage_error(self, m, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--family", "sineprod", "--m", m, "--N", "16",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --m must be at least 1, got {m}\n"
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -179,3 +192,25 @@ class TestVerify:
         report.add("synthetic", "forced failure", "-", 1.0, 0.0)
         monkeypatch.setattr(cli, "run_suite", lambda cfg: report)
         assert main(["verify", "--out", str(tmp_path / "r.json")]) == 1
+
+
+class TestSeed:
+    """A negative --seed is a usage error on every command that takes one,
+    whatever the grid (small vitali grids never seed an rng)."""
+
+    @pytest.mark.parametrize("command", ["verify", "vitali", "sweep"])
+    def test_negative_seed_exits_2(self, command, stair_csv, capsys):
+        args = {
+            "verify": ["verify"],
+            "vitali": ["vitali", "--grid", stair_csv, "--method", "ascent"],
+            "sweep": ["sweep", "--family", "t1xt1", "--size", "16"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"pvarlab {command}: error: argument --seed: "
+            "must be a non-negative integer, got '-1'\n"
+        )
+        assert "Traceback" not in err

@@ -348,9 +348,12 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("n", (2, 9, 48))
     @pytest.mark.parametrize("p", P_VALUES)
     def test_modulus_1d(self, n, p):
+        """The (N, 1) column the 1-D callers pass and the (1, N) row both give
+        the per-shift norms."""
         g, pe = Grid1(self._samples(1, n)[0]), Exponent(p)
         norms = [shift_norm_1d(g, s % n, pe) for s in range(n + 1)]
         assert np.array_equal(_bits(_shift_norm_table(g.samples[None, :], p)[0]), _bits(norms))
+        assert np.array_equal(_bits(_shift_norm_table(g.samples[:, None], p)[:, 0]), _bits(norms))
         want = np.maximum.accumulate(norms)
         assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(want))
 

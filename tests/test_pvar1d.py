@@ -172,6 +172,36 @@ class TestTwoPassOracle:
         assert pvar1d._near_max(np.zeros(5), 4, 2.0).tolist() == [0]
 
 
+class TestFirstMax:
+    """The exact pass shared by the brute-force oracles."""
+
+    @staticmethod
+    def _recording(values: dict[int, float]):
+        calls: list[int] = []
+
+        def value(i: int) -> float:
+            calls.append(i)
+            return values[i]
+
+        return value, calls
+
+    def test_exact_ties_go_to_the_first_index(self):
+        naive = np.array([1.0, 1.0 - 2.0**-52, 0.5, 1.0])
+        value, _ = self._recording({0: 2.0, 1: 3.0, 3: 3.0})
+        assert pvar1d._first_max(naive, 4, 2.0, value) == (1, 3.0)
+
+    def test_value_runs_only_on_near_max_survivors(self):
+        naive = np.array([0.25, 1.0, 1.0 - 2.0**-52, 0.5, 1.0, 0.0])
+        value, calls = self._recording(dict.fromkeys(range(6), 1.0))
+        assert pvar1d._first_max(naive, 4, 1.5, value) == (1, 1.0)
+        assert calls == pvar1d._near_max(naive, 4, 1.5).tolist() == [1, 2, 4]
+
+    def test_all_zero_naive_gives_index_0(self):
+        value, calls = self._recording({0: 0.0})
+        assert pvar1d._first_max(np.zeros(5), 4, 1.0, value) == (0, 0.0)
+        assert calls == [0]
+
+
 class TestOracleMemory:
     def test_peak_at_the_size_cap(self):
         # 2^18 naive sums of 8 bytes with their two index bytes; a

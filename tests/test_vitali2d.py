@@ -32,12 +32,12 @@ from pvarlab import (
 from pvarlab import vitali2d
 from pvarlab.vitali2d import (
     ORACLE_MAX_SIDE,
+    _abs_cell_terms,
     _chain_max,
     _cyc_coldiff,
     _cyc_rowdiff,
     _pair_costs,
     _root,
-    _sum_p1,
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -72,6 +72,37 @@ def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
     return best_val, best_chain
 
 
+def _reference_sum_p1(samples: np.ndarray, rows: list[int], cols: list[int]) -> float:
+    """Reference p = 1 net sum: the _abs_cell_terms expansion of every cell,
+    collected cell by cell in a Python loop, then one fsum."""
+    terms: list[float] = []
+    nr, nc = len(rows), len(cols)
+    for k in range(nr):
+        r0, r1 = rows[k], rows[(k + 1) % nr]
+        for l in range(nc):
+            c0, c1 = cols[l], cols[(l + 1) % nc]
+            terms.extend(
+                _abs_cell_terms(
+                    float(samples[r1, c1]),
+                    float(samples[r1, c0]),
+                    float(samples[r0, c1]),
+                    float(samples[r0, c0]),
+                )
+            )
+    return math.fsum(terms)
+
+
+def _reference_vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
+    """Reference net sum: _reference_sum_p1 at p = 1; at p > 1 the fsum of the
+    powered cells of the cyclic row differences' cyclic column differences.
+    vitali_sum must return exactly its value."""
+    rows, cols = list(net.rows.indices), list(net.cols.indices)
+    if p.p == 1.0:
+        return _reference_sum_p1(f.samples, rows, cols)
+    cells = _cyc_coldiff(_cyc_rowdiff(f.samples[np.ix_(rows, cols)]))
+    return _root(math.fsum(abs(float(v)) ** p.p for v in cells.ravel()), p.p)
+
+
 def _loop_oracle(f: Grid2, p: Exponent) -> float:
     """Reference brute force: every net evaluated on its own, as vitali_sum
     evaluates it.  vitali_oracle must return exactly its value."""
@@ -85,7 +116,7 @@ def _loop_oracle(f: Grid2, p: Exponent) -> float:
         for rows in itertools.combinations(range(m), rsize):
             if pp == 1.0:
                 for cols in col_subsets:
-                    v = _sum_p1(f.samples, list(rows), cols)
+                    v = _reference_sum_p1(f.samples, list(rows), cols)
                     if v > best:
                         best = v
                 continue
@@ -164,6 +195,50 @@ class TestBasics:
         f = Grid2(np.zeros((8, 3)))
         with pytest.raises(ValueError, match="got 8x3"):
             vitali_oracle(f, Exponent(2.0))
+
+
+class TestVitaliSum:
+    """vitali_sum against the per-cell reference, compared with ==."""
+
+    @staticmethod
+    def _nets(m: int, n: int, seed: int) -> list[Net]:
+        """Random nets of every size, plus one-row, one-column and
+        two-member chains and the finest net."""
+        rng = np.random.default_rng(seed)
+
+        def chain(side: int, size: int) -> CyclicPartition:
+            return CyclicPartition(tuple(sorted(rng.choice(side, size, replace=False).tolist())))
+
+        sizes = [(1, n), (m, 1), (1, 1), (2, 2), (2, n), (m, 2), (m, n)]
+        sizes += [(int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1))) for _ in range(8)]
+        return [Net(chain(m, k), chain(n, l)) for k, l in sizes]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (8, 6), (16, 12)])
+    def test_matches_reference(self, shape, p):
+        pe = Exponent(p)
+        for k, f in enumerate(_oracle_fields(*shape)):
+            for net in self._nets(*shape, seed=k):
+                assert vitali_sum(f, net, pe) == _reference_vitali_sum(f, net, pe), (
+                    f.samples,
+                    net,
+                )
+
+    @pytest.mark.parametrize("p, limit", [(1.0, 2.5), (2.0, 0.75)])
+    def test_finest_peak_memory_at_128(self, p, limit):
+        """Both exact paths stream their cells: about 2.0 MiB at p = 1 (the
+        corner values as Python floats) and 0.5 MiB at p = 2 (a few cell
+        arrays).  A list of every cell's terms would add 2 MiB at p = 1 and
+        0.5 MiB at p = 2."""
+        f = Grid2(np.random.default_rng(128).normal(size=(128, 128)))
+        pe = Exponent(p)
+        tracemalloc.start()
+        try:
+            vitali_finest(f, pe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
 
 
 class TestTwoPassOracle:
