@@ -54,6 +54,16 @@ def _exponent(value: float, need_gt_1: bool = False) -> Exponent:
     return p
 
 
+def _list(text: str | None, kind, flag: str, preset: tuple) -> tuple:
+    """The comma-separated values of a list flag, or preset if it is absent."""
+    if text is None:
+        return preset
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from exc
+
+
 def _seed(text: str) -> int:
     """argparse type of the --seed flags: a non-negative integer."""
     if not text.isdecimal():
@@ -210,15 +220,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    p_grid, n_grid = SWEEP_FAMILIES[args.family]
-    try:
-        if args.p_list is not None:
-            p_grid = tuple(float(v) for v in args.p_list.split(","))
-        if args.n_list is not None:
-            n_grid = tuple(int(v) for v in args.n_list.split(","))
-        rows = sharpness_sweep(args.family, p_grid, n_grid, size=args.size, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    p_preset, n_preset = SWEEP_FAMILIES[args.family]
+    p_grid = _list(args.p_list, float, "--p-list", p_preset)
+    n_grid = _list(args.n_list, int, "--n-list", n_preset)
+    rows = _checked(sharpness_sweep, args.family, p_grid, n_grid, size=args.size, seed=args.seed)
     if args.format == "json":
         _emit({"rows": rows}, args)
     else:
@@ -227,27 +232,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    n, N = args.n, args.N
-    try:
-        if args.family == "tent":
-            g = gen_tent_scaled(n, N)
-        elif args.family == "sine":
-            g = gen_sine(n, N)
-        elif args.family == "bump":
-            g = gen_gn(n, N)
-        elif args.family == "staircase":
-            g = gen_staircase(N)
-        elif args.family == "series":
-            g = gen_series_f(n, _exponent(args.p, need_gt_1=False), N)
-        elif args.family == "sineprod":
-            if args.m < 1:
-                raise CliError(f"--m must be at least 1, got {args.m}")
-            g = gen_product(gen_sine(n, N), gen_sine(args.m, N))
-        else:
-            raise CliError(f"unknown family {args.family!r}")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    save_csv(g, args.out)
+    n, m, N = args.n, args.m, args.N
+    if args.family == "sineprod":
+        # gen_sine's messages name its frequency n, which reads as --n
+        if m < 1:
+            raise CliError(f"--m must be at least 1, got {m}")
+        if N % (4 * m):
+            raise CliError(f"N={N} must be a multiple of 4m={4 * m} (--m {m})")
+    make = {
+        "tent": lambda: gen_tent_scaled(n, N),
+        "sine": lambda: gen_sine(n, N),
+        "bump": lambda: gen_gn(n, N),
+        "staircase": lambda: gen_staircase(N),
+        "series": lambda: gen_series_f(n, _exponent(args.p), N),
+        "sineprod": lambda: gen_product(gen_sine(n, N), gen_sine(m, N)),
+    }[args.family]
+    save_csv(_checked(make), args.out)
     return 0
 
 

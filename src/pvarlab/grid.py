@@ -248,17 +248,18 @@ def gen_trigpoly(a, b, c, d, M: int, N: int) -> tuple[Grid2, Grid2]:
     return Grid2(T), Grid2(D)
 
 
-def gen_cumulative(f: Grid2, tol: float = 1e-9) -> Grid2:
+CUMULATIVE_TOL = 1e-9
+
+
+def gen_cumulative(f: Grid2) -> Grid2:
     """Discrete double primitive F(i,j) = (1/MN) sum_{s<i,t<j} f(s,t).
 
-    Requires all row means and column means of f to vanish (within tol), so
-    that F is doubly periodic.
+    Requires all row means and column means of f to vanish (within
+    CUMULATIVE_TOL times max(1, max |f|)), so that F is doubly periodic.
     """
     a = f.samples
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a.mean(axis=1))) > tol * scale or np.max(
-        np.abs(a.mean(axis=0))
-    ) > tol * scale:
+    tol = CUMULATIVE_TOL * max(1.0, float(np.max(np.abs(a))))
+    if np.max(np.abs(a.mean(axis=1))) > tol or np.max(np.abs(a.mean(axis=0))) > tol:
         raise ValueError("gen_cumulative needs zero row means and column means")
     c = np.zeros((f.m, f.n))
     inner = np.cumsum(np.cumsum(a, axis=0), axis=1)

@@ -33,7 +33,7 @@ from .modulus import (
     omega_sandwich_check,
     _shift_norm_table,
 )
-from .pvar1d import ORACLE_MAX_N, pvar_cyclic, pvar_oracle
+from .pvar1d import pvar_cyclic, pvar_oracle
 from .smoothness import (
     FieldContext,
     chain_check,
@@ -43,7 +43,6 @@ from .smoothness import (
     integral_K,
 )
 from .vitali2d import (
-    ORACLE_MAX_SIDE,
     certified_vitali,
     staircase_net_bound,
     vitali_ascent,
@@ -69,6 +68,17 @@ TOL = 1e-9
 
 SUITES = ("generators", "random", "separation", "sweeps")
 
+# The suite's fixed inputs: its exponents (all above 1), the corpus sizes
+# and the sizes of its oracle cross-checks.  _meta records the first three.
+P_GRID = (1.1, 1.5, 2.0, 3.0, 8.0)
+SIZE_1D = 64  # a multiple of 16: tents up to n = 8 and sines up to n = 4 align
+SIZE_2D = 32  # a multiple of 16: the tnxt1 sweep's orders 1, 2, 4 align
+N_RANDOM_1D = 6
+N_RANDOM_2D = 4
+ORACLE_N_1D = 10  # largest 1-D oracle grid, at most pvar1d.ORACLE_MAX_N
+ORACLE_SIDE_2D = 5  # side of the 2-D oracle grids, at most vitali2d.ORACLE_MAX_SIDE
+ORACLE_TRIALS = 40  # 1-D oracle grids; the 2-D check draws a quarter as many
+
 # Sweep family -> the (p values, n values) of its preset sweep.
 SWEEP_FAMILIES = {
     "t1xt1": ((1.01, 1.1, 1.5, 2.0, 10.0, 50.0), (1,)),
@@ -80,25 +90,15 @@ SWEEP_FAMILIES = {
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """What a suite run varies: the corpus seed and the suites it runs."""
+
     seed: int = 7
     families: tuple[str, ...] = SUITES
-    p_grid: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 8.0)
-    size_1d: int = 64
-    size_2d: int = 32
-    n_random_1d: int = 6
-    n_random_2d: int = 4
-    oracle_n_1d: int = 10
-    oracle_side_2d: int = 5
-    oracle_trials: int = 40
 
     def validate(self) -> None:
         unknown = sorted(set(self.families) - set(SUITES))
         if unknown:
             raise ValueError(f"unknown suites {unknown}; choose from {list(SUITES)}")
-        if self.oracle_n_1d > ORACLE_MAX_N or self.oracle_side_2d > ORACLE_MAX_SIDE:
-            raise ValueError("oracle sizes exceed hard limits")
-        if self.size_2d > MIXED_TABLE_CAP:
-            raise ValueError("2D corpus size exceeds the mixed-table cap")
 
 
 @dataclass
@@ -181,25 +181,24 @@ def random_corpus_2d(rng: np.random.Generator, m: int, n: int, count: int) -> li
     return out
 
 
-def _corpus_1d(cfg: SuiteConfig, rng: np.random.Generator) -> list[tuple[str, Grid1]]:
-    n = cfg.size_1d
-    out = [(f"tent{k}", gen_tent_scaled(k, n)) for k in (1, 2, 4, 8) if n % (2 * k) == 0]
-    out += [(f"sine{k}", gen_sine(k, n)) for k in (1, 2, 4) if n % (4 * k) == 0]
-    half = np.r_[np.ones(n // 2), -np.ones(n - n // 2)]
-    out.append(("step", Grid1(half)))
-    out += random_corpus_1d(rng, n, cfg.n_random_1d)
+def _corpus_1d(rng: np.random.Generator) -> list[tuple[str, Grid1]]:
+    n = SIZE_1D
+    out = [(f"tent{k}", gen_tent_scaled(k, n)) for k in (1, 2, 4, 8)]
+    out += [(f"sine{k}", gen_sine(k, n)) for k in (1, 2, 4)]
+    out.append(("step", Grid1(np.r_[np.ones(n // 2), -np.ones(n // 2)])))
+    out += random_corpus_1d(rng, n, N_RANDOM_1D)
     return out
 
 
-def _corpus_2d(cfg: SuiteConfig, rng: np.random.Generator) -> list[tuple[str, Grid2]]:
-    n = cfg.size_2d
+def _corpus_2d(rng: np.random.Generator) -> list[tuple[str, Grid2]]:
+    n = SIZE_2D
     out = [
         ("t1xt1", gen_product(gen_sine(1, n), gen_sine(1, n))),
         ("tent2xsine1", gen_product(gen_tent_scaled(2, n), gen_sine(1, n))),
         ("staircase", gen_staircase(n)),
-        ("series_m3", gen_series_f(3, Exponent(2.0), max(n, 32))),
+        ("series_m3", gen_series_f(3, Exponent(2.0), n)),
     ]
-    out += random_corpus_2d(rng, n, n, cfg.n_random_2d)
+    out += random_corpus_2d(rng, n, n, N_RANDOM_2D)
     return out
 
 
@@ -368,9 +367,9 @@ def _meta(cfg: SuiteConfig) -> dict:
         "version": __version__,
         "seed": cfg.seed,
         "timestamp": os.environ.get("PVARLAB_TIMESTAMP", "1970-01-01T00:00:00Z"),
-        "size_1d": cfg.size_1d,
-        "size_2d": cfg.size_2d,
-        "p_grid": list(cfg.p_grid),
+        "size_1d": SIZE_1D,
+        "size_2d": SIZE_2D,
+        "p_grid": list(P_GRID),
     }
 
 
@@ -385,18 +384,15 @@ class _Run(NamedTuple):
     rng: np.random.Generator
     corpus1: list[tuple[str, Grid1]]
     corpus2: list[tuple[str, FieldContext]]
-    p_small: list[float]
     sweeps: list[dict]
 
 
 # 1. generator sanity: closed-form variation of aligned generators
 def _generator_sanity(run: _Run):
-    n = run.cfg.size_1d
+    n = SIZE_1D
     for p in (1.0, 2.0):
         pe = Exponent(p)
         for k in (1, 2, 4):
-            if n % (2 * k):
-                continue
             v, _ = pvar_cyclic(gen_tent_scaled(k, n), pe)
             exact = 2.0 ** (1.0 / p - 1.0) * k ** (1.0 / p)
             yield (f"tent_formula_p{p}_n{k}", "v_p(tent_n) = 2^(1/p-1) n^(1/p)",
@@ -405,13 +401,13 @@ def _generator_sanity(run: _Run):
 
 # 1b. mixed-derivative Bernstein bound for trigonometric polynomials
 def _bernstein(run: _Run):
-    n = run.cfg.size_2d
+    n = SIZE_2D
     worst = 0.0
     for _ in range(4):
         deg_x, deg_y = int(run.rng.integers(1, 5)), int(run.rng.integers(1, 5))
         coef = [run.rng.normal(size=(deg_x + 1, deg_y + 1)) for _ in range(4)]
         T, D = gen_trigpoly(*coef, n, n)
-        for p in run.cfg.p_grid:
+        for p in P_GRID:
             denom = 4.0 * math.pi**2 * deg_x * deg_y * lp_norm(T, p)
             if denom > 0:
                 worst = max(worst, lp_norm(D, p) / denom)
@@ -421,23 +417,22 @@ def _bernstein(run: _Run):
 
 # 2. 1D oracle equivalence
 def _pvar_equiv(run: _Run):
-    cfg = run.cfg
     worst = 0.0
-    for trial in range(cfg.oracle_trials):
-        n = int(run.rng.integers(2, cfg.oracle_n_1d + 1))
+    for trial in range(ORACLE_TRIALS):
+        n = int(run.rng.integers(2, ORACLE_N_1D + 1))
         g = Grid1(run.rng.normal(size=n))
         pe = Exponent((1.0, 1.5, 2.0, 3.0)[trial % 4])
         worst = max(worst, abs(pvar_cyclic(g, pe)[0] - pvar_oracle(g, pe)))
     yield ("pvar_oracle_equivalence", "sup over all partitions attained by the anchored chain DP",
-           f"{cfg.oracle_trials} random grids, N <= {cfg.oracle_n_1d}", worst, 0.0, 0.0)
+           f"{ORACLE_TRIALS} random grids, N <= {ORACLE_N_1D}", worst, 0.0, 0.0)
 
 
 # 3. 2D oracle equivalence + ascent dominance
 def _vitali_equiv(run: _Run):
     worst_eq = 0.0
     worst_exceed = 0.0
-    side = run.cfg.oracle_side_2d
-    for trial in range(max(4, run.cfg.oracle_trials // 4)):
+    side = ORACLE_SIDE_2D
+    for trial in range(ORACLE_TRIALS // 4):
         f = Grid2(run.rng.normal(size=(side, side)))
         pe = Exponent((1.0, 1.5, 2.0, 3.0)[trial % 4])
         vo = vitali_oracle(f, pe)
@@ -455,8 +450,7 @@ def _vitali_equiv(run: _Run):
 
 # 4. Golubov identity for the double primitive
 def _golubov(run: _Run):
-    n = run.cfg.size_2d
-    for name, f in run.corpus2[:2] + random_corpus_2d(run.rng, n, n, 1):
+    for name, f in run.corpus2[:2] + random_corpus_2d(run.rng, SIZE_2D, SIZE_2D, 1):
         core = FieldContext.of(f).core.field
         lhs = vitali_finest(gen_cumulative(core), Exponent(1.0))
         rhs = float(np.mean(np.abs(core.samples)))
@@ -508,7 +502,7 @@ def _lemma_checks(run: _Run):
 # 7. integral inequality chain
 def _chain(run: _Run):
     for name, ctx in run.corpus2:
-        for p in run.p_small:
+        for p in P_GRID:
             for row in chain_check(ctx, Exponent(p)):
                 yield (f"chain_{row['id']}_{name}_p{p}",
                        "K <= 4I/p'; omega(1,1) <= 4I/p'^2; J(core) <= 3K(core)",
@@ -517,7 +511,7 @@ def _chain(run: _Run):
 
 # 8. Hardy-Littlewood p=1
 def _hardy_littlewood(run: _Run):
-    n = run.cfg.size_2d
+    n = SIZE_2D
     r = hardy_littlewood_check(gen_product(gen_sine(1, n), gen_sine(1, n)))
     yield ("hardy_littlewood_gap", "v_1^(2) equals the sup of omega(u,v)_1/(uv)",
            f"t1xt1 N={n}", r["relative_gap"], 0.05)
@@ -527,11 +521,9 @@ def _hardy_littlewood(run: _Run):
 
 # 9. measured constants: finite and stable
 def _measured_constants(run: _Run):
-    n = run.cfg.size_1d
+    n = SIZE_1D
     worst = 0.0
     for k in (1, 2, 4):
-        if n % (4 * k):
-            continue
         r = embedding_1d_check(gen_sine(k, n), Exponent(2.0))
         for key in ("a_obs_inf", "a_obs_var"):
             if r[key] is not None:
@@ -540,7 +532,7 @@ def _measured_constants(run: _Run):
            f"sine family N={n}", worst, 50.0)
     worst2 = 0.0
     for name, ctx in run.corpus2[:3]:
-        for p in run.p_small:
+        for p in P_GRID:
             r = main_estimate_check(ctx, Exponent(p))
             if not r["skip"]:
                 worst2 = max(worst2, r["a_obs"], r["a_obs_inf"])
@@ -592,10 +584,8 @@ def _wp_checks(run: _Run):
 def _sweeps(run: _Run):
     if "sweeps" not in run.cfg.families:
         return
-    n, p_small = run.cfg.size_2d, run.p_small
-    run.sweeps.extend(sharpness_sweep("t1xt1", tuple(p_small), (1,), size=n))
-    orders = tuple(k for k in (1, 2, 4) if n % (4 * k) == 0)
-    run.sweeps.extend(sharpness_sweep("tnxt1", (max(p_small),), orders, size=n))
+    run.sweeps.extend(sharpness_sweep("t1xt1", P_GRID, (1,), size=SIZE_2D))
+    run.sweeps.extend(sharpness_sweep("tnxt1", (max(P_GRID),), (1, 2, 4), size=SIZE_2D))
     for row in run.sweeps:
         v = row["values"]
         if row["family"] == "t1xt1" and "i_hi" in v:
@@ -636,14 +626,13 @@ def run_suite(cfg: SuiteConfig) -> CheckReport:
         return report
     rng = np.random.default_rng(cfg.seed)
     run_random = "random" in cfg.families
-    corpus1 = _corpus_1d(cfg, rng) if ("generators" in cfg.families or run_random) else []
-    corpus2 = _corpus_2d(cfg, rng) if ("generators" in cfg.families or run_random) else []
+    corpus1 = _corpus_1d(rng) if ("generators" in cfg.families or run_random) else []
+    corpus2 = _corpus_2d(rng) if ("generators" in cfg.families or run_random) else []
     if not run_random:
         corpus1 = [c for c in corpus1 if not c[0].startswith("random")]
         corpus2 = [c for c in corpus2 if not c[0].startswith("random")]
     contexts = [(name, FieldContext(f)) for name, f in corpus2]
-    p_small = [p for p in cfg.p_grid if p > 1.0]
-    run = _Run(cfg, rng, corpus1, contexts, p_small, report.sweeps)
+    run = _Run(cfg, rng, corpus1, contexts, report.sweeps)
     for check_id, anchor, body in _CHECKS:
         try:
             for row in body(run):

@@ -51,6 +51,7 @@ __all__ = [
 ORACLE_MAX_SIDE = 7
 MAX_SWEEPS = 20  # alternating half-step pairs per ascent run
 RESTARTS = 8  # seeded random column starts of the ascent
+_CELL_CHUNK = 1024  # cells whose corners the exact p = 1 path lists at once
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,19 @@ def vitali_finest(f: Grid2, p: Exponent) -> float:
 def _cell_expansions(a: np.ndarray, r0, r1, c0, c1) -> Iterator[tuple[float, ...]]:
     """The _abs_cell_terms expansion of each cell with row step r0 -> r1 and
     column step c0 -> c1 (index arrays that fancy indexing broadcasts), one
-    cell at a time in row-major order of the broadcast shape."""
-    corners = ((r1, c1), (r1, c0), (r0, c1), (r0, c0))
-    return (_abs_cell_terms(*q) for q in zip(*(a[r, c].ravel().tolist() for r, c in corners)))
+    cell at a time in row-major order of the broadcast shape.  Corners are
+    read for blocks of leading-axis rows of about _CELL_CHUNK cells, so no
+    list of every cell's corners is held; an index array without that axis
+    (or of length 1 along it) broadcasts over every block as it is."""
+    shape = np.broadcast(r0, r1, c0, c1).shape
+    step = max(1, _CELL_CHUNK * shape[0] // math.prod(shape))
+    for k in range(0, shape[0], step):
+        i0, i1, j0, j1 = (
+            x[k : k + step] if np.ndim(x) == len(shape) and len(x) > 1 else x
+            for x in (r0, r1, c0, c1)
+        )
+        corners = (a[i1, j1], a[i1, j0], a[i0, j1], a[i0, j0])
+        yield from map(_abs_cell_terms, *(x.ravel().tolist() for x in corners))
 
 
 def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
@@ -398,9 +409,7 @@ def staircase_net_bound(n: int, p: Exponent, N: int | None = None) -> float:
     return vitali_sum(f, Net(rows, cols), p)
 
 
-def hardy_section_check(
-    f: Grid2, p: Exponent, x0: int | None = None, y0: int | None = None
-) -> list[dict]:
+def hardy_section_check(f: Grid2, p: Exponent) -> list[dict]:
     """Section bound v_p(f_x) <= v_p(f_{x0}) + 2^(1-1/p) v2 for every section.
 
     The two-row cyclic net over {x0, x} carries each increment of the
@@ -409,15 +418,13 @@ def hardy_section_check(
     certified_vitali(f, p): the oracle on grids up to ORACLE_MAX_SIDE, the
     exact finest-net value at p = 1, an ascent lower bound otherwise.  A
     lower bound only shrinks the right side, so a passing row is conclusive.
-    Reference sections default to the ones of minimal variation.
+    The reference sections x0 and y0 are the first ones of minimal variation.
     """
     v2 = certified_vitali(f, p)
     rows_var = _pvar_rows(f.samples, p).tolist()
     cols_var = _pvar_rows(f.samples.T, p).tolist()
-    if x0 is None:
-        x0 = int(np.argmin(rows_var))
-    if y0 is None:
-        y0 = int(np.argmin(cols_var))
+    x0 = int(np.argmin(rows_var))
+    y0 = int(np.argmin(cols_var))
     coeff = 2.0 ** (1.0 - 1.0 / p.p)
     out = []
     for i, v in enumerate(rows_var):

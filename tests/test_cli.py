@@ -126,6 +126,15 @@ class TestWpAndGen:
         assert capsys.readouterr().err == f"error: --m must be at least 1, got {m}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, m, flag", [("1", "3", "--m 3"), ("3", "1", "4n=12")])
+    def test_gen_sineprod_misaligned_names_its_frequency(self, n, m, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--family", "sineprod", "--n", n, "--m", m, "--N", "16",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: N=16 must be a multiple of") and flag in err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -154,6 +163,12 @@ class TestSweep:
         assert main(["sweep", "--family", family, *flags, "--size", "16",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text", [("--p-list", "1.5,x"), ("--n-list", "1,y")])
+    def test_malformed_list_error_names_its_flag(self, flag, text, capsys):
+        assert main(["sweep", "--family", "tnxt1", flag, text, "--size", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.rstrip().endswith(f"'{text[-1]}'")
 
     def test_size_over_table_cap_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

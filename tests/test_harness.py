@@ -23,25 +23,18 @@ from pvarlab import (
 )
 from pvarlab.harness import random_corpus_1d, random_corpus_2d, sweep_rows_to_csv
 
-FAST = SuiteConfig(
-    seed=11,
-    families=("generators", "separation"),
-    size_1d=16,
-    size_2d=16,
-    oracle_trials=8,
-    oracle_side_2d=4,
-)
+FAST = SuiteConfig(seed=11, families=("generators", "separation"))
 
 REQUIRED_KEYS = {"id", "paper_anchor", "inputs", "lhs", "rhs", "margin", "tolerance", "pass"}
 
 
-class TestConfig:
-    def test_validate_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(oracle_side_2d=9).validate()
-        with pytest.raises(ValueError):
-            SuiteConfig(size_2d=200).validate()
+@pytest.fixture(scope="module")
+def fast_report():
+    """One run_suite(FAST) report, shared by the tests that only read it."""
+    return run_suite(FAST)
 
+
+class TestConfig:
     def test_validate_rejects_unknown_suite(self):
         with pytest.raises(ValueError, match="nosuch"):
             SuiteConfig(families=("generators", "nosuch")).validate()
@@ -65,28 +58,26 @@ class TestCorpora:
 
 
 class TestSuite:
-    def test_fast_config_all_pass(self):
-        report = run_suite(FAST)
-        failed = [c for c in report.checks if not c["pass"]]
+    def test_fast_config_all_pass(self, fast_report):
+        failed = [c for c in fast_report.checks if not c["pass"]]
         assert not failed, failed
 
-    def test_schema(self):
-        report = run_suite(FAST)
-        for c in report.checks:
+    def test_schema(self, fast_report):
+        for c in fast_report.checks:
             assert REQUIRED_KEYS <= set(c)
             assert isinstance(c["paper_anchor"], str) and c["paper_anchor"]
-        payload = report.to_dict()
+        payload = fast_report.to_dict()
         assert set(payload) == {"meta", "checks", "sweeps"}
         json.dumps(payload)  # must be serializable
 
-    def test_deterministic_for_fixed_seed(self):
-        a = json.dumps(run_suite(FAST).to_dict(), sort_keys=True)
+    def test_deterministic_for_fixed_seed(self, fast_report):
+        a = json.dumps(fast_report.to_dict(), sort_keys=True)
         b = json.dumps(run_suite(FAST).to_dict(), sort_keys=True)
         assert a == b
 
     def test_seed_changes_random_corpus_checks(self):
-        a = run_suite(SuiteConfig(seed=1, families=("random",), size_2d=16, size_1d=16))
-        b = run_suite(SuiteConfig(seed=2, families=("random",), size_2d=16, size_1d=16))
+        a = run_suite(SuiteConfig(seed=1, families=("random",)))
+        b = run_suite(SuiteConfig(seed=2, families=("random",)))
         la = [c["lhs"] for c in a.checks if "random" in c["id"]]
         lb = [c["lhs"] for c in b.checks if "random" in c["id"]]
         assert la and la != lb
@@ -96,7 +87,7 @@ class TestSuite:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(harness, "pvar_oracle", boom)
-        report = run_suite(FAST)
+        report = run_suite(SuiteConfig(seed=11, families=("separation",)))  # no corpus
         bad = [c for c in report.checks if c.get("error")]
         assert bad and not report.all_pass
         assert "synthetic failure" in bad[0]["error"]
@@ -124,8 +115,7 @@ class TestDerivedOnce:
                 in_package = getattr(mod, "__name__", "").startswith("pvarlab")
                 if in_package and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, wrapper)
-        cfg = SuiteConfig(families=("generators", "random"), size_1d=16, size_2d=16)
-        assert run_suite(cfg).all_pass
+        assert run_suite(SuiteConfig(families=("generators", "random"))).all_pass
         assert {key[0] for key in seen} == {"decompose_lp0", "modulus_iso_2d"}
         assert [key for key, calls in seen.items() if calls > 1] == []
 
@@ -145,10 +135,10 @@ class TestDerivedOnce:
             in_package = getattr(mod, "__name__", "").startswith("pvarlab")
             if in_package and getattr(mod, "modulus_1d", None) is original:
                 monkeypatch.setattr(mod, "modulus_1d", counted)
-        cfg = SuiteConfig(families=("generators",), size_1d=16, size_2d=16)
+        cfg = SuiteConfig(families=("generators",))
         rng = np.random.default_rng(0)
-        corpus1 = harness._corpus_1d(cfg, rng)
-        run = harness._Run(cfg, rng, corpus1, [], [], [])
+        corpus1 = harness._corpus_1d(rng)
+        run = harness._Run(cfg, rng, corpus1, [], [])
         rows = list(harness._modulus_invariants(run))
         assert len(rows) == 3 * 2 * len(corpus1)
         assert sorted(calls) == sorted([1.0, 2.0] * len(corpus1))

@@ -224,12 +224,30 @@ class TestVitaliSum:
                     net,
                 )
 
-    @pytest.mark.parametrize("p, limit", [(1.0, 2.5), (2.0, 0.75)])
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    @pytest.mark.parametrize("shape", [(7, 2), (6, 6), (16, 12)])
+    def test_p1_corner_blocks(self, shape, chunk, monkeypatch):
+        """The p = 1 path lists corners for blocks of about _CELL_CHUNK cells:
+        one row per block, several rows with an uneven last block (7 x 2 at
+        chunk 7, 16 x 12 at chunk 40), and the 1-D cell lists of the
+        ascent's naive pass.  Every net value equals the reference, and the
+        certified value (the oracle up to 7 x 7) and the ascent equal their
+        one-block values."""
+        pe = Exponent(1.0)
+        fields = _oracle_fields(*shape)
+        one_block = [(certified_vitali(f, pe), vitali_ascent(f, pe)) for f in fields[:2]]
+        monkeypatch.setattr(vitali2d, "_CELL_CHUNK", chunk)
+        for k, f in enumerate(fields):
+            for net in self._nets(*shape, seed=k):
+                assert vitali_sum(f, net, pe) == _reference_vitali_sum(f, net, pe)
+        assert [(certified_vitali(f, pe), vitali_ascent(f, pe)) for f in fields[:2]] == one_block
+
+    @pytest.mark.parametrize("p, limit", [(1.0, 0.5), (2.0, 0.75)])
     def test_finest_peak_memory_at_128(self, p, limit):
-        """Both exact paths stream their cells: about 2.0 MiB at p = 1 (the
-        corner values as Python floats) and 0.5 MiB at p = 2 (a few cell
-        arrays).  A list of every cell's terms would add 2 MiB at p = 1 and
-        0.5 MiB at p = 2."""
+        """Both exact paths stream their cells: about 0.17 MiB at p = 1 (the
+        corner values of one block of rows as Python floats) and 0.5 MiB at
+        p = 2 (a few cell arrays).  Listing every cell's corners would add
+        2 MiB at p = 1, and a list of every cell's terms 0.5 MiB at p = 2."""
         f = Grid2(np.random.default_rng(128).normal(size=(128, 128)))
         pe = Exponent(p)
         tracemalloc.start()
