@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,7 +51,6 @@ from .vitali2d import (
 
 __all__ = [
     "SWEEP_FAMILIES",
-    "SuiteConfig",
     "CheckReport",
     "run_suite",
     "hardy_littlewood_check",
@@ -65,8 +63,6 @@ __all__ = [
 ]
 
 TOL = 1e-9
-
-SUITES = ("generators", "random", "separation", "sweeps")
 
 # The suite's fixed inputs: its exponents (all above 1), the corpus sizes
 # and the sizes of its oracle cross-checks.  _meta records the first three.
@@ -86,19 +82,6 @@ SWEEP_FAMILIES = {
     "tnxtn": ((1.5, 2.0, 4.0), (1, 2, 4)),
     "trigpoly": ((1.0, 2.0, 4.0, 8.0), (1, 2, 3, 4)),
 }
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """What a suite run varies: the corpus seed and the suites it runs."""
-
-    seed: int = 7
-    families: tuple[str, ...] = SUITES
-
-    def validate(self) -> None:
-        unknown = sorted(set(self.families) - set(SUITES))
-        if unknown:
-            raise ValueError(f"unknown suites {unknown}; choose from {list(SUITES)}")
 
 
 @dataclass
@@ -362,11 +345,11 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
 # ---------------------------------------------------------------- suite
 
 
-def _meta(cfg: SuiteConfig) -> dict:
+def _meta(seed: int) -> dict:
     return {
         "version": __version__,
-        "seed": cfg.seed,
-        "timestamp": os.environ.get("PVARLAB_TIMESTAMP", "1970-01-01T00:00:00Z"),
+        "seed": seed,
+        "timestamp": "1970-01-01T00:00:00Z",
         "size_1d": SIZE_1D,
         "size_2d": SIZE_2D,
         "p_grid": list(P_GRID),
@@ -380,7 +363,6 @@ class _Run(NamedTuple):
     [, tolerance]).
     """
 
-    cfg: SuiteConfig
     rng: np.random.Generator
     corpus1: list[tuple[str, Grid1]]
     corpus2: list[tuple[str, FieldContext]]
@@ -556,8 +538,6 @@ def _wp_checks(run: _Run):
                 worst_a = max(worst_a, r["a_obs"])
     yield ("wp_estimate_bounded", "W_p of the core controlled by omega(1,1), K and I",
            "corpus, p in {1.1, 2, 8}", worst_a, 50.0)
-    if "separation" not in run.cfg.families:
-        return
     p2 = Exponent(2.0)
     for n in (2, 4, 8, 16):
         yield (f"staircase_net_bound_n{n}",
@@ -582,8 +562,6 @@ def _wp_checks(run: _Run):
 
 # 11. sharpness sweeps
 def _sweeps(run: _Run):
-    if "sweeps" not in run.cfg.families:
-        return
     run.sweeps.extend(sharpness_sweep("t1xt1", P_GRID, (1,), size=SIZE_2D))
     run.sweeps.extend(sharpness_sweep("tnxt1", (max(P_GRID),), (1, 2, 4), size=SIZE_2D))
     for row in run.sweeps:
@@ -612,27 +590,20 @@ _CHECKS = (
 )
 
 
-def run_suite(cfg: SuiteConfig) -> CheckReport:
-    """Run every inequality/identity suite on the seeded corpus.
+def run_suite(seed: int) -> CheckReport:
+    """Run every check of _CHECKS on the corpus drawn from seed.
 
-    The checks of _CHECKS run in order on one _Run, whose 2-D corpus is
-    wrapped in FieldContexts that live for this call only.  An exception in
-    a check is recorded as a failed check after the rows it already
-    yielded; the report passes iff every check passes.
+    The report's bytes depend on seed alone.  The checks run in order on
+    one _Run, whose 2-D corpus is wrapped in FieldContexts that live for
+    this call only.  An exception in a check is recorded as a failed check
+    after the rows it already yielded; the report passes iff every check
+    passes.
     """
-    cfg.validate()
-    report = CheckReport(meta=_meta(cfg))
-    if not cfg.families:
-        return report
-    rng = np.random.default_rng(cfg.seed)
-    run_random = "random" in cfg.families
-    corpus1 = _corpus_1d(rng) if ("generators" in cfg.families or run_random) else []
-    corpus2 = _corpus_2d(rng) if ("generators" in cfg.families or run_random) else []
-    if not run_random:
-        corpus1 = [c for c in corpus1 if not c[0].startswith("random")]
-        corpus2 = [c for c in corpus2 if not c[0].startswith("random")]
-    contexts = [(name, FieldContext(f)) for name, f in corpus2]
-    run = _Run(cfg, rng, corpus1, contexts, report.sweeps)
+    report = CheckReport(meta=_meta(seed))
+    rng = np.random.default_rng(seed)
+    corpus1 = _corpus_1d(rng)
+    contexts = [(name, FieldContext(f)) for name, f in _corpus_2d(rng)]
+    run = _Run(rng, corpus1, contexts, report.sweeps)
     for check_id, anchor, body in _CHECKS:
         try:
             for row in body(run):

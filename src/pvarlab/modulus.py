@@ -226,25 +226,25 @@ def modulus_1d(g: Grid1, p: Exponent) -> ModulusTable1D:
     return ModulusTable1D(np.maximum.accumulate(norms), p, 1.0 / g.n)
 
 
+def _prefix_max_table(f: Grid2, p: Exponent, cap: int, mixed: bool) -> np.ndarray:
+    """2-D prefix max of f's shift-norm table; grids with a side above cap are refused."""
+    if f.m > cap or f.n > cap:
+        raise ValueError(f"grid {f.m}x{f.n} exceeds cap {cap}; pass a larger cap")
+    raw = _shift_norm_table(f.samples, p.p, mixed=mixed)
+    return np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+
+
 def modulus_iso_2d(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusTable1D:
     """Isotropic modulus: sup over vector shifts in the sup-norm ball |h| <= delta.
 
     Grid shifts cover negative h by periodicity.  delta runs over k/K with
-    K = max(M, N).
+    K = max(M, N) and reaches the shifts up to the integer quotients
+    k M // K and k N // K.
     """
-    m, n = f.m, f.n
-    if m > cap or n > cap:
-        raise ValueError(f"grid {m}x{n} exceeds cap {cap}; pass a larger cap")
-    norms = _shift_norm_table(f.samples, p.p)
-    pmax = np.maximum.accumulate(np.maximum.accumulate(norms, axis=0), axis=1)
-    K = max(m, n)
-    vals = np.zeros(K + 1)
-    for k in range(K + 1):
-        delta = k / K
-        s = min(m, int(math.floor(delta * m + 1e-9)))
-        t = min(n, int(math.floor(delta * n + 1e-9)))
-        vals[k] = pmax[s, t]
-    return ModulusTable1D(vals, p, 1.0 / K)
+    pmax = _prefix_max_table(f, p, cap, mixed=False)
+    K = max(f.m, f.n)
+    ks = np.arange(K + 1)
+    return ModulusTable1D(pmax[ks * f.m // K, ks * f.n // K], p, 1.0 / K)
 
 
 def modulus_mixed(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusTable2D:
@@ -252,12 +252,8 @@ def modulus_mixed(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusT
 
     Cost is O((MN)^2); grids with a side above cap are refused.
     """
-    m, n = f.m, f.n
-    if m > cap or n > cap:
-        raise ValueError(f"grid {m}x{n} exceeds cap {cap}; pass a larger cap")
-    raw = _shift_norm_table(f.samples, p.p, mixed=True)
-    table = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
-    return ModulusTable2D(table, p, (1.0 / m, 1.0 / n))
+    table = _prefix_max_table(f, p, cap, mixed=True)
+    return ModulusTable2D(table, p, (1.0 / f.m, 1.0 / f.n))
 
 
 def averaged_modulus_check(g: Grid1, p: Exponent) -> dict:

@@ -189,23 +189,23 @@ class TestSweep:
 
 class TestVerify:
     def test_exit_zero_and_deterministic(self, tmp_path, capsys):
+        """The report depends on --seed alone: --suite all is the default."""
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--seed", "7", "--suite", "generators,separation",
-                     "--out", str(a)]) == 0
-        assert main(["verify", "--seed", "7", "--suite", "generators,separation",
-                     "--out", str(b)]) == 0
+        assert main(["verify", "--seed", "7", "--out", str(a)]) == 0
+        assert main(["verify", "--suite", "all", "--seed", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_suite_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suite", ["nosuch", "generators", "random,sweeps"])
+    def test_unknown_suite_is_usage_error(self, suite, tmp_path, capsys):
         out = tmp_path / "r.json"
-        assert main(["verify", "--suite", "nosuch", "--seed", "7", "--out", str(out)]) == 2
+        assert main(["verify", "--suite", suite, "--seed", "7", "--out", str(out)]) == 2
         assert "unknown suite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failing_check_exits_one(self, tmp_path, monkeypatch):
         report = CheckReport(meta={"version": "test", "seed": 0, "timestamp": "-"})
         report.add("synthetic", "forced failure", "-", 1.0, 0.0)
-        monkeypatch.setattr(cli, "run_suite", lambda cfg: report)
+        monkeypatch.setattr(cli, "run_suite", lambda seed: report)
         assert main(["verify", "--out", str(tmp_path / "r.json")]) == 1
 
 

@@ -11,7 +11,6 @@ import pytest
 import pvarlab.harness as harness
 from pvarlab import (
     Exponent,
-    SuiteConfig,
     embedding_1d_check,
     gen_product,
     gen_sine,
@@ -23,25 +22,19 @@ from pvarlab import (
 )
 from pvarlab.harness import random_corpus_1d, random_corpus_2d, sweep_rows_to_csv
 
-FAST = SuiteConfig(seed=11, families=("generators", "separation"))
+SEED = 11
 
 REQUIRED_KEYS = {"id", "paper_anchor", "inputs", "lhs", "rhs", "margin", "tolerance", "pass"}
 
 
+def _report_bytes(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
 @pytest.fixture(scope="module")
-def fast_report():
-    """One run_suite(FAST) report, shared by the tests that only read it."""
-    return run_suite(FAST)
-
-
-class TestConfig:
-    def test_validate_rejects_unknown_suite(self):
-        with pytest.raises(ValueError, match="nosuch"):
-            SuiteConfig(families=("generators", "nosuch")).validate()
-
-    def test_empty_families_empty_report(self):
-        report = run_suite(SuiteConfig(families=()))
-        assert report.checks == [] and report.all_pass
+def seed_report():
+    """One run_suite(SEED) report, shared by the tests that only read it."""
+    return run_suite(SEED)
 
 
 class TestCorpora:
@@ -58,28 +51,28 @@ class TestCorpora:
 
 
 class TestSuite:
-    def test_fast_config_all_pass(self, fast_report):
-        failed = [c for c in fast_report.checks if not c["pass"]]
+    def test_fast_config_all_pass(self, seed_report):
+        failed = [c for c in seed_report.checks if not c["pass"]]
         assert not failed, failed
 
-    def test_schema(self, fast_report):
-        for c in fast_report.checks:
+    def test_schema(self, seed_report):
+        for c in seed_report.checks:
             assert REQUIRED_KEYS <= set(c)
             assert isinstance(c["paper_anchor"], str) and c["paper_anchor"]
-        payload = fast_report.to_dict()
+        payload = seed_report.to_dict()
         assert set(payload) == {"meta", "checks", "sweeps"}
         json.dumps(payload)  # must be serializable
 
-    def test_deterministic_for_fixed_seed(self, fast_report):
-        a = json.dumps(fast_report.to_dict(), sort_keys=True)
-        b = json.dumps(run_suite(FAST).to_dict(), sort_keys=True)
-        assert a == b
+    def test_deterministic_for_fixed_seed(self, seed_report):
+        assert _report_bytes(run_suite(SEED)) == _report_bytes(seed_report)
 
-    def test_seed_changes_random_corpus_checks(self):
-        a = run_suite(SuiteConfig(seed=1, families=("random",)))
-        b = run_suite(SuiteConfig(seed=2, families=("random",)))
-        la = [c["lhs"] for c in a.checks if "random" in c["id"]]
-        lb = [c["lhs"] for c in b.checks if "random" in c["id"]]
+    def test_environment_does_not_reach_the_report(self, seed_report, monkeypatch):
+        monkeypatch.setenv("PVARLAB_TIMESTAMP", "2001-02-03T04:05:06Z")
+        assert _report_bytes(run_suite(SEED)) == _report_bytes(seed_report)
+
+    def test_seed_changes_random_corpus_checks(self, seed_report):
+        la = [c["lhs"] for c in seed_report.checks if "random" in c["id"]]
+        lb = [c["lhs"] for c in run_suite(SEED + 1).checks if "random" in c["id"]]
         assert la and la != lb
 
     def test_exception_becomes_failed_check(self, monkeypatch):
@@ -87,9 +80,12 @@ class TestSuite:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(harness, "pvar_oracle", boom)
-        report = run_suite(SuiteConfig(seed=11, families=("separation",)))  # no corpus
+        # only the first three checks, the third of which calls pvar_oracle
+        monkeypatch.setattr(harness, "_CHECKS", harness._CHECKS[:3])
+        report = run_suite(SEED)
         bad = [c for c in report.checks if c.get("error")]
-        assert bad and not report.all_pass
+        assert len(bad) == 1 and not report.all_pass
+        assert report.checks[-1] is bad[0] and bad[0]["id"] == "pvar_oracle_equivalence"
         assert "synthetic failure" in bad[0]["error"]
 
 
@@ -115,7 +111,7 @@ class TestDerivedOnce:
                 in_package = getattr(mod, "__name__", "").startswith("pvarlab")
                 if in_package and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, wrapper)
-        assert run_suite(SuiteConfig(families=("generators", "random"))).all_pass
+        assert run_suite(7).all_pass
         assert {key[0] for key in seen} == {"decompose_lp0", "modulus_iso_2d"}
         assert [key for key, calls in seen.items() if calls > 1] == []
 
@@ -135,10 +131,9 @@ class TestDerivedOnce:
             in_package = getattr(mod, "__name__", "").startswith("pvarlab")
             if in_package and getattr(mod, "modulus_1d", None) is original:
                 monkeypatch.setattr(mod, "modulus_1d", counted)
-        cfg = SuiteConfig(families=("generators",))
         rng = np.random.default_rng(0)
         corpus1 = harness._corpus_1d(rng)
-        run = harness._Run(cfg, rng, corpus1, [], [])
+        run = harness._Run(rng, corpus1, [], [])
         rows = list(harness._modulus_invariants(run))
         assert len(rows) == 3 * 2 * len(corpus1)
         assert sorted(calls) == sorted([1.0, 2.0] * len(corpus1))

@@ -109,6 +109,31 @@ class TestTables:
         assert t.k_max == 6
         assert t.values[0] == 0.0
 
+    @staticmethod
+    def _iso_index_loop(m: int, K: int) -> list[int]:
+        """Reference shift indices of delta = k/K on a side of m: a float
+        floor nudged by 1e-9 and clamped to m."""
+        return [min(m, int(math.floor(k / K * m + 1e-9))) for k in range(K + 1)]
+
+    def test_iso_indices_are_integer_quotients(self):
+        # a side's index depends on that side and K = max(M, N) only, so
+        # every side m <= K <= 128 covers all M, N <= 128
+        for K in range(1, 129):
+            ks = np.arange(K + 1)
+            for m in range(1, K + 1):
+                assert (ks * m // K).tolist() == self._iso_index_loop(m, K), (m, K)
+
+    @pytest.mark.parametrize("shape", [(8, 12), (31, 17), (64, 64)])
+    def test_iso_table_equals_indexing_loop(self, shape):
+        m, n = shape
+        f = Grid2(np.random.default_rng(m * n).normal(size=shape))
+        pe = Exponent(1.5)
+        raw = _shift_norm_table(f.samples, pe.p)
+        pmax = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+        K = max(m, n)
+        expected = pmax[self._iso_index_loop(m, K), self._iso_index_loop(n, K)]
+        assert (modulus_iso_2d(f, pe).values == expected).all()
+
     def test_slices_share_boundary_value(self):
         f = _random_grid2(1, side=6)
         t = modulus_mixed(f, Exponent(2.0))

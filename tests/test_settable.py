@@ -14,7 +14,9 @@ import pkgutil
 import pvarlab
 from pvarlab.cli import build_parser
 
-SETTABLE_VALUES = 55  # 38 CLI flags, 17 defaulted parameters
+# 38 CLI flags, 15 defaulted parameters; 53 since SuiteConfig and its two
+# fields (seed, families) went: run_suite takes the seed, without a default
+SETTABLE_VALUES = 53
 
 
 def _cli_flags() -> list[str]:
@@ -47,5 +49,5 @@ def test_settable_value_count_is_pinned():
     assert len(values) == SETTABLE_VALUES, "\n".join(values)
 
 
-def test_suite_config_keeps_seed_and_suites():
-    assert list(inspect.signature(pvarlab.SuiteConfig).parameters) == ["seed", "families"]
+def test_run_suite_takes_seed_only():
+    assert list(inspect.signature(pvarlab.run_suite).parameters) == ["seed"]
