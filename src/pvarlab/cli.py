@@ -22,7 +22,6 @@ from .grid import (
     gen_tent_scaled,
     load_csv,
     save_csv,
-    save_report_json,
 )
 from .harness import SWEEP_FAMILIES, run_suite, sharpness_sweep, sweep_rows_to_csv
 from .mixednorm import phi_profile, psi_profile, w_p
@@ -209,10 +208,7 @@ def cmd_verify(args) -> int:
     if args.suite != "all":
         raise CliError(f'unknown suite {args.suite!r}; the only suite is "all"')
     report = run_suite(args.seed)
-    if args.out:
-        save_report_json(report, args.out)
-    else:
-        _emit(report.to_dict(), args)
+    _emit(report.to_dict(), args)
     n_fail = sum(not c["pass"] for c in report.checks)
     sys.stderr.write(f"{len(report.checks)} checks, {n_fail} failed\n")
     return 0 if report.all_pass else 1

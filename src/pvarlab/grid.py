@@ -1,4 +1,4 @@
-"""Periodic sampled functions on uniform grids, generators and CSV/JSON I/O.
+"""Periodic sampled functions on uniform grids, generators and CSV I/O.
 
 The sample array *is* the function: every functional downstream is defined
 on the grid, with periodic (modulo-N) index semantics.
@@ -6,7 +6,6 @@ on the grid, with periodic (modulo-N) index semantics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ __all__ = [
     "gen_cumulative",
     "load_csv",
     "save_csv",
-    "save_report_json",
 ]
 
 
@@ -311,12 +309,3 @@ def load_csv(path) -> Grid1 | Grid2:
     if m == 1:
         return Grid1(arr[0])
     return Grid2(arr)
-
-
-def save_report_json(report, path) -> None:
-    """Serialize a report (dict or object with to_dict) deterministically."""
-    if hasattr(report, "to_dict"):
-        report = report.to_dict()
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

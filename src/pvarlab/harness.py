@@ -87,8 +87,8 @@ SWEEP_FAMILIES = {
 @dataclass
 class CheckReport:
     meta: dict
-    checks: list = field(default_factory=list)
-    sweeps: list = field(default_factory=list)
+    checks: list = field(default_factory=list, init=False)
+    sweeps: list = field(default_factory=list, init=False)
 
     def add(self, id: str, anchor: str, inputs: str, lhs: float, rhs: float,
             tolerance: float = TOL) -> None:
@@ -450,7 +450,8 @@ def _modulus_invariants(run: _Run):
             t = sw["table"].values
             mono = float(np.min(np.diff(t)))
             yield (f"modulus_monotone_{name}_p{p}", "omega nondecreasing", name, -mono, 0.0)
-            doubling = min((2 * t[k] - t[2 * k] for k in range(1, t.size // 2)), default=0.0)
+            half = (t.size - 1) // 2  # t[k] = omega(k/N) for k = 0..N, so 2k <= N
+            doubling = min((2 * t[k] - t[2 * k] for k in range(1, half + 1)), default=0.0)
             yield (f"modulus_doubling_{name}_p{p}", "omega(2 delta) <= 2 omega(delta)",
                    name, -doubling, 0.0, 1e-12)
             yield (f"omega_sandwich_{name}_p{p}", "Omega_p <= omega(1)_p <= 2 Omega_p",

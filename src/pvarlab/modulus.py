@@ -302,7 +302,8 @@ def diff_modulus_bound_check(f: Grid2, h_idx: int, p: Exponent) -> dict:
 
     sf = modulus_iso_2d(f, p)
     sg = modulus_iso_2d(g, p)
-    k_h = min(sf.k_max, int(round(h_idx / f.m / sf.step)))
+    # the smallest delta = k/K whose ball reaches the row shift h: k M // K >= h_idx
+    k_h = -(-h_idx * sf.k_max // f.m)
     iso_bound = 2.0 * np.minimum(sf.values, sf.values[k_h])
     iso_margin = float(np.min(iso_bound - sg.values))
 

@@ -67,31 +67,19 @@ def _root(s: float, p: float) -> float:
     return s ** (1.0 / p)
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as an exact head/tail pair (Knuth's two-sum)."""
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def _abs_diff_exact(x: float, y: float) -> tuple[float, float]:
-    """|x - y| as an exact head/tail pair."""
-    s, e = _two_sum(x, -y)
-    if s < 0.0 or (s == 0.0 and e < 0.0):
-        return -s, -e
-    return s, e
-
-
 def _sum_value(vals: Sequence[float], idx: Iterable[int], p: float) -> float:
     """(sum |increments|^p)^(1/p) over cyclically consecutive pairs, fsum-compensated.
 
-    For p = 1 the sum is exactly rounded (each difference is carried with its
-    rounding error), so partitions that tie in exact arithmetic tie in floats.
+    At p = 1 the sum is one fsum of signed samples: each |x - y| enters as
+    x and -y when x > y, else as y and -x.  Float comparison is exact, so
+    the terms sum exactly to the real sum of the |increments|, and fsum
+    rounds that sum once (correctly): partitions that tie in exact
+    arithmetic tie in floats.
     """
     xs = [float(vals[i]) for i in idx]
     pairs = zip(xs[1:] + xs[:1], xs)
     if p == 1.0:
-        return math.fsum(t for x, y in pairs for t in _abs_diff_exact(x, y))
+        return math.fsum(t for x, y in pairs for t in ((x, -y) if x > y else (y, -x)))
     return _root(math.fsum(abs(x - y) ** p for x, y in pairs), p)
 
 
@@ -191,18 +179,20 @@ def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     largest exact value; the filter of _first_max, its one caller.
 
     Entry i stands for one candidate (a partition or a net) whose exact
-    value is root(e_i): e_i is the fsum of the candidate's nonnegative
-    terms t (at most k of them), root the 1/p-th power (the identity at
-    p = 1).  naive[i] must be a float sum, in any order, of the candidate's
-    terms as priced by the exact path (at p > 1 the same CPython pow of the
-    same float difference) or correctly rounded from the exact terms (at
-    p = 1, where the exact path sums exact differences).  For nets both
-    paths take their terms from one routine, vitali2d._cell_terms, so this
-    holds by construction there.  With u = 2^-53
-    and gamma_j = ju/(1 - ju), and all terms nonnegative:
+    value is root(e_i): e_i is the fsum, correctly rounded, of the real sum
+    T_i of the candidate's nonnegative terms (at most k of them), root the
+    1/p-th power (the identity at p = 1).  At p > 1 the terms are CPython
+    pow of float differences; at p = 1 they are the exact |differences|
+    (|cells| for nets), which the exact path feeds to fsum as signed
+    samples summing exactly to them.  naive[i] must be a float sum, in any
+    order, of the candidate's terms as priced by the exact path (at p > 1
+    the same CPython pow of the same float difference) or correctly
+    rounded from the exact terms (at p = 1).  For nets both paths take
+    their terms from one routine, vitali2d._cell_terms, so this holds by
+    construction there.  With u = 2^-53 and gamma_j = ju/(1 - ju), and all
+    terms nonnegative:
 
-    - naive_i = T_i(1 + theta), |theta| <= gamma_k, T_i the real sum of the
-      terms the exact path sums (at p = 1 of the exact differences): each
+    - naive_i = T_i(1 + theta), |theta| <= gamma_k: each
       priced term is off by at most u, and a float sum of
       k nonnegative terms by at most gamma_(k-1) (Higham, *Accuracy and
       Stability of Numerical Algorithms*, ch. 4).  e_i = T_i(1 + theta'),

@@ -31,7 +31,6 @@ from .pvar1d import (
     _members,
     _pvar_rows,
     _root,
-    _two_sum,
 )
 
 __all__ = [
@@ -74,19 +73,19 @@ class AscentResult:
 
 
 def _abs_cell_terms(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
-    """|a - b - c + d| as an exact multi-term expansion.
+    """|a - b - c + d| as the four signed corner samples (a, -b, -c, d),
+    negated when the cell is negative.
 
-    The head/tail pairs come from a two-sum cascade; the sign of the exact
-    value is read off the correctly rounded fsum.  Feeding every term of
-    every cell into one fsum makes the p = 1 net evaluation exactly rounded,
-    so nets that tie in exact arithmetic tie in floats.
+    fsum is correctly rounded, so the sign of fsum((a, -b, -c, d)) is the
+    sign of the exact cell, and the four terms sum exactly to |cell|.
+    Feeding every term of every cell into one fsum therefore rounds the
+    exact p = 1 net sum once, so nets that tie in exact arithmetic tie in
+    floats.
     """
-    s1, e1 = _two_sum(a, -b)
-    s2, e2 = _two_sum(s1, -c)
-    s3, e3 = _two_sum(s2, d)
-    if math.fsum((a, -b, -c, d)) < 0.0:
-        return (-s3, -e3, -e2, -e1)
-    return (s3, e3, e2, e1)
+    t = (a, -b, -c, d)
+    if math.fsum(t) < 0.0:
+        return (-a, b, c, -d)
+    return t
 
 
 def _cyc_rowdiff(a: np.ndarray) -> np.ndarray:
@@ -105,15 +104,17 @@ def _mixed_cells(f: Grid2, rows, cols) -> np.ndarray:
 def vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     """Mixed-difference sum over one net, both index chains cyclic.
 
-    At p = 1 one fsum of every cell's _abs_cell_terms expansion (exactly
-    rounded); at p > 1 a compensated sum of the cells' _cell_terms.
+    At p = 1 one fsum of every cell's signed corners (_abs_cell_terms),
+    which sum exactly to the real sum of the |cells|, so the value is that
+    sum correctly rounded; at p > 1 a compensated sum of the cells'
+    _cell_terms.
     """
     net.validate(f.m, f.n)
     rows, cols = net.rows.indices, net.cols.indices
     r0, r1 = np.array([rows, rows[1:] + rows[:1]])[:, :, None]
     c0, c1 = np.array([cols, cols[1:] + cols[:1]])
     if p.p == 1.0:
-        return math.fsum(_chain.from_iterable(_cell_expansions(f.samples, r0, r1, c0, c1)))
+        return math.fsum(_chain.from_iterable(_signed_corners(f.samples, r0, r1, c0, c1)))
     return _root(math.fsum(_cell_terms(f.samples, r0, r1, c0, c1, p.p).ravel()), p.p)
 
 
@@ -128,10 +129,11 @@ def vitali_finest(f: Grid2, p: Exponent) -> float:
     return vitali_sum(f, _full_net(f.m, f.n), p)
 
 
-def _cell_expansions(a: np.ndarray, r0, r1, c0, c1) -> Iterator[tuple[float, ...]]:
-    """The _abs_cell_terms expansion of each cell with row step r0 -> r1 and
-    column step c0 -> c1 (index arrays that fancy indexing broadcasts), one
-    cell at a time in row-major order of the broadcast shape.  Corners are
+def _signed_corners(a: np.ndarray, r0, r1, c0, c1) -> Iterator[tuple[float, ...]]:
+    """The _abs_cell_terms signed corners of each cell with row step
+    r0 -> r1 and column step c0 -> c1 (index arrays that fancy indexing
+    broadcasts), one cell at a time in row-major order of the broadcast
+    shape.  Corners are
     read for blocks of leading-axis rows of about _CELL_CHUNK cells, so no
     list of every cell's corners is held; an index array without that axis
     (or of length 1 along it) broadcasts over every block as it is."""
@@ -153,14 +155,15 @@ def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
 
     At p > 1 each term is CPython pow of the float cell
     (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]); at p = 1 it is the
-    correctly rounded |exact cell| (the fsum of the _cell_expansions term
-    vitali_sum sums).  Reversing either step only negates the float cell
+    correctly rounded |exact cell|: the fsum of the cell's signed corners
+    (_signed_corners), whose exact sum is the |cell| that vitali_sum's one
+    fsum adds up.  Reversing either step only negates the float cell
     (rounding is symmetric), so its term is the same.  p > 1 terms are
     powered a row of cells at a time: no list of every cell's float is held.
     """
     shape = np.broadcast(r0, r1, c0, c1).shape
     if pp == 1.0:
-        terms = map(math.fsum, _cell_expansions(a, r0, r1, c0, c1))
+        terms = map(math.fsum, _signed_corners(a, r0, r1, c0, c1))
     else:
         cells = np.abs((a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]))
         terms = (x**pp for row in np.atleast_2d(cells) for x in row.tolist())

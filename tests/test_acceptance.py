@@ -230,7 +230,7 @@ def test_criterion_08_modulus_invariants():
             t = modulus_1d(g, pe).values
             if np.min(np.diff(t)) < -1e-15:
                 violations += 1
-            if any(t[2 * k] > 2 * t[k] + 1e-12 for k in range(1, t.size // 2)):
+            if any(t[2 * k] > 2 * t[k] + 1e-12 for k in range(1, (t.size - 1) // 2 + 1)):
                 violations += 1
             if any(t[k1] / (k1 / 32) > 2 * t[k2] / (k2 / 32) + 1e-9
                    for k2 in range(1, 32) for k1 in range(k2, 33)):

@@ -1,6 +1,7 @@
 """Cyclic p-variation in one dimension: exact DP against brute force."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,34 @@ def _oracle_grids(n: int) -> list[np.ndarray]:
     ]
 
 
+def _p1_grids(n: int) -> list[np.ndarray]:
+    """Samples for the p = 1 paths only (their powers underflow or overflow):
+    signed zeros among the subnormals +-1e-310, and Gaussians scaled by 10^k
+    for k = -300, 299 and one k drawn from [-300, 300)."""
+    rng = np.random.default_rng(200 + n)
+    ks = (-300, int(rng.integers(-300, 300)), 299)
+    tiny = rng.choice([0.0, -0.0, 1e-310, -1e-310], size=n)
+    return [tiny] + [10.0**k * rng.normal(size=n) for k in ks]
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as an exact head/tail pair (Knuth's two-sum)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _reference_sum_p1(xs: list[float]) -> float:
+    """Reference p = 1 cyclic sum: each |x - y| as an exact head/tail pair,
+    negated when negative, then one fsum of every pair.  It shares no code
+    with pvar1d, whose p = 1 terms are signed samples."""
+    terms = []
+    for x, y in zip(xs[1:] + xs[:1], xs):
+        s, e = _two_sum(x, -y)
+        terms += (-s, -e) if s < 0.0 or (s == 0.0 and e < 0.0) else (s, e)
+    return math.fsum(terms)
+
+
 def _random_grid(seed: int, n_max: int = 10) -> Grid1:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, n_max + 1))
@@ -95,6 +124,20 @@ class TestBasics:
         g = Grid1(np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
         for p in P_VALUES:
             assert pvar_cyclic(g, Exponent(p))[0] == pytest.approx(2.0 ** (1.0 / p))
+
+    @pytest.mark.parametrize("n", (2, 3, 7, 16, 39))
+    def test_p1_sum_matches_two_sum_reference(self, n):
+        """pvar_sum at p = 1 equals the exactly rounded reference bit for bit
+        (signed zeros included) on random partitions of every kind of grid."""
+        rng = np.random.default_rng(n)
+        for samples in _oracle_grids(n) + _p1_grids(n):
+            g = Grid1(samples)
+            for _ in range(40):
+                k = int(rng.integers(1, n + 1))
+                idx = tuple(sorted(rng.choice(n, k, replace=False).tolist()))
+                got = pvar_sum(g, CyclicPartition(idx), Exponent(1.0))
+                want = _reference_sum_p1([float(samples[i]) for i in idx])
+                assert got.hex() == want.hex(), (samples, idx)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

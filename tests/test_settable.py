@@ -14,9 +14,9 @@ import pkgutil
 import pvarlab
 from pvarlab.cli import build_parser
 
-# 38 CLI flags, 15 defaulted parameters; 53 since SuiteConfig and its two
-# fields (seed, families) went: run_suite takes the seed, without a default
-SETTABLE_VALUES = 53
+# 38 CLI flags, 13 defaulted parameters; 51 since CheckReport's checks and
+# sweeps left its constructor (no caller set them: run_suite fills both)
+SETTABLE_VALUES = 51
 
 
 def _cli_flags() -> list[str]:

@@ -32,7 +32,7 @@ from pvarlab import (
 from pvarlab import vitali2d
 from pvarlab.vitali2d import (
     ORACLE_MAX_SIDE,
-    _abs_cell_terms,
+    _cell_terms,
     _chain_max,
     _cyc_coldiff,
     _cyc_rowdiff,
@@ -72,8 +72,27 @@ def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
     return best_val, best_chain
 
 
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as an exact head/tail pair (Knuth's two-sum)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _abs_cell_expansion(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """|a - b - c + d| as an exact four-term expansion from a two-sum
+    cascade, negated when the correctly rounded cell is negative.  It shares
+    no code with vitali2d, whose p = 1 terms are signed corner samples."""
+    s1, e1 = _two_sum(a, -b)
+    s2, e2 = _two_sum(s1, -c)
+    s3, e3 = _two_sum(s2, d)
+    if math.fsum((a, -b, -c, d)) < 0.0:
+        return (-s3, -e3, -e2, -e1)
+    return (s3, e3, e2, e1)
+
+
 def _reference_sum_p1(samples: np.ndarray, rows: list[int], cols: list[int]) -> float:
-    """Reference p = 1 net sum: the _abs_cell_terms expansion of every cell,
+    """Reference p = 1 net sum: the _abs_cell_expansion of every cell,
     collected cell by cell in a Python loop, then one fsum."""
     terms: list[float] = []
     nr, nc = len(rows), len(cols)
@@ -82,7 +101,7 @@ def _reference_sum_p1(samples: np.ndarray, rows: list[int], cols: list[int]) -> 
         for l in range(nc):
             c0, c1 = cols[l], cols[(l + 1) % nc]
             terms.extend(
-                _abs_cell_terms(
+                _abs_cell_expansion(
                     float(samples[r1, c1]),
                     float(samples[r1, c0]),
                     float(samples[r0, c1]),
@@ -161,6 +180,16 @@ def _oracle_fields(m: int, n: int) -> list[Grid2]:
     ]
 
 
+def _p1_fields(m: int, n: int) -> list[Grid2]:
+    """Fields for the p = 1 paths only (their powers underflow or overflow):
+    signed zeros among the subnormals +-1e-310, and Gaussians scaled by 10^k
+    for k = -300, 299 and one k drawn from [-300, 300)."""
+    rng = np.random.default_rng(m * 10 + n + 1)
+    tiny = rng.choice([0.0, -0.0, 1e-310, -1e-310], size=(m, n))
+    ks = (-300, int(rng.integers(-300, 300)), 299)
+    return [Grid2(tiny)] + [Grid2(10.0**k * rng.normal(size=(m, n))) for k in ks]
+
+
 def _random_field(seed: int, side: int = 5) -> Grid2:
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, side + 1))
@@ -217,7 +246,10 @@ class TestVitaliSum:
     @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (8, 6), (16, 12)])
     def test_matches_reference(self, shape, p):
         pe = Exponent(p)
-        for k, f in enumerate(_oracle_fields(*shape)):
+        fields = _oracle_fields(*shape)
+        if p == 1.0:
+            fields += _p1_fields(*shape)
+        for k, f in enumerate(fields):
             for net in self._nets(*shape, seed=k):
                 assert vitali_sum(f, net, pe) == _reference_vitali_sum(f, net, pe), (
                     f.samples,
@@ -237,10 +269,26 @@ class TestVitaliSum:
         fields = _oracle_fields(*shape)
         one_block = [(certified_vitali(f, pe), vitali_ascent(f, pe)) for f in fields[:2]]
         monkeypatch.setattr(vitali2d, "_CELL_CHUNK", chunk)
-        for k, f in enumerate(fields):
+        for k, f in enumerate(fields + _p1_fields(*shape)):
             for net in self._nets(*shape, seed=k):
                 assert vitali_sum(f, net, pe) == _reference_vitali_sum(f, net, pe)
         assert [(certified_vitali(f, pe), vitali_ascent(f, pe)) for f in fields[:2]] == one_block
+
+    @pytest.mark.parametrize("shape", [(2, 7), (5, 5), (8, 6)])
+    def test_p1_cell_terms_match_expansion(self, shape):
+        """At p = 1 each cell term is the correctly rounded |exact cell|: the
+        fsum of its _abs_cell_expansion, bit for bit, for every pair of row
+        indices and every pair of column indices (equal ones included)."""
+        m, n = shape
+        r0, r1 = np.indices((m, m)).reshape(2, -1)[:, :, None]
+        c0, c1 = np.indices((n, n)).reshape(2, -1)
+        for f in _oracle_fields(m, n) + _p1_fields(m, n):
+            a = f.samples
+            terms = _cell_terms(a, r0, r1, c0, c1, 1.0)
+            corners = (a[r1, c1], a[r1, c0], a[r0, c1], a[r0, c0])
+            cells = zip(*(c.ravel().tolist() for c in corners))
+            want = np.array([math.fsum(_abs_cell_expansion(*x)) for x in cells])
+            assert np.array_equal(terms.ravel().view(np.int64), want.view(np.int64)), a
 
     @pytest.mark.parametrize("p, limit", [(1.0, 0.5), (2.0, 0.75)])
     def test_finest_peak_memory_at_128(self, p, limit):
