@@ -256,10 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p_parser, p_default=2.0, grid=True):
-        if grid:
-            p_parser.add_argument("--grid", required=True, help="CSV grid file")
-        p_parser.add_argument("--p", type=float, default=p_default, help="variation index")
+    def common(p_parser):
+        p_parser.add_argument("--grid", required=True, help="CSV grid file")
+        p_parser.add_argument("--p", type=float, default=2.0, help="variation index")
         p_parser.add_argument("--out", help="write output here instead of stdout")
 
     sp = sub.add_parser("pvar", help="cyclic p-variation of a 1-D grid")

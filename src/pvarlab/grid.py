@@ -54,6 +54,12 @@ class Exponent:
         return 1.0 - 1.0 / self.p
 
 
+# Largest sample magnitude a grid accepts.  Below it every sample
+# difference (at most 2^1022) and every mixed cell a - b - c + d (at most
+# 2^1023) is finite; the comparison also refuses NaN and +-inf.
+_MAX_ABS_SAMPLE = 2.0**1021
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -70,8 +76,8 @@ class Grid1:
         a = np.asarray(self.samples, dtype=float)
         if a.ndim != 1 or a.size < 2:
             raise ValueError("Grid1 needs at least 2 samples")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("Grid1 samples must be finite")
+        if not np.all(np.abs(a) <= _MAX_ABS_SAMPLE):
+            raise ValueError("Grid1 samples must be finite, of magnitude at most 2^1021")
         object.__setattr__(self, "samples", _freeze(a))
 
     @property
@@ -94,8 +100,8 @@ class Grid2:
         a = np.asarray(self.samples, dtype=float)
         if a.ndim != 2 or a.shape[0] < 2 or a.shape[1] < 2:
             raise ValueError("Grid2 needs an M x N array with M, N >= 2")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("Grid2 samples must be finite")
+        if not np.all(np.abs(a) <= _MAX_ABS_SAMPLE):
+            raise ValueError("Grid2 samples must be finite, of magnitude at most 2^1021")
         object.__setattr__(self, "samples", _freeze(a))
 
     @property

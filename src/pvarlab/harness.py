@@ -309,10 +309,7 @@ def sharpness_sweep(
     rows = []
     rng = np.random.default_rng(seed)
     for pe in exponents:
-        if family == "t1xt1":
-            f = gen_product(gen_sine(1, size), gen_sine(1, size))
-            rows.append(_sweep_row(f, pe, family, 1, 1))
-        elif family == "trigpoly":
+        if family == "trigpoly":
             for n in n_grid:
                 for m in n_grid:
                     if size <= 2 * n or size <= 2 * m:
@@ -321,11 +318,11 @@ def sharpness_sweep(
                     coef = [rng.normal(size=shape) for _ in range(4)]
                     f, _ = gen_trigpoly(*coef, size, size)
                     rows.append(_sweep_row(f, pe, family, n, m))
-        else:  # tnxt1, tnxtn: the second frequency is 1 or n
+        else:  # t1xt1, tnxt1, tnxtn: the second frequency is 1 or n
             for n in n_grid:
                 if size % (4 * n):
                     raise ValueError(f"size {size} misaligned for sine frequency {n}")
-                m = n if family == "tnxtn" else 1
+                m = 1 if family == "tnxt1" else n
                 f = gen_product(gen_sine(n, size), gen_sine(m, size))
                 rows.append(_sweep_row(f, pe, family, n, m))
     return rows

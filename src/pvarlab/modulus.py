@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2
-from .pvar1d import _BLOCK, omega_p_functional
+from .pvar1d import _BLOCK, _root, omega_p_functional
 
 __all__ = [
     "ModulusTable1D",
@@ -96,8 +96,7 @@ class ModulusTable2D:
 def _norm(a: np.ndarray, p: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(a)))
-    s = float(np.mean(np.abs(a) ** p))
-    return s if p == 1.0 else s ** (1.0 / p)
+    return _root(float(np.mean(np.abs(a) ** p)), p)
 
 
 def lp_norm(f: Grid1 | Grid2, p: Exponent | float) -> float:

@@ -31,10 +31,10 @@ ORACLE_MAX_N = 18
 # Elements of one batched block of work: large enough to amortize numpy's
 # per-call overhead on 32^2 grids, small enough to stay in cache at the
 # 128^2 cap.  Shared by the lane blocks of the chain DP, the shift-norm
-# tables and the pair costs.  The shift-norm kernel holds three blocks of
-# 256 KB (|D|^p, its repeat and one rotated mirror: 768 KB); mixed tables
-# add the column-doubled row differences, two more (1.25 MB in all), still
-# inside a 2 MB L2.
+# tables, the pair costs and the naive net sums (in corner samples).  The
+# shift-norm kernel holds three blocks of 256 KB (|D|^p, its repeat and one
+# rotated mirror: 768 KB); mixed tables add the column-doubled row
+# differences, two more (1.25 MB in all), still inside a 2 MB L2.
 _BLOCK = 1 << 15
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64
@@ -133,7 +133,9 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
     sequence, so each lane gets exactly the value and partition it would get
     alone.  Lanes run through _chain_dp in blocks of about _BLOCK samples and
     are yielded one at a time, so the working memory does not grow with the
-    number of lanes.  Like Grid1, lanes need at least 2 samples, all finite.
+    number of lanes.  Like Grid1, lanes need at least 2 samples, all finite;
+    unlike Grid1's, they may exceed 2^1021 (difference sections of grid
+    samples reach 2^1022).
     """
     a = np.asarray(a, dtype=float)
     if a.shape[1] < 2 or not np.isfinite(a).all():
@@ -216,9 +218,13 @@ def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     candidate attaining it, come earlier than the kept one.  When top is 0
     every priced term is 0, and so is every exact term (at p > 1 they are
     the same floats; a nonzero exact difference never rounds to 0), so
-    every exact value is 0 and the first entry stands for all.
+    every exact value is 0 and the first entry stands for all.  A top that
+    is not finite (a sum past the float range, or nan from 0 * inf in the
+    oracle's incidence product) raises OverflowError.
     """
     top = float(naive.max())
+    if not math.isfinite(top):
+        raise OverflowError("naive sums overflow: sample differences too large to price")
     if top == 0.0:
         return np.zeros(1, dtype=np.intp)
     w = (2 * k + 6) * _U + (4.0 * p * _U if p != 1.0 else 0.0)

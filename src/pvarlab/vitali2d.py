@@ -5,10 +5,13 @@ supremum at p = 1, lower bound otherwise), an exhaustive oracle for tiny
 grids, and an alternating coordinate-ascent maximizer that returns a
 certified lower bound together with the net that attains it.
 
-The oracle and the ascent's exhaustive branch price many nets at once as
-naive sums of the cell terms vitali_sum sums (_cell_terms) and call it only
-on the nets that pvar1d._near_max cannot rule out (pvar1d._first_max), so
-their results are bit for bit those of calling vitali_sum on every net.
+An exact p = 1 net sum is one fsum of every cell's signed corners, walked
+one row step at a time (_signed_corners).  The oracle and the ascent's
+exhaustive branch price many nets at once as naive sums of cell terms
+(_cell_terms: the powered float cells vitali_sum sums at p > 1, the
+correctly rounded |cells| at p = 1) and call vitali_sum only on the nets
+that pvar1d._near_max cannot rule out (pvar1d._first_max), so their
+results are bit for bit those of calling vitali_sum on every net.
 The oracle never calls the chain DP: it is the independent reference for it.
 """
 
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as _chain, combinations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +53,6 @@ __all__ = [
 ORACLE_MAX_SIDE = 7
 MAX_SWEEPS = 20  # alternating half-step pairs per ascent run
 RESTARTS = 8  # seeded random column starts of the ascent
-_CELL_CHUNK = 1024  # cells whose corners the exact p = 1 path lists at once
 
 
 @dataclass(frozen=True)
@@ -72,22 +74,6 @@ class AscentResult:
     converged: bool
 
 
-def _abs_cell_terms(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
-    """|a - b - c + d| as the four signed corner samples (a, -b, -c, d),
-    negated when the cell is negative.
-
-    fsum is correctly rounded, so the sign of fsum((a, -b, -c, d)) is the
-    sign of the exact cell, and the four terms sum exactly to |cell|.
-    Feeding every term of every cell into one fsum therefore rounds the
-    exact p = 1 net sum once, so nets that tie in exact arithmetic tie in
-    floats.
-    """
-    t = (a, -b, -c, d)
-    if math.fsum(t) < 0.0:
-        return (-a, b, c, -d)
-    return t
-
-
 def _cyc_rowdiff(a: np.ndarray) -> np.ndarray:
     return np.vstack([a[1:], a[:1]]) - a
 
@@ -104,17 +90,17 @@ def _mixed_cells(f: Grid2, rows, cols) -> np.ndarray:
 def vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     """Mixed-difference sum over one net, both index chains cyclic.
 
-    At p = 1 one fsum of every cell's signed corners (_abs_cell_terms),
-    which sum exactly to the real sum of the |cells|, so the value is that
-    sum correctly rounded; at p > 1 a compensated sum of the cells'
-    _cell_terms.
+    At p = 1 one fsum of every cell's signed corners (_signed_corners, one
+    row step at a time), which sum exactly to the real sum of the |cells|,
+    so the value is that sum correctly rounded; at p > 1 a compensated sum
+    of the cells' _cell_terms.
     """
     net.validate(f.m, f.n)
     rows, cols = net.rows.indices, net.cols.indices
+    if p.p == 1.0:
+        return math.fsum(_chain.from_iterable(_signed_corners(f.samples, rows, cols)))
     r0, r1 = np.array([rows, rows[1:] + rows[:1]])[:, :, None]
     c0, c1 = np.array([cols, cols[1:] + cols[:1]])
-    if p.p == 1.0:
-        return math.fsum(_chain.from_iterable(_signed_corners(f.samples, r0, r1, c0, c1)))
     return _root(math.fsum(_cell_terms(f.samples, r0, r1, c0, c1, p.p).ravel()), p.p)
 
 
@@ -129,23 +115,23 @@ def vitali_finest(f: Grid2, p: Exponent) -> float:
     return vitali_sum(f, _full_net(f.m, f.n), p)
 
 
-def _signed_corners(a: np.ndarray, r0, r1, c0, c1) -> Iterator[tuple[float, ...]]:
-    """The _abs_cell_terms signed corners of each cell with row step
-    r0 -> r1 and column step c0 -> c1 (index arrays that fancy indexing
-    broadcasts), one cell at a time in row-major order of the broadcast
-    shape.  Corners are
-    read for blocks of leading-axis rows of about _CELL_CHUNK cells, so no
-    list of every cell's corners is held; an index array without that axis
-    (or of length 1 along it) broadcasts over every block as it is."""
-    shape = np.broadcast(r0, r1, c0, c1).shape
-    step = max(1, _CELL_CHUNK * shape[0] // math.prod(shape))
-    for k in range(0, shape[0], step):
-        i0, i1, j0, j1 = (
-            x[k : k + step] if np.ndim(x) == len(shape) and len(x) > 1 else x
-            for x in (r0, r1, c0, c1)
-        )
-        corners = (a[i1, j1], a[i1, j0], a[i0, j1], a[i0, j0])
-        yield from map(_abs_cell_terms, *(x.ravel().tolist() for x in corners))
+def _signed_corners(
+    a: np.ndarray, rows: Sequence[int], cols: Sequence[int]
+) -> Iterator[tuple[float, ...]]:
+    """The corners (a, -b, -c, d) of each cell a - b - c + d of the net
+    (rows, cols), negated when their fsum is negative, one row step at a
+    time: two rows of samples are held as Python floats.
+
+    fsum is correctly rounded, so the sign of fsum((a, -b, -c, d)) is the
+    sign of the exact cell, and the four terms sum exactly to |cell|.  One
+    fsum of every term therefore rounds the exact p = 1 net sum once, so
+    nets that tie in exact arithmetic tie in floats.
+    """
+    for r0, r1 in _steps(rows):
+        hi, lo = a[r1, cols].tolist(), a[r0, cols].tolist()
+        for x, y, z, w in zip(hi[1:] + hi[:1], hi, lo[1:] + lo[:1], lo):
+            t = (x, -y, -z, w)
+            yield t if math.fsum(t) >= 0.0 else (-x, y, z, -w)
 
 
 def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
@@ -155,15 +141,17 @@ def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
 
     At p > 1 each term is CPython pow of the float cell
     (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]); at p = 1 it is the
-    correctly rounded |exact cell|: the fsum of the cell's signed corners
-    (_signed_corners), whose exact sum is the |cell| that vitali_sum's one
-    fsum adds up.  Reversing either step only negates the float cell
-    (rounding is symmetric), so its term is the same.  p > 1 terms are
-    powered a row of cells at a time: no list of every cell's float is held.
+    correctly rounded |exact cell|, abs(fsum((a, -b, -c, d))) of its
+    corners, one fsum per cell.  Rounding is symmetric, so that is the fsum
+    of the cell's _signed_corners, whose exact sum is the |cell| that
+    vitali_sum's one fsum adds up.  Reversing either step only negates the
+    float cell, so its term is the same.  p > 1 terms are powered a row of
+    cells at a time: no list of every cell's float is held.
     """
     shape = np.broadcast(r0, r1, c0, c1).shape
     if pp == 1.0:
-        terms = map(math.fsum, _signed_corners(a, r0, r1, c0, c1))
+        corners = (a[r1, c1], -a[r1, c0], -a[r0, c1], a[r0, c0])
+        terms = map(abs, map(math.fsum, zip(*(x.ravel().tolist() for x in corners))))
     else:
         cells = np.abs((a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]))
         terms = (x**pp for row in np.atleast_2d(cells) for x in row.tolist())
@@ -192,16 +180,19 @@ def _pair_incidence(s: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, inc
 
 
-def _steps(idx: list[int]) -> list[tuple[int, int]]:
+def _steps(idx: Sequence[int]) -> list[tuple[int, int]]:
     """The cyclically consecutive pairs of a chain, wrap step last."""
     return list(zip(idx, idx[1:] + idx[:1]))
 
 
 def _naive_sums(a: np.ndarray, nets: list[tuple[list[int], list[int]]], pp: float) -> np.ndarray:
     """Float sum of the _cell_terms of each net (rows, cols), for
-    pvar1d._near_max.  Nets are priced in blocks of at most _BLOCK cells, so
-    the working memory does not grow with their number."""
-    width = max(1, _BLOCK // a.size)
+    pvar1d._near_max.  A net has at most a.size cells, so blocks of
+    _BLOCK // (4 a.size) whole nets hold at most _BLOCK corner samples (the
+    p = 1 terms list four per cell) and the working memory does not grow
+    with the number of nets.  Each net's terms are summed within its own
+    block, so the blocking does not change its sum."""
+    width = max(1, _BLOCK // (4 * a.size))
     out = []
     for i in range(0, len(nets), width):
         blk = nets[i : i + width]

@@ -42,6 +42,18 @@ class TestPvar:
     def test_missing_file(self):
         assert main(["pvar", "--grid", "/no/such/file.csv"]) == 2
 
+    def test_overflowing_samples(self, tmp_path, capsys):
+        """Samples above 2^1021 are refused at load (a usage error); at
+        2^1021 an overflowing sum is a runtime error, not a usage error."""
+        path = tmp_path / "big.csv"
+        path.write_text("# pvarlab grid 1 3\n1.7e308,-1.7e308,0\n")
+        assert main(["pvar", "--grid", str(path), "--p", "1", "--oracle"]) == 2
+        assert "2^1021" in capsys.readouterr().err
+        big = repr(2.0**1021)
+        path.write_text(f"# pvarlab grid 1 4\n{big},-{big},{big},-{big}\n")
+        assert main(["pvar", "--grid", str(path), "--p", "1", "--oracle"]) == 1
+        assert "OverflowError" in capsys.readouterr().err
+
 
 class TestVitali:
     def test_auto_small_uses_oracle(self, tmp_path, capsys):

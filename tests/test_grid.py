@@ -50,6 +50,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             Grid1(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("bad", (1.7e308, -1e308, np.nextafter(2.0**1021, np.inf)))
+    def test_samples_bounded_by_2_pow_1021(self, bad):
+        """Above 2^1021 a sample difference or a mixed cell can overflow, so
+        the grids refuse such samples; 2^1021 itself is accepted."""
+        with pytest.raises(ValueError, match="2\\^1021"):
+            Grid1(np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="2\\^1021"):
+            Grid2(np.array([[bad, 0.0], [0.0, 0.0]]))
+        Grid1(np.array([2.0**1021, -(2.0**1021)]))
+        Grid2(np.array([[2.0**1021, 0.0], [0.0, -(2.0**1021)]]))
+
     def test_grid2_sections(self):
         f = Grid2([[1.0, 2.0], [3.0, 4.0]])
         assert f.row(1).samples.tolist() == [3.0, 4.0]

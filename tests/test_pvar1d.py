@@ -139,6 +139,15 @@ class TestBasics:
                 want = _reference_sum_p1([float(samples[i]) for i in idx])
                 assert got.hex() == want.hex(), (samples, idx)
 
+    def test_oracle_overflow_raises(self):
+        """Samples of +-2^1021 sum past the float range at p = 1: the oracle
+        raises OverflowError (its naive sums are not finite), as the DP
+        does, instead of failing in its filter."""
+        g = Grid1(np.array([1.0, -1.0, 1.0, -1.0]) * 2.0**1021)
+        for fn in (pvar_oracle, pvar_cyclic):
+            with pytest.raises(OverflowError):
+                fn(g, Exponent(1.0))
+
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             CyclicPartition((3, 1))
