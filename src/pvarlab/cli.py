@@ -27,7 +27,7 @@ from .harness import SWEEP_FAMILIES, run_suite, sharpness_sweep, sweep_rows_to_c
 from .mixednorm import phi_profile, psi_profile, w_p
 from .modulus import MIXED_TABLE_CAP, modulus_1d, modulus_iso_2d, modulus_mixed
 from .pvar1d import pvar_cyclic, pvar_oracle
-from .smoothness import integral_I, integral_J, integral_K
+from .smoothness import FieldContext, integral_I, integral_J, integral_K
 from .vitali2d import certified_vitali_method, vitali_ascent, vitali_finest, vitali_oracle
 
 USAGE_ERROR = 2
@@ -192,13 +192,13 @@ def cmd_integrals(args) -> int:
 
 
 def cmd_wp(args) -> int:
-    f = _need_2d(_load(args.grid))
+    ctx = FieldContext(_need_2d(_load(args.grid)))
     p = _exponent(args.p)
     payload = {
         "p": p.p,
-        "w_p": w_p(f, p),
-        "phi": phi_profile(f, p).values.samples.tolist(),
-        "psi": psi_profile(f, p).values.samples.tolist(),
+        "w_p": w_p(ctx, p),
+        "phi": phi_profile(ctx, p).samples.tolist(),
+        "psi": psi_profile(ctx, p).samples.tolist(),
     }
     _emit(payload, args)
     return 0

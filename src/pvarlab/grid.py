@@ -7,7 +7,8 @@ on the grid, with periodic (modulo-N) index semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,9 @@ class Exponent:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p)):
+        if isinstance(self.p, bool) or not (
+            isinstance(self.p, numbers.Real) and math.isfinite(self.p)
+        ):
             raise ValueError(f"p must be a finite real, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
@@ -94,7 +97,6 @@ class Grid2:
     """Doubly 1-periodic function sampled on an M x N grid; entry (i, j) is f(i/M, j/N)."""
 
     samples: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.samples, dtype=float)
@@ -177,8 +179,8 @@ def gen_series_f(M: int, p: Exponent, N: int) -> Grid2:
     """Truncated dyadic-bump series sum_{n=1..M} 2^(-n/p) g_n(x) tent(2^n y).
 
     N must be a multiple of 2^(M+1) so every retained term is grid-aligned.
-    The sup-norm bound for the dropped tail, 2^(-M/p)/4, is attached to the
-    result's metadata (the bump supports are pairwise disjoint).
+    The dropped tail has sup norm at most 2^(-M/p)/4 (the bump supports are
+    pairwise disjoint).
     """
     if M < 1:
         raise ValueError("need M >= 1")
@@ -193,8 +195,7 @@ def gen_series_f(M: int, p: Exponent, N: int) -> Grid2:
         gx = _gn_values(n, x)
         hy = dist_to_integer(np.ldexp(y, n))
         out += 2.0 ** (-n / p.p) * np.outer(gx, hy)
-    tail = 2.0 ** (-M / p.p) / 4.0
-    return Grid2(out, meta={"truncation": M, "tail_sup_bound": tail})
+    return Grid2(out)
 
 
 def gen_staircase(N: int) -> Grid2:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Exponent, Grid1, Grid2
+from .grid import Exponent, Grid1, Grid2, _freeze
 from .modulus import ModulusTable1D, ModulusTable2D, modulus_iso_2d, modulus_mixed
+from .pvar1d import _pvar_rows
 
 __all__ = [
     "Enclosure",
@@ -78,15 +79,15 @@ class FieldContext:
     """One field and what the estimates derive from it, each computed on first use.
 
     .core is the context of the doubly mean-free core; .mixed(p) and .iso(p)
-    are the field's mixed and isotropic modulus tables.  A context holds its
-    results for as long as it lives, so callers keep one only as long as
-    they work on that field (run_suite: one call).
+    are the field's mixed and isotropic modulus tables; .sections(p, axis)
+    holds v_p of every row section (axis 0) or column section (axis 1).  A
+    context holds its results for as long as it lives, so callers keep one
+    only as long as they work on that field (run_suite: one call).
     """
 
     def __init__(self, field: Grid2):
         self.field = field
-        self._mixed: dict[float, ModulusTable2D] = {}
-        self._iso: dict[float, ModulusTable1D] = {}
+        self._memo: dict[tuple, Any] = {}
 
     @classmethod
     def of(cls, f: Grid2 | FieldContext) -> FieldContext:
@@ -97,15 +98,23 @@ class FieldContext:
     def core(self) -> FieldContext:
         return FieldContext(decompose_lp0(self.field).core)
 
+    def _held(self, key: tuple, make: Callable[[], Any]) -> Any:
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     def mixed(self, p: Exponent) -> ModulusTable2D:
-        if p.p not in self._mixed:
-            self._mixed[p.p] = modulus_mixed(self.field, p)
-        return self._mixed[p.p]
+        return self._held(("mixed", p.p), lambda: modulus_mixed(self.field, p))
 
     def iso(self, p: Exponent) -> ModulusTable1D:
-        if p.p not in self._iso:
-            self._iso[p.p] = modulus_iso_2d(self.field, p)
-        return self._iso[p.p]
+        return self._held(("iso", p.p), lambda: modulus_iso_2d(self.field, p))
+
+    def sections(self, p: Exponent, axis: int) -> np.ndarray:
+        """v_p of every row section (axis 0) or column section (axis 1), read-only."""
+        if axis not in (0, 1):
+            raise ValueError(f"axis must be 0 (rows) or 1 (columns), got {axis!r}")
+        a = self.field.samples.T if axis else self.field.samples
+        return self._held(("sections", p.p, axis), lambda: _freeze(_pvar_rows(a, p)))
 
 
 def _require_p_gt_1(p: Exponent) -> None:

@@ -32,7 +32,6 @@ from .pvar1d import (
     _chain_dp,
     _first_max,
     _members,
-    _pvar_rows,
     _root,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "certified_vitali_method",
     "certified_vitali",
     "staircase_net_bound",
-    "hardy_section_check",
     "ORACLE_MAX_SIDE",
 ]
 
@@ -401,30 +399,3 @@ def staircase_net_bound(n: int, p: Exponent, N: int | None = None) -> float:
     cols = CyclicPartition(tuple(((2 * j + 1) * N // (2 * n)) % N for j in range(n)))
     cols = CyclicPartition(tuple(sorted(cols.indices)))
     return vitali_sum(f, Net(rows, cols), p)
-
-
-def hardy_section_check(f: Grid2, p: Exponent) -> list[dict]:
-    """Section bound v_p(f_x) <= v_p(f_{x0}) + 2^(1-1/p) v2 for every section.
-
-    The two-row cyclic net over {x0, x} carries each increment of the
-    difference section twice, which gives v_p(f_x - f_{x0}) <= 2^(-1/p) v2;
-    the section-Lipschitz bound then adds the factor 2.  v2 is
-    certified_vitali(f, p): the oracle on grids up to ORACLE_MAX_SIDE, the
-    exact finest-net value at p = 1, an ascent lower bound otherwise.  A
-    lower bound only shrinks the right side, so a passing row is conclusive.
-    The reference sections x0 and y0 are the first ones of minimal variation.
-    """
-    v2 = certified_vitali(f, p)
-    rows_var = _pvar_rows(f.samples, p).tolist()
-    cols_var = _pvar_rows(f.samples.T, p).tolist()
-    x0 = int(np.argmin(rows_var))
-    y0 = int(np.argmin(cols_var))
-    coeff = 2.0 ** (1.0 - 1.0 / p.p)
-    out = []
-    for i, v in enumerate(rows_var):
-        bound = coeff * v2 + rows_var[x0]
-        out.append({"axis": "x", "index": i, "lhs": v, "rhs": bound, "margin": bound - v})
-    for j, v in enumerate(cols_var):
-        bound = coeff * v2 + cols_var[y0]
-        out.append({"axis": "y", "index": j, "lhs": v, "rhs": bound, "margin": bound - v})
-    return out

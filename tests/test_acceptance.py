@@ -311,7 +311,7 @@ def test_criterion_10_separation_constructions():
         if prev is not None and M == 5:
             series_ok &= fin <= 1.05 * prev
         prev = fin
-        phi = phi_profile(gen_series_f(M, p2, 128), p2).values
+        phi = phi_profile(gen_series_f(M, p2, 128), p2)
         amp = float(np.max(phi.samples))
         series_ok &= pvar_cyclic(phi, p2)[0] >= 0.9 * amp * (2 * M) ** 0.5
     ok = net_ok and wp_zero and series_ok

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pvarlab.cli as cli
-from pvarlab import CheckReport, gen_sine, load_csv, save_csv
+from pvarlab import CheckReport, Grid2, gen_sine, load_csv, pvar1d, save_csv, smoothness
 from pvarlab.cli import main
 from pvarlab.harness import SWEEP_FAMILIES
 
@@ -42,6 +42,7 @@ class TestPvar:
     def test_missing_file(self):
         assert main(["pvar", "--grid", "/no/such/file.csv"]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_samples(self, tmp_path, capsys):
         """Samples above 2^1021 are refused at load (a usage error); at
         2^1021 an overflowing sum is a runtime error, not a usage error."""
@@ -118,6 +119,30 @@ class TestWpAndGen:
         assert main(["wp", "--grid", stair_csv, "--p", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["w_p"] == pytest.approx(4.0)
+
+    def test_wp_one_section_dp_per_axis(self, tmp_path, monkeypatch, capsys):
+        """w_p and both printed profiles share one context: one section DP
+        per axis, plus one pvar_cyclic lane per profile."""
+        sections, lanes = [], []
+
+        def counted_rows(a, p):
+            sections.append(a.shape)
+            return pvar_rows(a, p)
+
+        def counted_lanes(a, p):
+            lanes.append(a.shape[0])
+            return pvar_lanes(a, p)
+
+        pvar_rows, pvar_lanes = smoothness._pvar_rows, pvar1d._pvar_lanes
+        monkeypatch.setattr(smoothness, "_pvar_rows", counted_rows)
+        monkeypatch.setattr(pvar1d, "_pvar_lanes", counted_lanes)
+        path = tmp_path / "g.csv"
+        save_csv(Grid2(np.random.default_rng(1).normal(size=(6, 9))), path)
+        assert main(["wp", "--grid", str(path), "--p", "1.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (len(payload["phi"]), len(payload["psi"])) == (6, 9)
+        assert sections == [(6, 9), (9, 6)]
+        assert sorted(lanes) == [1, 1, 6, 9]
 
     def test_gen_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"

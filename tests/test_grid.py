@@ -39,6 +39,14 @@ class TestExponent:
         with pytest.raises(ValueError):
             Exponent(bad)
 
+    def test_numpy_reals_accepted_bools_refused(self):
+        for p in (np.int64(2), np.float32(1.5), np.float64(3.0)):
+            e = Exponent(p)
+            assert type(e.p) is float and e.p == float(p)
+        for bad in (True, False, np.bool_(True), "2", None):
+            with pytest.raises(ValueError):
+                Exponent(bad)
+
 
 class TestContainers:
     def test_grid1_frozen_and_validated(self):
@@ -106,10 +114,16 @@ class TestGenerators:
         assert f.samples[3, 2] == 0.0  # x=3/8 > y=2/8
         assert f.samples[2, 3] == 1.0
 
-    def test_series_metadata_and_alignment(self):
-        f = gen_series_f(2, Exponent(2.0), 16)
-        assert f.meta["truncation"] == 2
-        assert f.meta["tail_sup_bound"] == pytest.approx(2.0 ** (-1.0) / 4.0)
+    def test_series_tail_bound_and_alignment(self):
+        """Longer truncations differ from the M = 2 one by at most the tail
+        bound 2^(-M/p)/4 of the docstring; the disjoint bump supports make
+        the difference the peak of the next term, 2^(-(M+1)/p)/4."""
+        p = Exponent(2.0)
+        f2 = gen_series_f(2, p, 64).samples
+        for M in (3, 5):
+            tail = float(np.max(np.abs(gen_series_f(M, p, 64).samples - f2)))
+            assert tail <= 2.0 ** (-2 / 2.0) / 4.0
+            assert tail == pytest.approx(2.0 ** (-3 / 2.0) / 4.0)
         with pytest.raises(ValueError):
             gen_series_f(3, Exponent(2.0), 8)
 

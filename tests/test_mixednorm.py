@@ -11,6 +11,7 @@ from pvarlab import (
     Exponent,
     Grid1,
     Grid2,
+    hardy_section_check,
     gen_product,
     gen_series_f,
     gen_sine,
@@ -24,6 +25,8 @@ from pvarlab import (
     w_p,
     w_p_estimate_check,
 )
+from pvarlab import smoothness
+from pvarlab.smoothness import FieldContext
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -41,17 +44,16 @@ class TestProfiles:
         pe = Exponent(p)
         vh = pvar_cyclic(h, pe)[0]
         vg = pvar_cyclic(g, pe)[0]
-        phi = phi_profile(f, pe).values.samples
-        psi = psi_profile(f, pe).values.samples
+        phi = phi_profile(f, pe).samples
+        psi = psi_profile(f, pe).samples
         assert np.allclose(phi, np.abs(g.samples) * vh, atol=1e-12)
         assert np.allclose(psi, np.abs(h.samples) * vg, atol=1e-12)
 
     def test_profile_axes(self):
-        f = _random_field(0)
+        f = Grid2(np.random.default_rng(0).normal(size=(5, 8)))
         pe = Exponent(2.0)
-        assert phi_profile(f, pe).axis == "x"
-        assert psi_profile(f, pe).axis == "y"
-        assert phi_profile(f, pe).values.n == f.m
+        assert phi_profile(f, pe).n == f.m
+        assert psi_profile(f, pe).n == f.n
 
 
 class TestWp:
@@ -71,8 +73,8 @@ class TestWp:
         pe = Exponent(p)
         for n in (8, 16):
             f = gen_staircase(n)
-            phi = phi_profile(f, pe).values.samples
-            psi = psi_profile(f, pe).values.samples
+            phi = phi_profile(f, pe).samples
+            psi = psi_profile(f, pe).samples
             section_var = 2.0 ** (1.0 / p)
             assert phi[1] == 0.0 and psi[0] == 0.0
             assert np.allclose(np.delete(phi, 1), section_var, atol=1e-12)
@@ -84,10 +86,10 @@ class TestWp:
         amps = []
         for M in (2, 4):
             f = gen_series_f(M, pe, 128)
-            phi = phi_profile(f, pe).values.samples
+            phi = phi_profile(f, pe).samples
             amp = float(np.max(phi))
             amps.append(amp)
-            vprofile = pvar_cyclic(phi_profile(f, pe).values, pe)[0]
+            vprofile = pvar_cyclic(phi_profile(f, pe), pe)[0]
             assert vprofile >= 0.9 * amp * (2 * M) ** 0.5
         # the bump amplitude is independent of the truncation order
         assert amps[0] == pytest.approx(amps[1], abs=1e-12)
@@ -125,8 +127,46 @@ class TestSectionsBitwise:
             assert section_lipschitz_check(f, pe) == _row_pair_lipschitz(f, pe)
             phi = [pvar_cyclic(f.row(i), pe)[0] for i in range(f.m)]
             psi = [pvar_cyclic(f.col(j), pe)[0] for j in range(f.n)]
-            assert phi_profile(f, pe).values.samples.tolist() == phi
-            assert psi_profile(f, pe).values.samples.tolist() == psi
+            assert phi_profile(f, pe).samples.tolist() == phi
+            assert psi_profile(f, pe).samples.tolist() == psi
+            # every section reader gives the same result on a context,
+            # whose first reader computes the row sections the others reuse
+            ctx = FieldContext(f)
+            assert section_lipschitz_check(ctx, pe) == section_lipschitz_check(f, pe)
+            assert phi_profile(ctx, pe).samples.tolist() == phi
+            assert psi_profile(ctx, pe).samples.tolist() == psi
+            assert w_p(ctx, pe) == w_p(f, pe)
+            assert hardy_section_check(ctx, pe) == hardy_section_check(f, pe)
+
+
+class TestContextSections:
+    def test_one_dp_per_axis_across_readers(self, monkeypatch):
+        """Every section reader of one context shares its two section DPs."""
+        shapes = []
+
+        def counted(a, p):
+            shapes.append(a.shape)
+            return pvar_rows(a, p)
+
+        pvar_rows = smoothness._pvar_rows
+        monkeypatch.setattr(smoothness, "_pvar_rows", counted)
+        ctx = FieldContext(Grid2(np.random.default_rng(5).normal(size=(5, 7))))
+        pe = Exponent(2.0)
+        for _ in range(2):
+            phi_profile(ctx, pe)
+            psi_profile(ctx, pe)
+            w_p(ctx, pe)
+            section_lipschitz_check(ctx, pe)
+            hardy_section_check(ctx, pe)
+        assert shapes == [(5, 7), (7, 5)]
+
+    def test_sections_read_only_and_axis_checked(self):
+        ctx = FieldContext(_random_field(0))
+        pe = Exponent(1.5)
+        assert not ctx.sections(pe, 0).flags.writeable
+        assert ctx.sections(pe, 1) is ctx.sections(pe, 1)
+        with pytest.raises(ValueError, match="axis"):
+            ctx.sections(pe, 2)
 
 
 class TestMemory:

@@ -139,6 +139,7 @@ class TestBasics:
                 want = _reference_sum_p1([float(samples[i]) for i in idx])
                 assert got.hex() == want.hex(), (samples, idx)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_oracle_overflow_raises(self):
         """Samples of +-2^1021 sum past the float range at p = 1: the oracle
         raises OverflowError (its naive sums are not finite), as the DP

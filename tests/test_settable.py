@@ -14,9 +14,10 @@ import pkgutil
 import pvarlab
 from pvarlab.cli import build_parser
 
-# 38 CLI flags, 13 defaulted parameters; 51 since CheckReport's checks and
-# sweeps left its constructor (no caller set them: run_suite fills both)
-SETTABLE_VALUES = 51
+# 38 CLI flags, 12 defaulted parameters; 51 since CheckReport's checks and
+# sweeps left its constructor (no caller set them: run_suite fills both),
+# 50 since Grid2's meta went (only gen_series_f wrote it and nothing read it)
+SETTABLE_VALUES = 50
 
 
 def _cli_flags() -> list[str]:

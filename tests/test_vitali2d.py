@@ -220,6 +220,8 @@ class TestBasics:
         with pytest.raises(ValueError):
             vitali_sum(f, bad, Exponent(2.0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("p", (1.0, 2.0))
     def test_overflow_raises(self, p):
         """Mixed cells of the +-2^1021 checkerboard are finite, but their sums
