@@ -197,8 +197,8 @@ def cmd_wp(args) -> int:
     payload = {
         "p": p.p,
         "w_p": w_p(ctx, p),
-        "phi": phi_profile(ctx, p).samples.tolist(),
-        "psi": psi_profile(ctx, p).samples.tolist(),
+        "phi": phi_profile(ctx, p).tolist(),
+        "psi": psi_profile(ctx, p).tolist(),
     }
     _emit(payload, args)
     return 0

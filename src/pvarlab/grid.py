@@ -51,11 +51,6 @@ class Exponent:
             return math.inf
         return self.p / (self.p - 1.0)
 
-    @property
-    def inv_conj(self) -> float:
-        """1/p', with the convention 1/p' = 0 when p == 1."""
-        return 1.0 - 1.0 / self.p
-
 
 # Largest sample magnitude a grid accepts.  Below it every sample
 # difference (at most 2^1022) and every mixed cell a - b - c + d (at most

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Exponent, Grid1, Grid2
-from .pvar1d import _pvar_rows, pvar_cyclic
+from .grid import Exponent, Grid2
+from .pvar1d import _pvar_rows
 from .smoothness import FieldContext, estimate_bracket
 from .vitali2d import certified_vitali
 
@@ -20,22 +20,26 @@ __all__ = [
 ]
 
 
-def phi_profile(f: Grid2 | FieldContext, p: Exponent) -> Grid1:
-    """x -> v_p(f_x), computed exactly per row."""
-    return Grid1(FieldContext.of(f).sections(p, 0))
+def phi_profile(f: Grid2 | FieldContext, p: Exponent) -> np.ndarray:
+    """x -> v_p(f_x), computed exactly per row; the context's read-only array."""
+    return FieldContext.of(f).sections(p, 0)
 
 
-def psi_profile(f: Grid2 | FieldContext, p: Exponent) -> Grid1:
-    """y -> v_p(f_y), computed exactly per column."""
-    return Grid1(FieldContext.of(f).sections(p, 1))
+def psi_profile(f: Grid2 | FieldContext, p: Exponent) -> np.ndarray:
+    """y -> v_p(f_y), computed exactly per column; the context's read-only array."""
+    return FieldContext.of(f).sections(p, 1)
 
 
 def w_p(f: Grid2 | FieldContext, p: Exponent) -> float:
-    """v_p of both section-variation profiles, summed."""
+    """v_p of both section-variation profiles, summed.
+
+    Each profile is a lane of _pvar_rows, bit for bit pvar_cyclic of the same
+    samples, so profiles above Grid1's 2^1021 sample bound are accepted.
+    """
     ctx = FieldContext.of(f)
-    vx, _ = pvar_cyclic(phi_profile(ctx, p), p)
-    vy, _ = pvar_cyclic(psi_profile(ctx, p), p)
-    return vx + vy
+    vx = _pvar_rows(phi_profile(ctx, p)[None, :], p)[0]
+    vy = _pvar_rows(psi_profile(ctx, p)[None, :], p)[0]
+    return float(vx + vy)
 
 
 def section_lipschitz_check(f: Grid2 | FieldContext, p: Exponent) -> dict:

@@ -2,9 +2,10 @@
 
 pvar_cyclic computes it by one anchored chain DP; pvar_oracle is the
 independent brute force over every index subset.  The oracle prices all
-subsets at once as naive sums of pair costs and evaluates exactly only the
-subsets that _near_max cannot rule out (_first_max), so its value stays bit
-for bit the maximum of pvar_sum over all subsets.
+subsets at once as naive sums of pair costs (_chain_sums, which vitali2d's
+oracle shares) and evaluates exactly only the subsets that _near_max
+cannot rule out (_first_max), so its value stays bit for bit the maximum
+of pvar_sum over all subsets.
 """
 
 from __future__ import annotations
@@ -219,8 +220,7 @@ def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     every priced term is 0, and so is every exact term (at p > 1 they are
     the same floats; a nonzero exact difference never rounds to 0), so
     every exact value is 0 and the first entry stands for all.  A top that
-    is not finite (a sum past the float range, or nan from 0 * inf in the
-    oracle's incidence product) raises OverflowError.
+    is not finite (a sum past the float range) raises OverflowError.
     """
     top = float(naive.max())
     if not math.isfinite(top):
@@ -248,27 +248,22 @@ def _members(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask >> i & 1]
 
 
-def pvar_oracle(g: Grid1, p: Exponent) -> float:
-    """Brute-force ground truth: max of pvar_sum over every nonempty index subset.
+def _chain_sums(cost: np.ndarray) -> np.ndarray:
+    """Naive float sum of the cyclic chain through every nonempty subset of
+    range(n), one value per trailing lane of cost; the naive pass of both
+    brute-force oracles.
 
-    Independent of the chain DP.  Naive pass: with pair costs
-    P[i, j] = |g_j - g_i|^p (CPython pow, as the exact path prices them;
-    the plain float |g_j - g_i|, correctly rounded, at p = 1), the chain
-    through a subset's points in increasing order is the chain of the
-    subset without its largest point plus one step, so one pass over the
-    largest point prices all 2^N subsets from shorter ones (O(2^N) memory,
-    no 2^N x N^2 matrix); the closing step is added last.  Exact pass:
-    _first_max with pvar_sum's arithmetic (_sum_value), which evaluates only
-    the subsets _near_max keeps; the largest of those values is the largest
-    over all subsets.
+    cost[i, j, ...] is the price of the step i -> j, shape (n, n, *lanes).
+    The chain through a subset's members in increasing order is the chain of
+    the subset without its largest member plus one step, so one pass over
+    the largest member prices every open chain from shorter ones (O(2^n)
+    memory per lane, no subset-by-step matrix); the closing step, from the
+    last member back to the first (cost[i, i] for a one-member subset), is
+    added last.  Returns shape (2^n - 1, *lanes): entry mask - 1 belongs to
+    the subset with bitmask mask.
     """
-    n = g.n
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"oracle limited to N <= {ORACLE_MAX_N}, got {n}")
-    pp = p.p
-    diff = np.abs(g.samples[None, :] - g.samples[:, None])
-    cost = diff if pp == 1.0 else np.array([d**pp for d in diff.ravel().tolist()]).reshape(n, n)
-    chain = np.zeros(1 << n)  # chain[mask]: naive sum of the open chain through mask
+    n = cost.shape[0]
+    chain = np.zeros((1 << n,) + cost.shape[2:])  # chain[mask]: the open chain through mask
     first = np.zeros(1 << n, dtype=np.uint8)
     last = np.zeros(1 << n, dtype=np.uint8)
     for x in range(n):
@@ -277,7 +272,26 @@ def pvar_oracle(g: Grid1, p: Exponent) -> float:
         chain[lo + 1 : 2 * lo] = chain[1:lo] + cost[last[1:lo], x]
         first[lo + 1 : 2 * lo] = first[1:lo]
         last[lo + 1 : 2 * lo] = x
-    naive = chain[1:] + cost[last[1:], first[1:]]
+    return chain[1:] + cost[last[1:], first[1:]]
+
+
+def pvar_oracle(g: Grid1, p: Exponent) -> float:
+    """Brute-force ground truth: max of pvar_sum over every nonempty index subset.
+
+    Independent of the chain DP.  Naive pass: _chain_sums of the pair costs
+    P[i, j] = |g_j - g_i|^p (CPython pow, as the exact path prices them;
+    the plain float |g_j - g_i|, correctly rounded, at p = 1) prices all
+    2^N - 1 subsets.  Exact pass: _first_max with pvar_sum's arithmetic
+    (_sum_value), which evaluates only the subsets _near_max keeps; the
+    largest of those values is the largest over all subsets.
+    """
+    n = g.n
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle limited to N <= {ORACLE_MAX_N}, got {n}")
+    pp = p.p
+    diff = np.abs(g.samples[None, :] - g.samples[:, None])
+    cost = diff if pp == 1.0 else np.array([d**pp for d in diff.ravel().tolist()]).reshape(n, n)
+    naive = _chain_sums(cost)
     vals = g.samples.tolist()
     return _first_max(naive, n, pp, lambda i: _sum_value(vals, _members(i + 1, n), pp))[1]
 

@@ -16,13 +16,12 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Exponent, Grid1, Grid2, _freeze
+from .grid import Exponent, Grid2, _freeze
 from .modulus import ModulusTable1D, ModulusTable2D, modulus_iso_2d, modulus_mixed
 from .pvar1d import _pvar_rows
 
 __all__ = [
     "Enclosure",
-    "Decomposition",
     "decompose_lp0",
     "FieldContext",
     "integral_J",
@@ -56,23 +55,14 @@ class Enclosure:
         return {"lo": self.lo, "hi": self.hi, **self.meta}
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """f = core + marginal_x(x) + marginal_y(y) with a doubly mean-free core."""
-
-    core: Grid2
-    marginal_x: Grid1
-    marginal_y: Grid1
-
-
-def decompose_lp0(f: Grid2) -> Decomposition:
-    """Split off the marginal averages; the core has zero row and column means."""
+def decompose_lp0(f: Grid2) -> Grid2:
+    """The doubly mean-free core of f = core + phi1(x) + phi2(y): f less its
+    marginal averages, with zero row and column means."""
     a = f.samples
     phi1 = a.mean(axis=1)
     grand = float(a.mean())
     phi2 = a.mean(axis=0) - grand
-    core = a - phi1[:, None] - phi2[None, :]
-    return Decomposition(Grid2(core), Grid1(phi1), Grid1(phi2))
+    return Grid2(a - phi1[:, None] - phi2[None, :])
 
 
 class FieldContext:
@@ -96,7 +86,7 @@ class FieldContext:
 
     @cached_property
     def core(self) -> FieldContext:
-        return FieldContext(decompose_lp0(self.field).core)
+        return FieldContext(decompose_lp0(self.field))
 
     def _held(self, key: tuple, make: Callable[[], Any]) -> Any:
         if key not in self._memo:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain as _chain, combinations, product
 from typing import Iterator, Sequence
 
@@ -30,6 +29,7 @@ from .pvar1d import (
     _BLOCK,
     CyclicPartition,
     _chain_dp,
+    _chain_sums,
     _first_max,
     _members,
     _root,
@@ -156,28 +156,6 @@ def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
     return np.fromiter(terms, dtype=float, count=math.prod(shape)).reshape(shape)
 
 
-@lru_cache(maxsize=ORACLE_MAX_SIDE)
-def _pair_incidence(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs i < j of range(s), as an (s(s-1)/2, 2) array, and the
-    (2^s - 1) x s(s-1)/2 matrix whose row mask - 1 counts the steps between
-    cyclically consecutive members of the subset with bitmask mask that use
-    each pair (a two-member subset steps its pair both ways: 2).  Read-only;
-    cached for each side the oracle accepts (s <= ORACLE_MAX_SIDE: at most
-    127 x 21 entries)."""
-    pairs = list(combinations(range(s), 2))
-    col = {pair: q for q, pair in enumerate(pairs)}
-    inc = np.zeros(((1 << s) - 1, len(pairs)))
-    for mask in range(1, 1 << s):
-        sub = _members(mask, s)
-        if len(sub) > 1:
-            for i, j in _steps(sub):
-                inc[mask - 1, col[min(i, j), max(i, j)]] += 1
-    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    idx.setflags(write=False)
-    inc.setflags(write=False)
-    return idx, inc
-
-
 def _steps(idx: Sequence[int]) -> list[tuple[int, int]]:
     """The cyclically consecutive pairs of a chain, wrap step last."""
     return list(zip(idx, idx[1:] + idx[:1]))
@@ -210,25 +188,29 @@ def vitali_oracle(f: Grid2, p: Exponent) -> float:
 
     Naive pass: a net's p-th-power sum is the sum, over its row steps and
     column steps, of one cell term each (_cell_terms, priced once per pair
-    of row pairs and column pairs).  With Er and Ec the pair incidences of
-    every row and column subset (_pair_incidence), Er @ terms @ Ec.T prices
-    all (2^M - 1)(2^N - 1) nets at once; each entry is a float sum of the
-    net's at most MN terms (the 0/1/2 coefficients multiply exactly).
-    Exact pass: pvar1d._first_max with vitali_sum, which evaluates only the
-    nets pvar1d._near_max keeps; the largest of those values is the largest
-    over all nets.  No chain DP is used.
+    of row pairs and column pairs; a reversed step has the same term, and a
+    one-member chain's step to itself has term 0).  pvar1d._chain_sums over
+    the columns, one lane per row step, gives each column subset's price of
+    every row step; _chain_sums over the rows, one lane per column subset,
+    then prices all (2^M - 1)(2^N - 1) nets, each as a float sum of the
+    net's at most MN terms.  Exact pass: pvar1d._first_max with vitali_sum,
+    which evaluates only the nets pvar1d._near_max keeps; the largest of
+    those values is the largest over all nets.  No chain DP is used.
     """
     m, n = f.m, f.n
     if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE} grids, got {m}x{n}"
         )
-    rpairs, rinc = _pair_incidence(m)
-    cpairs, cinc = _pair_incidence(n)
-    terms = _cell_terms(
-        f.samples, rpairs[:, :1], rpairs[:, 1:], cpairs[:, 0], cpairs[:, 1], p.p
-    )
-    naive = (rinc @ terms @ cinc.T).ravel()
+    ri, rj = np.triu_indices(m, 1)
+    ci, cj = np.triu_indices(n, 1)
+    terms = _cell_terms(f.samples, ri[:, None], rj[:, None], ci, cj, p.p)
+    cost = np.zeros((n, n, m, m))  # cost[c0, c1, r0, r1]: the cell (r0 -> r1, c0 -> c1)
+    for r0, r1 in ((ri, rj), (rj, ri)):
+        for c0, c1 in ((ci, cj), (cj, ci)):
+            cost[c0, c1, r0[:, None], r1[:, None]] = terms
+    per_cols = _chain_sums(cost)  # (2^N - 1, M, M)
+    naive = _chain_sums(per_cols.transpose(1, 2, 0)).ravel()
 
     def value(i: int) -> float:
         rmask, cmask = divmod(i, (1 << n) - 1)

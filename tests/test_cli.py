@@ -120,6 +120,14 @@ class TestWpAndGen:
         payload = json.loads(capsys.readouterr().out)
         assert payload["w_p"] == pytest.approx(4.0)
 
+    def test_wp_section_variations_above_grid1_bound(self, tmp_path, capsys):
+        """Samples of +-2^1020 are valid, though their rows vary by 2^1023."""
+        a = repr(2.0**1020)
+        path = tmp_path / "big.csv"
+        path.write_text(f"# pvarlab grid 2 4\n{a},-{a},{a},-{a}\n-{a},{a},-{a},{a}\n")
+        assert main(["wp", "--grid", str(path), "--p", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["w_p"] == 0.0
+
     def test_wp_one_section_dp_per_axis(self, tmp_path, monkeypatch, capsys):
         """w_p and both printed profiles share one context: one section DP
         per axis, plus one pvar_cyclic lane per profile."""

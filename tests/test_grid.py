@@ -31,9 +31,6 @@ class TestExponent:
         assert Exponent(1.0).conj == math.inf
         assert Exponent(4.0).conj == pytest.approx(4.0 / 3.0)
 
-    def test_inv_conj_convention_at_one(self):
-        assert Exponent(1.0).inv_conj == 0.0
-
     @pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_p(self, bad):
         with pytest.raises(ValueError):

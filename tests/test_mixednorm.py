@@ -44,19 +44,27 @@ class TestProfiles:
         pe = Exponent(p)
         vh = pvar_cyclic(h, pe)[0]
         vg = pvar_cyclic(g, pe)[0]
-        phi = phi_profile(f, pe).samples
-        psi = psi_profile(f, pe).samples
+        phi = phi_profile(f, pe)
+        psi = psi_profile(f, pe)
         assert np.allclose(phi, np.abs(g.samples) * vh, atol=1e-12)
         assert np.allclose(psi, np.abs(h.samples) * vg, atol=1e-12)
 
     def test_profile_axes(self):
         f = Grid2(np.random.default_rng(0).normal(size=(5, 8)))
         pe = Exponent(2.0)
-        assert phi_profile(f, pe).n == f.m
-        assert psi_profile(f, pe).n == f.n
+        assert phi_profile(f, pe).shape == (f.m,)
+        assert psi_profile(f, pe).shape == (f.n,)
 
 
 class TestWp:
+    def test_section_variations_above_grid1_bound(self):
+        """Rows of +-2^1020 vary by 2^1023, past Grid1's 2^1021 sample bound;
+        both profiles are constant, so W_p is 0."""
+        a = 2.0**1020
+        f = Grid2(np.array([[a, -a, a, -a], [-a, a, -a, a]]))
+        assert phi_profile(f, Exponent(1.0)).tolist() == [2.0**1023] * 2
+        assert w_p(f, Exponent(1.0)) == 0.0
+
     def test_constant_rows_and_columns_vanish(self):
         f = gen_product(gen_sine(1, 8), gen_sine(1, 8))
         # |g| * v_p(h) has the same profile shape in both coordinates
@@ -73,8 +81,8 @@ class TestWp:
         pe = Exponent(p)
         for n in (8, 16):
             f = gen_staircase(n)
-            phi = phi_profile(f, pe).samples
-            psi = psi_profile(f, pe).samples
+            phi = phi_profile(f, pe)
+            psi = psi_profile(f, pe)
             section_var = 2.0 ** (1.0 / p)
             assert phi[1] == 0.0 and psi[0] == 0.0
             assert np.allclose(np.delete(phi, 1), section_var, atol=1e-12)
@@ -86,10 +94,10 @@ class TestWp:
         amps = []
         for M in (2, 4):
             f = gen_series_f(M, pe, 128)
-            phi = phi_profile(f, pe).samples
+            phi = phi_profile(f, pe)
             amp = float(np.max(phi))
             amps.append(amp)
-            vprofile = pvar_cyclic(phi_profile(f, pe), pe)[0]
+            vprofile = pvar_cyclic(Grid1(phi), pe)[0]
             assert vprofile >= 0.9 * amp * (2 * M) ** 0.5
         # the bump amplitude is independent of the truncation order
         assert amps[0] == pytest.approx(amps[1], abs=1e-12)
@@ -127,14 +135,15 @@ class TestSectionsBitwise:
             assert section_lipschitz_check(f, pe) == _row_pair_lipschitz(f, pe)
             phi = [pvar_cyclic(f.row(i), pe)[0] for i in range(f.m)]
             psi = [pvar_cyclic(f.col(j), pe)[0] for j in range(f.n)]
-            assert phi_profile(f, pe).samples.tolist() == phi
-            assert psi_profile(f, pe).samples.tolist() == psi
+            assert phi_profile(f, pe).tolist() == phi
+            assert psi_profile(f, pe).tolist() == psi
+            assert w_p(f, pe) == pvar_cyclic(Grid1(phi), pe)[0] + pvar_cyclic(Grid1(psi), pe)[0]
             # every section reader gives the same result on a context,
             # whose first reader computes the row sections the others reuse
             ctx = FieldContext(f)
             assert section_lipschitz_check(ctx, pe) == section_lipschitz_check(f, pe)
-            assert phi_profile(ctx, pe).samples.tolist() == phi
-            assert psi_profile(ctx, pe).samples.tolist() == psi
+            assert phi_profile(ctx, pe).tolist() == phi
+            assert psi_profile(ctx, pe).tolist() == psi
             assert w_p(ctx, pe) == w_p(f, pe)
             assert hardy_section_check(ctx, pe) == hardy_section_check(f, pe)
 

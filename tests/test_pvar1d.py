@@ -225,6 +225,34 @@ class TestTwoPassOracle:
         assert pvar1d._near_max(np.zeros(5), 4, 2.0).tolist() == [0]
 
 
+class TestChainSums:
+    """The naive pass shared by the brute-force oracles."""
+
+    @staticmethod
+    def _loop_chain_sums(cost: np.ndarray) -> np.ndarray:
+        """Reference: for each subset in bitmask order, the costs of its
+        chain's steps added in chain order, wrap step last."""
+        n = cost.shape[0]
+        out = []
+        for mask in range(1, 1 << n):
+            idx = pvar1d._members(mask, n)
+            total = np.zeros(cost.shape[2:])
+            for i, j in zip(idx, idx[1:] + idx[:1]):
+                total = total + cost[i, j]
+            out.append(total)
+        return np.array(out)
+
+    @pytest.mark.parametrize("lanes", [(), (3,), (2, 4)])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_per_subset_loop(self, n, lanes):
+        """Asymmetric costs with nonzero diagonals: every step, including a
+        one-member subset's step to itself, is read in the right direction."""
+        cost = np.random.default_rng(n).normal(size=(n, n, *lanes))
+        got = pvar1d._chain_sums(cost)
+        assert got.shape == ((1 << n) - 1, *lanes)
+        assert np.array_equal(got, self._loop_chain_sums(cost))
+
+
 class TestFirstMax:
     """The exact pass shared by the brute-force oracles."""
 

@@ -3,7 +3,8 @@ parameter of a public callable (the names in each module's __all__; a class
 counts its constructor's defaulted parameters, dataclass fields included).
 
 The count is pinned.  A new flag, defaulted parameter or config field fails
-this test until its change raises the pin and says why.
+this test until its change raises the pin and says why.  The package also
+holds no module-level cache, whose entries would be one more hidden state.
 """
 
 import argparse
@@ -52,3 +53,15 @@ def test_settable_value_count_is_pinned():
 
 def test_run_suite_takes_seed_only():
     assert list(inspect.signature(pvarlab.run_suite).parameters) == ["seed"]
+
+
+def test_no_module_level_cache():
+    """No module-level callable holds a functools cache: memos live on
+    objects their caller creates and drops (FieldContext's per-instance
+    cached_property and memo), never in a cache shared by every caller."""
+    cached = []
+    for info in pkgutil.iter_modules(pvarlab.__path__):
+        module = importlib.import_module(f"pvarlab.{info.name}")
+        cached += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                   if callable(obj) and hasattr(obj, "cache_info")]
+    assert cached == []
