@@ -127,27 +127,18 @@ def cmd_vitali(args) -> int:
     p = _exponent(args.p)
     method = certified_vitali_method(f, p) if args.method == "auto" else args.method
     if method == "oracle":
-        value = _checked(vitali_oracle, f, p)
-        payload = {"p": p.p, "value": value, "method": "oracle"}
+        value, extra = _checked(vitali_oracle, f, p), {}
     elif method == "finest":
-        payload = {
-            "p": p.p,
-            "value": vitali_finest(f, p),
-            "method": "finest",
-            "exact": p.p == 1.0,
-        }
+        value, extra = vitali_finest(f, p), {"exact": p.p == 1.0}
     else:
         r = vitali_ascent(f, p, seed=args.seed)
-        payload = {
-            "p": p.p,
-            "value": r.value,
-            "method": "ascent",
+        value, extra = r.value, {
             "certified": "lower bound",
             "converged": r.converged,
             "rows": list(r.net.rows.indices),
             "cols": list(r.net.cols.indices),
         }
-    _emit(payload, args)
+    _emit({"p": p.p, "value": value, "method": method, **extra}, args)
     return 0
 
 

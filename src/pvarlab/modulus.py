@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Exponent, Grid1, Grid2
+from .grid import Exponent, Grid1, Grid2, _freeze
 from .pvar1d import _BLOCK, _root, omega_p_functional
 
 __all__ = [
@@ -62,9 +62,7 @@ class ModulusTable1D:
     step: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(self.values))
 
     @property
     def k_max(self) -> int:
@@ -80,9 +78,7 @@ class ModulusTable2D:
     steps: tuple[float, float]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(self.values))
 
     def slice_u(self) -> ModulusTable1D:
         """omega(f; t, 1) as a function of t."""

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .grid import Exponent, Grid1, Grid2, gen_staircase
+from .grid import Exponent, Grid2, gen_staircase
 from .pvar1d import (
     _BLOCK,
     CyclicPartition,
@@ -72,19 +72,6 @@ class AscentResult:
     converged: bool
 
 
-def _cyc_rowdiff(a: np.ndarray) -> np.ndarray:
-    return np.vstack([a[1:], a[:1]]) - a
-
-
-def _cyc_coldiff(a: np.ndarray) -> np.ndarray:
-    return np.hstack([a[:, 1:], a[:, :1]]) - a
-
-
-def _mixed_cells(f: Grid2, rows, cols) -> np.ndarray:
-    sub = f.samples[np.ix_(rows, cols)]
-    return _cyc_coldiff(_cyc_rowdiff(sub))
-
-
 def vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     """Mixed-difference sum over one net, both index chains cyclic.
 
@@ -102,15 +89,15 @@ def vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     return _root(math.fsum(_cell_terms(f.samples, r0, r1, c0, c1, p.p).ravel()), p.p)
 
 
-def _full_net(m: int, n: int) -> Net:
-    return Net(CyclicPartition(tuple(range(m))), CyclicPartition(tuple(range(n))))
+def _net(rows: Sequence[int], cols: Sequence[int]) -> Net:
+    return Net(CyclicPartition(tuple(rows)), CyclicPartition(tuple(cols)))
 
 
 def vitali_finest(f: Grid2, p: Exponent) -> float:
     """Value on the all-indices net: the exact discrete supremum for p = 1
     (refinement never decreases a 1-variation of mixed differences), a valid
     lower bound for p > 1."""
-    return vitali_sum(f, _full_net(f.m, f.n), p)
+    return vitali_sum(f, _net(range(f.m), range(f.n)), p)
 
 
 def _signed_corners(
@@ -214,9 +201,7 @@ def vitali_oracle(f: Grid2, p: Exponent) -> float:
 
     def value(i: int) -> float:
         rmask, cmask = divmod(i, (1 << n) - 1)
-        rows = CyclicPartition(tuple(_members(rmask + 1, m)))
-        cols = CyclicPartition(tuple(_members(cmask + 1, n)))
-        return vitali_sum(f, Net(rows, cols), p)
+        return vitali_sum(f, _net(_members(rmask + 1, m), _members(cmask + 1, n)), p)
 
     return _first_max(naive, m * n, p.p, value)[1]
 
@@ -256,90 +241,77 @@ def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
     return out
 
 
-def _offset_start(m: int, n: int) -> Net | None:
-    """Coarse half-offset net; a useful second start on indicator-type data."""
-    if m < 4 or n < 4 or m % 2 or n % 2:
-        return None
-    return Net(
-        CyclicPartition(tuple(range(0, m, 2))),
-        CyclicPartition(tuple(range(1, n, 2))),
-    )
+def _best_rows(a: np.ndarray, cols: list[int], pp: float) -> tuple[float, list[int]]:
+    """One ascent half-step: the row chain of a that maximizes the
+    p-th-power net sum given the column chain cols, and that sum.  A row's
+    profile is its cyclic column differences over cols; the column
+    half-step is the same call on a.T."""
+    return _chain_max(_pair_costs(a[:, cols[1:] + cols[:1]] - a[:, cols], pp))
 
 
 def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     """Alternating coordinate ascent over nets; a certified lower bound.
 
     Holding one chain fixed, the optimal chain in the other coordinate is
-    found exactly by the all-anchor cyclic chain DP on precomputed pair
-    costs, so the objective is monotone nondecreasing across sweeps.
-    Started from the finest net, a coarse offset net, and RESTARTS seeded
-    random column chains; each run stops after MAX_SWEEPS sweeps or when a
-    sweep gains nothing, and the best run is kept.
+    found exactly by _best_rows (the all-anchor cyclic chain DP on pair
+    costs), so the objective is monotone nondecreasing across sweeps.
+
+    When a side has at most 8 samples, every chain of the smaller side is
+    paired with its _best_rows chain of the other side, which yields the
+    global discrete supremum; the first of these nets attaining the largest
+    vitali_sum wins (_first_max, on naive values priced as in
+    vitali_oracle).  Otherwise the runs start from the finest net, from the
+    coarse half-offset net when both sides are even (a useful second start
+    on indicator-type data), and from RESTARTS seeded random column chains;
+    each run stops after MAX_SWEEPS sweeps or when a sweep gains nothing,
+    and the first run with the strictly largest vitali_sum wins.
     """
     m, n = f.m, f.n
     pp = p.p
     a = f.samples
 
-    def run(rows: list[int], cols: list[int]) -> tuple[float, list[int], list[int], bool]:
-        obj = float(np.sum(np.abs(_mixed_cells(f, rows, cols)) ** pp))
-        converged = False
-        for _ in range(MAX_SWEEPS):
-            # optimal row chain given cols: profiles are column differences
-            h = _cyc_coldiff(a[:, cols])
-            val, rows_new = _chain_max(_pair_costs(h, pp))
-            rows = rows_new
-            # optimal column chain given rows
-            hT = _cyc_rowdiff(a[rows, :]).T
-            val, cols_new = _chain_max(_pair_costs(hT, pp))
-            cols = cols_new
-            if val <= obj * (1.0 + 1e-13) + 1e-300:
-                converged = True
-                obj = max(obj, val)
-                break
-            obj = val
-        return obj, rows, cols, converged
-
-    # On small grids, enumerating every chain of the smaller axis and solving
-    # the other axis exactly by DP yields the global discrete supremum.  The
-    # first net attaining the largest vitali_sum wins (_first_max, on naive
-    # values priced as in vitali_oracle).
     if min(m, n) <= 8:
         transpose = m < n
         a2 = a.T if transpose else a
         k = a2.shape[1]
         nets = []
         for size in range(1, k + 1):
-            for cols in combinations(range(k), size):
-                h = _cyc_coldiff(a2[:, list(cols)])
-                _, rows = _chain_max(_pair_costs(h, pp))
-                nets.append((list(cols), rows) if transpose else (rows, list(cols)))
-
-        def net(i: int) -> Net:
-            return Net(*(CyclicPartition(tuple(chain)) for chain in nets[i]))
-
+            for cols in map(list, combinations(range(k), size)):
+                _, rows = _best_rows(a2, cols, pp)
+                nets.append((cols, rows) if transpose else (rows, cols))
         naive = _naive_sums(a, nets, pp)
-        i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, net(i), p))
-        return AscentResult(value, net(i), True)
+        i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, _net(*nets[i]), p))
+        return AscentResult(value, _net(*nets[i]), True)
+
+    def run(rows: list[int], cols: list[int]) -> tuple[list[int], list[int], bool]:
+        sub = a[np.ix_(rows, cols)]
+        d = np.roll(sub, -1, 0) - sub
+        obj = float(np.sum(np.abs(np.roll(d, -1, 1) - d) ** pp))
+        for _ in range(MAX_SWEEPS):
+            _, rows = _best_rows(a, cols, pp)
+            val, cols = _best_rows(a.T, rows, pp)
+            if val <= obj * (1.0 + 1e-13) + 1e-300:
+                return rows, cols, True
+            obj = val
+        return rows, cols, False
 
     starts = [(list(range(m)), list(range(n)))]
-    off = _offset_start(m, n)
-    if off is not None:
-        starts.append((list(off.rows.indices), list(off.cols.indices)))
+    if m % 2 == n % 2 == 0:
+        starts.append((list(range(0, m, 2)), list(range(1, n, 2))))
     rng = np.random.default_rng(seed)
     for _ in range(RESTARTS):
         k = int(rng.integers(1, n + 1))
-        cols0 = sorted(rng.choice(n, size=k, replace=False).tolist())
-        starts.append((list(range(m)), cols0))
+        starts.append((list(range(m)), sorted(rng.choice(n, size=k, replace=False).tolist())))
 
-    best: tuple[float, Net, bool] | None = None
+    best: AscentResult | None = None
     for rows0, cols0 in starts:
-        _, rows, cols, converged = run(rows0, cols0)
-        net = Net(CyclicPartition(tuple(rows)), CyclicPartition(tuple(cols)))
+        rows, cols, converged = run(rows0, cols0)
+        net = _net(rows, cols)
         value = vitali_sum(f, net, p)  # certified: an actual net evaluation
-        if best is None or value > best[0]:
-            best = (value, net, converged)
+        if best is None or value > best.value:
+            best = AscentResult(value, net, converged)
     assert best is not None
-    return AscentResult(*best)
+    return best
 
 
 def certified_vitali_method(f: Grid2, p: Exponent) -> str:
@@ -377,7 +349,6 @@ def staircase_net_bound(n: int, p: Exponent, N: int | None = None) -> float:
     if N % (2 * n) != 0:
         raise ValueError(f"N={N} must be a multiple of 2n={2 * n}")
     f = gen_staircase(N)
-    rows = CyclicPartition(tuple(i * N // n for i in range(n)))
-    cols = CyclicPartition(tuple(((2 * j + 1) * N // (2 * n)) % N for j in range(n)))
-    cols = CyclicPartition(tuple(sorted(cols.indices)))
-    return vitali_sum(f, Net(rows, cols), p)
+    rows = [i * N // n for i in range(n)]
+    cols = [(2 * j + 1) * N // (2 * n) for j in range(n)]  # increasing, all below N
+    return vitali_sum(f, _net(rows, cols), p)

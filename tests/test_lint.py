@@ -1,0 +1,85 @@
+"""Import-and-orphan lint of src/pvarlab, written with ast.
+
+Every imported name is read in its module, and every module-level private
+function, class or constant has a reader in the package besides its own
+definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pvarlab"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded in tree outside the subtree skip; the strings of a
+    module-level __all__ count as reads."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            found.update(ast.literal_eval(node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _imports(tree: ast.Module) -> list[tuple[str | None, str, str]]:
+    """(source module or None, imported name, bound name) of each import."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(None, a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.module, a.name, a.asname or a.name) for a in node.names]
+    return out
+
+
+def _private_defs(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level private functions, classes and constants (not dunders)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(name, node) for name in names if name.startswith("_") and not name.endswith("__")]
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_read(module):
+    tree = MODULES[module]
+    reads = _reads(tree)
+    unread = [bound for _, _, bound in _imports(tree) if bound not in reads]
+    assert not unread, f"{module} imports names it never reads: {unread}"
+
+
+def test_every_private_definition_has_a_reader():
+    """A reader is a read in the defining module outside the definition, or
+    an import by another module (which test_every_import_is_read makes read)."""
+    imported = {
+        (src.rpartition(".")[2], name)
+        for tree in MODULES.values()
+        for src, name, _ in _imports(tree)
+        if src is not None
+    }
+    orphans = [
+        f"{module}.{name}"
+        for module, tree in MODULES.items()
+        for name, node in _private_defs(tree)
+        if (module, name) not in imported and name not in _reads(tree, skip=node)
+    ]
+    assert not orphans, f"private definitions without a reader: {orphans}"

@@ -31,16 +31,26 @@ from pvarlab import (
 )
 from pvarlab import vitali2d
 from pvarlab.vitali2d import (
+    MAX_SWEEPS,
     ORACLE_MAX_SIDE,
+    RESTARTS,
     _cell_terms,
     _chain_max,
-    _cyc_coldiff,
-    _cyc_rowdiff,
     _pair_costs,
     _root,
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
+
+
+def _rowdiff(a: np.ndarray) -> np.ndarray:
+    """Cyclic differences along the rows: a[i + 1] - a[i], last row wrapping."""
+    return np.roll(a, -1, axis=0) - a
+
+
+def _coldiff(a: np.ndarray) -> np.ndarray:
+    """Cyclic differences along the columns: a[:, j + 1] - a[:, j], wrapping."""
+    return np.roll(a, -1, axis=1) - a
 
 
 def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
@@ -118,7 +128,7 @@ def _reference_vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     rows, cols = list(net.rows.indices), list(net.cols.indices)
     if p.p == 1.0:
         return _reference_sum_p1(f.samples, rows, cols)
-    cells = _cyc_coldiff(_cyc_rowdiff(f.samples[np.ix_(rows, cols)]))
+    cells = _coldiff(_rowdiff(f.samples[np.ix_(rows, cols)]))
     return _root(math.fsum(abs(float(v)) ** p.p for v in cells.ravel()), p.p)
 
 
@@ -139,9 +149,9 @@ def _loop_oracle(f: Grid2, p: Exponent) -> float:
                     if v > best:
                         best = v
                 continue
-            rd = _cyc_rowdiff(f.samples[list(rows), :])
+            rd = _rowdiff(f.samples[list(rows), :])
             for cols in col_subsets:
-                cells = _cyc_coldiff(rd[:, cols])
+                cells = _coldiff(rd[:, cols])
                 v = _root(math.fsum(abs(float(x)) ** pp for x in cells.ravel()), pp)
                 if v > best:
                     best = v
@@ -158,13 +168,49 @@ def _loop_exhaustive_ascent(f: Grid2, p: Exponent) -> AscentResult:
     best = None
     for size in range(1, a2.shape[1] + 1):
         for cols in itertools.combinations(range(a2.shape[1]), size):
-            _, rows = _chain_max(_pair_costs(_cyc_coldiff(a2[:, list(cols)]), pp))
+            _, rows = _chain_max(_pair_costs(_coldiff(a2[:, list(cols)]), pp))
             rws, cls = (list(cols), rows) if transpose else (rows, list(cols))
             net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
             value = vitali_sum(f, net, p)
             if best is None or value > best[0]:
                 best = (value, net)
     return AscentResult(best[0], best[1], True)
+
+
+def _loop_iterative_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
+    """Reference for vitali_ascent when both sides exceed 8 samples.
+
+    Starts: the finest net, the half-offset net (rows 0, 2, ..., columns 1,
+    3, ...) when both sides are even, and RESTARTS random column chains
+    drawn from default_rng(seed).  Each run alternates the best row chain
+    given the columns and the best column chain given the rows, each by
+    _chain_max on the pair costs of np.roll profiles, until a sweep gains
+    nothing (relative 1e-13) or MAX_SWEEPS sweeps; the first run with the
+    strictly largest vitali_sum wins."""
+    m, n, pp, a = f.m, f.n, p.p, f.samples
+    starts = [(list(range(m)), list(range(n)))]
+    if m % 2 == 0 and n % 2 == 0:
+        starts.append((list(range(0, m, 2)), list(range(1, n, 2))))
+    rng = np.random.default_rng(seed)
+    for _ in range(RESTARTS):
+        size = int(rng.integers(1, n + 1))
+        starts.append((list(range(m)), sorted(rng.choice(n, size=size, replace=False).tolist())))
+    best = None
+    for rows, cols in starts:
+        obj = float(np.sum(np.abs(_coldiff(_rowdiff(a[np.ix_(rows, cols)]))) ** pp))
+        converged = False
+        for _ in range(MAX_SWEEPS):
+            _, rows = _chain_max(_pair_costs(_coldiff(a[:, cols]), pp))
+            val, cols = _chain_max(_pair_costs(_rowdiff(a[rows, :]).T, pp))
+            if val <= obj * (1.0 + 1e-13) + 1e-300:
+                converged = True
+                break
+            obj = val
+        net = Net(CyclicPartition(tuple(rows)), CyclicPartition(tuple(cols)))
+        value = vitali_sum(f, net, p)
+        if best is None or value > best.value:
+            best = AscentResult(value, net, converged)
+    return best
 
 
 def _oracle_fields(m: int, n: int) -> list[Grid2]:
@@ -303,9 +349,9 @@ class TestVitaliSum:
 
 
 class TestTwoPassOracle:
-    """The batched oracle and the filtered exhaustive ascent against the
-    per-net loops they replace, compared with ==.  Grid2 needs two samples
-    per side, so the thinnest shapes are 2 x 7 and 7 x 2."""
+    """The batched oracle and both ascent branches against per-net and
+    per-run loops, compared with ==.  Grid2 needs two samples per side, so
+    the thinnest shapes are 2 x 7 and 7 x 2."""
 
     @pytest.mark.parametrize("p", P_VALUES)
     @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (6, 6), (7, 7)])
@@ -327,6 +373,29 @@ class TestTwoPassOracle:
                 with monkeypatch.context() as patch:
                     patch.setattr(vitali2d, "_BLOCK", 1)
                     assert vitali_ascent(f, pe) == want, f.samples
+
+    @pytest.mark.parametrize("seed", (0, 5))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_iterative_ascent_matches_loop(self, p, seed):
+        """Both sides above 8: Gaussian, {0, 1, 2}- and {0, 1}-valued fields,
+        the 16^2 and 32^2 staircases, which take the half-offset start, and
+        a 10 x 16 staircase-like indicator plus a sparse lattice, on which
+        the half-offset run alone attains the largest value at p = 3 and
+        seed 0.  The {0, 1}-valued 9 x 12 field has runs that tie in value
+        on different nets at p = 3, so the first-run tie rule shows."""
+        pe = Exponent(p)
+        i, j = np.indices((10, 16))
+        lattice = (i * 16 < (j + 1) * 10).astype(float) + ((i + j) % 4 == 0)
+        fields = [gen_staircase(16), gen_staircase(32), Grid2(lattice)]
+        for m, n in ((9, 9), (9, 12), (12, 9), (16, 16), (12, 32), (32, 32)):
+            rng = np.random.default_rng(m * 100 + n)
+            fields += [
+                Grid2(rng.normal(size=(m, n))),
+                Grid2(rng.integers(0, 3, size=(m, n)).astype(float)),
+                Grid2(rng.integers(0, 2, size=(m, n)).astype(float)),
+            ]
+        for f in fields:
+            assert vitali_ascent(f, pe, seed=seed) == _loop_iterative_ascent(f, pe, seed), f.samples
 
     def test_peak_memory_at_the_size_cap(self):
         f = Grid2(np.random.default_rng(7).normal(size=(ORACLE_MAX_SIDE, ORACLE_MAX_SIDE)))
