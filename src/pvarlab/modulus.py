@@ -230,11 +230,13 @@ def _prefix_max_table(f: Grid2, p: Exponent, cap: int, mixed: bool) -> np.ndarra
 
 
 def modulus_iso_2d(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusTable1D:
-    """Isotropic modulus: sup over vector shifts in the sup-norm ball |h| <= delta.
+    """Isotropic modulus table at delta = k/K, K = max(M, N).
 
-    Grid shifts cover negative h by periodicity.  delta runs over k/K with
-    K = max(M, N) and reaches the shifts up to the integer quotients
-    k M // K and k N // K.
+    Entry k is the largest plain shift norm over 0 <= s <= k M // K,
+    0 <= t <= k N // K, so by the central mirror also over (-s, -t).
+    Shifts of mixed sign, (s, -t) and (-s, t), are left out: this is not
+    the sup over the ball |h| <= delta and can be smaller (sin 2 pi (x - y),
+    32^2, p = 2: 0.1386 at delta = 1/32, the ball 0.2759).
     """
     pmax = _prefix_max_table(f, p, cap, mixed=False)
     K = max(f.m, f.n)

@@ -264,7 +264,10 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     coarse half-offset net when both sides are even (a useful second start
     on indicator-type data), and from RESTARTS seeded random column chains;
     each run stops after MAX_SWEEPS sweeps or when a sweep gains nothing,
-    and the first run with the strictly largest vitali_sum wins.
+    and the first run with the strictly largest vitali_sum wins.  Runs
+    often meet, so each half-step and each final net's vitali_sum is
+    computed once per call; both are pure, and every run still takes its
+    own sweeps, so no result changes.
     """
     m, n = f.m, f.n
     pp = p.p
@@ -283,13 +286,22 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
         i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, _net(*nets[i]), p))
         return AscentResult(value, _net(*nets[i]), True)
 
+    half_steps: dict[tuple[int, tuple[int, ...]], tuple[float, list[int]]] = {}
+    values: dict[Net, float] = {}
+
+    def half_step(axis: int, chain: list[int]) -> tuple[float, list[int]]:
+        key = (axis, tuple(chain))
+        if key not in half_steps:
+            half_steps[key] = _best_rows(a.T if axis else a, chain, pp)
+        return half_steps[key]
+
     def run(rows: list[int], cols: list[int]) -> tuple[list[int], list[int], bool]:
         sub = a[np.ix_(rows, cols)]
         d = np.roll(sub, -1, 0) - sub
         obj = float(np.sum(np.abs(np.roll(d, -1, 1) - d) ** pp))
         for _ in range(MAX_SWEEPS):
-            _, rows = _best_rows(a, cols, pp)
-            val, cols = _best_rows(a.T, rows, pp)
+            _, rows = half_step(0, cols)
+            val, cols = half_step(1, rows)
             if val <= obj * (1.0 + 1e-13) + 1e-300:
                 return rows, cols, True
             obj = val
@@ -307,7 +319,9 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     for rows0, cols0 in starts:
         rows, cols, converged = run(rows0, cols0)
         net = _net(rows, cols)
-        value = vitali_sum(f, net, p)  # certified: an actual net evaluation
+        if net not in values:
+            values[net] = vitali_sum(f, net, p)  # certified: an actual net evaluation
+        value = values[net]
         if best is None or value > best.value:
             best = AscentResult(value, net, converged)
     assert best is not None

@@ -134,6 +134,28 @@ class TestTables:
         expected = pmax[self._iso_index_loop(m, K), self._iso_index_loop(n, K)]
         assert (modulus_iso_2d(f, pe).values == expected).all()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the isotropic table maxes over the quadrant [0, delta]^2 of "
+        "shifts and its central mirror, not the whole ball",
+    )
+    def test_iso_table_is_the_sup_over_the_ball(self):
+        """omega_iso(k/32) against the largest shift norm over every h with
+        |h| <= k/32 in the cyclic sup norm, on f = sin 2 pi (x - y), 32^2,
+        p = 2.  The table gives 0.1386 at k = 1 (the ball: 0.2759) and 1.0
+        at k = 8 (the ball: 1.414): it misses the shifts (s, -t), (-s, t)."""
+        n = 32
+        x = np.arange(n) / n
+        a = np.sin(2 * np.pi * (x[:, None] - x[None, :]))
+        norms = np.array(
+            [[_norm(np.roll(a, (-s, -t), (0, 1)) - a, 2.0) for t in range(n)] for s in range(n)]
+        )
+        dist = np.minimum(np.arange(n), n - np.arange(n))  # cyclic shift length in samples
+        reach = np.maximum.outer(dist, dist)
+        ball = [float(norms[reach <= k].max()) for k in range(n + 1)]
+        table = modulus_iso_2d(Grid2(a), Exponent(2.0)).values.tolist()
+        assert table == pytest.approx(ball, rel=1e-12)
+
     def test_slices_share_boundary_value(self):
         f = _random_grid2(1, side=6)
         t = modulus_mixed(f, Exponent(2.0))

@@ -34,6 +34,7 @@ from pvarlab.vitali2d import (
     MAX_SWEEPS,
     ORACLE_MAX_SIDE,
     RESTARTS,
+    _best_rows,
     _cell_terms,
     _chain_max,
     _pair_costs,
@@ -213,6 +214,34 @@ def _loop_iterative_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult
     return best
 
 
+def _iterative_fields() -> list[Grid2]:
+    """Fields with both sides above 8: Gaussian, {0, 1, 2}- and {0, 1}-valued
+    fields, the 16^2 and 32^2 staircases, which take the half-offset start,
+    and a 10 x 16 staircase-like indicator plus a sparse lattice, on which
+    the half-offset run alone attains the largest value at p = 3 and seed
+    0.  The {0, 1}-valued 9 x 12 field has runs that tie in value on
+    different nets at p = 3, so the first-run tie rule shows.  The 12 x 10
+    Gaussian and 11 x 12 {0, 1}-valued fields drawn from seeds 75 and 131
+    have runs that meet at different sweep counts."""
+    i, j = np.indices((10, 16))
+    lattice = (i * 16 < (j + 1) * 10).astype(float) + ((i + j) % 4 == 0)
+    fields = [gen_staircase(16), gen_staircase(32), Grid2(lattice)]
+    rng = np.random.default_rng(75)
+    shape = int(rng.integers(9, 14)), int(rng.integers(9, 14))  # (12, 10)
+    fields.append(Grid2(rng.normal(size=shape)))
+    rng = np.random.default_rng(131)
+    shape = int(rng.integers(9, 14)), int(rng.integers(9, 14))  # (11, 12)
+    fields.append(Grid2(rng.integers(0, 2, size=shape).astype(float)))
+    for m, n in ((9, 9), (9, 12), (12, 9), (16, 16), (12, 32), (32, 32)):
+        rng = np.random.default_rng(m * 100 + n)
+        fields += [
+            Grid2(rng.normal(size=(m, n))),
+            Grid2(rng.integers(0, 3, size=(m, n)).astype(float)),
+            Grid2(rng.integers(0, 2, size=(m, n)).astype(float)),
+        ]
+    return fields
+
+
 def _oracle_fields(m: int, n: int) -> list[Grid2]:
     """Gaussian, {0, 1, 2}-valued, 0.1-rounded, constant and separable
     fields; all but the first are full of exact and near ties between nets."""
@@ -377,25 +406,55 @@ class TestTwoPassOracle:
     @pytest.mark.parametrize("seed", (0, 5))
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
     def test_iterative_ascent_matches_loop(self, p, seed):
-        """Both sides above 8: Gaussian, {0, 1, 2}- and {0, 1}-valued fields,
-        the 16^2 and 32^2 staircases, which take the half-offset start, and
-        a 10 x 16 staircase-like indicator plus a sparse lattice, on which
-        the half-offset run alone attains the largest value at p = 3 and
-        seed 0.  The {0, 1}-valued 9 x 12 field has runs that tie in value
-        on different nets at p = 3, so the first-run tie rule shows."""
         pe = Exponent(p)
-        i, j = np.indices((10, 16))
-        lattice = (i * 16 < (j + 1) * 10).astype(float) + ((i + j) % 4 == 0)
-        fields = [gen_staircase(16), gen_staircase(32), Grid2(lattice)]
-        for m, n in ((9, 9), (9, 12), (12, 9), (16, 16), (12, 32), (32, 32)):
-            rng = np.random.default_rng(m * 100 + n)
-            fields += [
-                Grid2(rng.normal(size=(m, n))),
-                Grid2(rng.integers(0, 3, size=(m, n)).astype(float)),
-                Grid2(rng.integers(0, 2, size=(m, n)).astype(float)),
-            ]
-        for f in fields:
+        for f in _iterative_fields():
             assert vitali_ascent(f, pe, seed=seed) == _loop_iterative_ascent(f, pe, seed), f.samples
+
+    @pytest.mark.parametrize("sweeps", (1, 2, 3))
+    @pytest.mark.parametrize("seed", (0, 5))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_iterative_ascent_matches_loop_at_sweep_budget(self, p, seed, sweeps, monkeypatch):
+        """MAX_SWEEPS set in both implementations: runs stop unconverged, so
+        the comparison also covers converged = False (a winner at 1 sweep).  Runs can reach one
+        column chain at different sweep counts; a run ended on meeting a
+        chain an earlier run passed, and given that run's result, changes
+        the value on the 12 x 10 Gaussian field at 2 sweeps, p = 3, and the
+        converged flag on the 11 x 12 {0, 1}-valued field at 3 sweeps,
+        p = 2 (both at seed 0)."""
+        monkeypatch.setattr(vitali2d, "MAX_SWEEPS", sweeps)
+        monkeypatch.setitem(globals(), "MAX_SWEEPS", sweeps)
+        pe = Exponent(p)
+        fields = _iterative_fields()
+        results = [vitali_ascent(f, pe, seed=seed) for f in fields]
+        for f, result in zip(fields, results):
+            assert result == _loop_iterative_ascent(f, pe, seed), f.samples
+        if sweeps == 1:
+            assert not all(r.converged for r in results)
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    @pytest.mark.parametrize("f", [Grid2(np.random.default_rng(32).normal(size=(32, 32))),
+                                   gen_staircase(32)], ids=["gaussian", "staircase"])
+    def test_iterative_ascent_computes_each_step_once(self, f, p, monkeypatch):
+        """Within one call no half-step (orientation of a, fixed chain) is
+        computed twice and no net is valued twice.  The Gaussian field's runs
+        meet chains and nets that earlier runs reached; the staircase's end
+        on ten distinct nets."""
+        steps, nets = [], []
+
+        def best_rows(a, cols, pp):
+            steps.append((a.strides, tuple(cols)))
+            return _best_rows(a, cols, pp)
+
+        def value(g, net, pe):
+            nets.append(net)
+            return vitali_sum(g, net, pe)
+
+        monkeypatch.setattr(vitali2d, "_best_rows", best_rows)
+        monkeypatch.setattr(vitali2d, "vitali_sum", value)
+        result = vitali_ascent(f, Exponent(p))
+        assert len(set(steps)) == len(steps)
+        assert len(set(nets)) == len(nets)
+        assert result.net in nets
 
     def test_peak_memory_at_the_size_cap(self):
         f = Grid2(np.random.default_rng(7).normal(size=(ORACLE_MAX_SIDE, ORACLE_MAX_SIDE)))
