@@ -13,13 +13,19 @@ correctly rounded |cells| at p = 1) and call vitali_sum only on the nets
 that pvar1d._near_max cannot rule out (pvar1d._first_max), so their
 results are bit for bit those of calling vitali_sum on every net.
 The oracle never calls the chain DP: it is the independent reference for it.
+
+Every ascent half-step is one stacked call: _pair_costs and _chain_max take
+a leading stack axis, so S pair-cost matrices of side M are S*M
+independent lanes of one pvar1d._chain_dp.  The exhaustive branch stacks a
+block of same-size chains of the smaller side (_stacked_rows); the
+iterative branch's half-step, _best_rows, is the stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain as _chain, combinations, product
+from itertools import chain as _chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -148,25 +154,36 @@ def _steps(idx: Sequence[int]) -> list[tuple[int, int]]:
     return list(zip(idx, idx[1:] + idx[:1]))
 
 
+def _flat(chains) -> np.ndarray:
+    """The indices of an iterable of chains, concatenated."""
+    return np.fromiter(_chain.from_iterable(chains), np.intp)
+
+
 def _naive_sums(a: np.ndarray, nets: list[tuple[list[int], list[int]]], pp: float) -> np.ndarray:
     """Float sum of the _cell_terms of each net (rows, cols), for
-    pvar1d._near_max.  A net has at most a.size cells, so blocks of
-    _BLOCK // (4 a.size) whole nets hold at most _BLOCK corner samples (the
-    p = 1 terms list four per cell) and the working memory does not grow
-    with the number of nets.  Each net's terms are summed within its own
-    block, so the blocking does not change its sum."""
+    pvar1d._near_max.  A net's cells run row step by row step, each over
+    every column step, as the index arrays np.repeat and a per-net tiling
+    of the step arrays give them.  A net has at most a.size cells, so
+    blocks of _BLOCK // (4 a.size) whole nets hold at most _BLOCK corner
+    samples (the p = 1 terms list four per cell) and the working memory
+    does not grow with the number of nets.  Each net's terms are summed
+    within its own block, so the blocking does not change its sum."""
     width = max(1, _BLOCK // (4 * a.size))
     out = []
     for i in range(0, len(nets), width):
-        blk = nets[i : i + width]
-        cells = np.fromiter(
-            _chain.from_iterable(
-                rs + cs for rws, cls in blk for rs, cs in product(_steps(rws), _steps(cls))
-            ),
-            dtype=np.intp,
-        ).reshape(-1, 4)
-        starts = np.cumsum([0] + [len(rws) * len(cls) for rws, cls in blk[:-1]])
-        out.append(np.add.reduceat(_cell_terms(a, *cells.T, pp), starts))
+        rows, cols = zip(*nets[i : i + width])
+        nr = np.fromiter(map(len, rows), np.intp, len(rows))
+        nc = np.fromiter(map(len, cols), np.intp, len(cols))
+        size = nr * nc
+        starts = np.cumsum(size) - size
+        # each cell's position in its net's column chain, then in all of cols
+        at = np.arange(size.sum()) - np.repeat(starts, size)
+        at = at % np.repeat(nc, size) + np.repeat(np.cumsum(nc) - nc, size)
+        r0, r1 = _flat(rows), _flat(r[1:] + r[:1] for r in rows)
+        c0, c1 = _flat(cols), _flat(c[1:] + c[:1] for c in cols)
+        per_row = np.repeat(nc, nr)
+        cells = (np.repeat(r0, per_row), np.repeat(r1, per_row), c0[at], c1[at])
+        out.append(np.add.reduceat(_cell_terms(a, *cells, pp), starts))
     return np.concatenate(out)
 
 
@@ -189,8 +206,8 @@ def vitali_oracle(f: Grid2, p: Exponent) -> float:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE} grids, got {m}x{n}"
         )
-    ri, rj = np.triu_indices(m, 1)
-    ci, cj = np.triu_indices(n, 1)
+    ri, rj = np.array(list(combinations(range(m), 2))).T
+    ci, cj = np.array(list(combinations(range(n), 2))).T
     terms = _cell_terms(f.samples, ri[:, None], rj[:, None], ci, cj, p.p)
     cost = np.zeros((n, n, m, m))  # cost[c0, c1, r0, r1]: the cell (r0 -> r1, c0 -> c1)
     for r0, r1 in ((ri, rj), (rj, ri)):
@@ -206,38 +223,48 @@ def vitali_oracle(f: Grid2, p: Exponent) -> float:
     return _first_max(naive, m * n, p.p, value)[1]
 
 
-def _chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
-    """Maximize the sum of step costs over cyclic index chains.
+def _chain_max(cost: np.ndarray) -> list[tuple[float, list[int]]]:
+    """Maximize the sum of step costs over cyclic index chains, for each
+    matrix of a stack.
 
-    cost[i, j] is the price of the step i -> j.  Every anchor is tried (the
-    1D global-max anchor argument does not transfer to vector-valued pair
-    costs), each as one lane of pvar1d._chain_dp: O(M^3) time, O(M^2)
-    memory.  oc[a, y, x] = cost[(a + x) % m, (a + y) % m] is a strided view
-    of the doubled transposed matrix, so the rotated costs are never
-    copied.  The best anchor is the earliest one attaining the largest lane
-    total.  Returns the best p-th-power sum and the chain as sorted indices.
+    cost[s, i, j] is matrix s's price of the step i -> j.  Every anchor is
+    tried (the 1D global-max anchor argument does not transfer to
+    vector-valued pair costs), each as one lane of pvar1d._chain_dp, so S
+    matrices of side M are S*M lanes: O(M^3) time and O(M^2) memory per
+    matrix.  oc[s, a, y, x] = cost[s, (a + x) % m, (a + y) % m] is a
+    strided view of each matrix's doubled transposed tile, so the rotated
+    costs are never copied whole.  Lanes never mix, and each matrix's best
+    anchor is the earliest of its own M lanes attaining their largest
+    total.  Returns, per matrix, the best p-th-power sum and the chain as
+    sorted indices.
     """
-    m = cost.shape[0]
-    flat = np.tile(cost.T, (2, 2)).ravel()
+    s, m = cost.shape[:2]
+    flat = np.tile(cost.transpose(0, 2, 1), (1, 2, 2)).ravel()
     step = flat.itemsize
-    oc = np.ndarray((m, m, m), flat.dtype, flat, 0, ((2 * m + 1) * step, 2 * m * step, step))
-    totals, chain = _chain_dp(lambda j, k: oc[:, j, :k], m, m)
-    a = int(totals.argmax())
-    return float(totals[a]), sorted((a + x) % m for x in chain(a))
+    strides = (4 * m * m * step, (2 * m + 1) * step, 2 * m * step, step)
+    oc = np.ndarray((s, m, m, m), flat.dtype, flat, 0, strides)
+    totals, chain = _chain_dp(lambda j, k: oc[:, :, j, :k].reshape(s * m, k), s * m, m)
+    out = []
+    for i, a in enumerate(totals.reshape(s, m).argmax(axis=1).tolist()):
+        lane = i * m + a
+        out.append((float(totals[lane]), sorted((a + x) % m for x in chain(lane))))
+    return out
 
 
 def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
-    """cost[r, r'] = sum_j |profile_{r'}(j) - profile_r(j)|^pp.
+    """cost[s, r, r'] = sum_j |profiles[s, r', j] - profiles[s, r, j]|^pp,
+    for a stack of S profile matrices of shape (M, N).
 
-    Rows r are taken in blocks of about _BLOCK differences; each entry sums
-    one contiguous run of N differences, so the blocking does not change it.
+    Rows r of every matrix are taken together in blocks of about _BLOCK
+    differences; each entry sums one contiguous run of N differences, so
+    neither the blocking nor the stacking changes it.
     """
-    m, n = profiles.shape
-    rows = max(1, _BLOCK // (m * n))
-    out = np.empty((m, m))
+    s, m, n = profiles.shape
+    rows = max(1, _BLOCK // (s * m * n))
+    out = np.empty((s, m, m))
     for r0 in range(0, m, rows):
-        d = np.abs(profiles - profiles[r0 : r0 + rows, None]) ** pp
-        d.sum(axis=2, out=out[r0 : r0 + rows])
+        d = np.abs(profiles[:, None] - profiles[:, r0 : r0 + rows, None]) ** pp
+        d.sum(axis=3, out=out[:, r0 : r0 + rows])
     return out
 
 
@@ -245,8 +272,18 @@ def _best_rows(a: np.ndarray, cols: list[int], pp: float) -> tuple[float, list[i
     """One ascent half-step: the row chain of a that maximizes the
     p-th-power net sum given the column chain cols, and that sum.  A row's
     profile is its cyclic column differences over cols; the column
-    half-step is the same call on a.T."""
-    return _chain_max(_pair_costs(a[:, cols[1:] + cols[:1]] - a[:, cols], pp))
+    half-step is the same call on a.T.  This is the stack-of-one case of
+    _stacked_rows."""
+    return _stacked_rows(a, np.array([cols]), pp)[0]
+
+
+def _stacked_rows(a: np.ndarray, cols: np.ndarray, pp: float) -> list[tuple[float, list[int]]]:
+    """_best_rows for each column chain cols[s] of an (S, c) array of
+    chains of one size: one _pair_costs and one _chain_max call on the
+    (S, M, c) stack of profiles."""
+    nxt = np.concatenate((cols[:, 1:], cols[:, :1]), axis=1)
+    profiles = a[:, nxt] - a[:, cols]  # (M, S, c)
+    return _chain_max(_pair_costs(profiles.transpose(1, 0, 2), pp))
 
 
 def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
@@ -257,12 +294,18 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     costs), so the objective is monotone nondecreasing across sweeps.
 
     When a side has at most 8 samples, every chain of the smaller side is
-    paired with its _best_rows chain of the other side, which yields the
-    global discrete supremum; the first of these nets attaining the largest
+    paired with its best chain of the other side, which yields the global
+    discrete supremum; the first of these nets attaining the largest
     vitali_sum wins (_first_max, on naive values priced as in
-    vitali_oracle).  Otherwise the runs start from the finest net, from the
-    coarse half-offset net when both sides are even (a useful second start
-    on indicator-type data), and from RESTARTS seeded random column chains;
+    vitali_oracle).  The chains of each size run in blocks of
+    _BLOCK // (4 M^2) (at least one), each block one stacked half-step
+    (_stacked_rows) whose lanes never mix, so every chain gets the
+    half-step _best_rows gives it alone; M is the other side, and a block's
+    doubled tiles hold at most _BLOCK floats unless it is a single chain.
+
+    Otherwise the runs start from the finest net, from the coarse
+    half-offset net when both sides are even (a useful second start on
+    indicator-type data), and from RESTARTS seeded random column chains;
     each run stops after MAX_SWEEPS sweeps or when a sweep gains nothing,
     and the first run with the strictly largest vitali_sum wins.  Runs
     often meet, so each half-step and each final net's vitali_sum is
@@ -276,12 +319,15 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     if min(m, n) <= 8:
         transpose = m < n
         a2 = a.T if transpose else a
-        k = a2.shape[1]
+        mm, k = a2.shape
+        width = max(1, _BLOCK // (4 * mm * mm))  # subsets per block: S doubled M x M tiles
         nets = []
         for size in range(1, k + 1):
-            for cols in map(list, combinations(range(k), size)):
-                _, rows = _best_rows(a2, cols, pp)
-                nets.append((cols, rows) if transpose else (rows, cols))
+            subsets = list(combinations(range(k), size))
+            for s0 in range(0, len(subsets), width):
+                blk = np.array(subsets[s0 : s0 + width])
+                for cols, (_, rows) in zip(blk.tolist(), _stacked_rows(a2, blk, pp)):
+                    nets.append((cols, rows) if transpose else (rows, cols))
         naive = _naive_sums(a, nets, pp)
         i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, _net(*nets[i]), p))
         return AscentResult(value, _net(*nets[i]), True)

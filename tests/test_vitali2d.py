@@ -39,6 +39,7 @@ from pvarlab.vitali2d import (
     _chain_max,
     _pair_costs,
     _root,
+    _stacked_rows,
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -161,15 +162,16 @@ def _loop_oracle(f: Grid2, p: Exponent) -> float:
 
 def _loop_exhaustive_ascent(f: Grid2, p: Exponent) -> AscentResult:
     """Reference for vitali_ascent when a side has at most 8 samples:
-    vitali_sum on the net of every chain of that side (the other side
-    solved by _chain_max); the first net attaining the largest value wins."""
+    vitali_sum on the net of every chain of that side, the other side
+    solved by one _chain_max call per chain on a stack of one pair-cost
+    matrix; the first net attaining the largest value wins."""
     pp = p.p
     transpose = f.m < f.n
     a2 = f.samples.T if transpose else f.samples
     best = None
     for size in range(1, a2.shape[1] + 1):
         for cols in itertools.combinations(range(a2.shape[1]), size):
-            _, rows = _chain_max(_pair_costs(_coldiff(a2[:, list(cols)]), pp))
+            _, rows = _chain_max(_pair_costs(_coldiff(a2[:, list(cols)])[None], pp))[0]
             rws, cls = (list(cols), rows) if transpose else (rows, list(cols))
             net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
             value = vitali_sum(f, net, p)
@@ -185,9 +187,9 @@ def _loop_iterative_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult
     3, ...) when both sides are even, and RESTARTS random column chains
     drawn from default_rng(seed).  Each run alternates the best row chain
     given the columns and the best column chain given the rows, each by
-    _chain_max on the pair costs of np.roll profiles, until a sweep gains
-    nothing (relative 1e-13) or MAX_SWEEPS sweeps; the first run with the
-    strictly largest vitali_sum wins."""
+    _chain_max on the pair costs of np.roll profiles (a stack of one),
+    until a sweep gains nothing (relative 1e-13) or MAX_SWEEPS sweeps; the
+    first run with the strictly largest vitali_sum wins."""
     m, n, pp, a = f.m, f.n, p.p, f.samples
     starts = [(list(range(m)), list(range(n)))]
     if m % 2 == 0 and n % 2 == 0:
@@ -201,8 +203,8 @@ def _loop_iterative_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult
         obj = float(np.sum(np.abs(_coldiff(_rowdiff(a[np.ix_(rows, cols)]))) ** pp))
         converged = False
         for _ in range(MAX_SWEEPS):
-            _, rows = _chain_max(_pair_costs(_coldiff(a[:, cols]), pp))
-            val, cols = _chain_max(_pair_costs(_rowdiff(a[rows, :]).T, pp))
+            _, rows = _chain_max(_pair_costs(_coldiff(a[:, cols])[None], pp))[0]
+            val, cols = _chain_max(_pair_costs(_rowdiff(a[rows, :]).T[None], pp))[0]
             if val <= obj * (1.0 + 1e-13) + 1e-300:
                 converged = True
                 break
@@ -467,6 +469,94 @@ class TestTwoPassOracle:
         assert peak < 1 << 20  # the 127 x 127 naive sums take 126 KiB
 
 
+def _exhaustive_fields(m: int, n: int) -> list[Grid2]:
+    """Gaussian, {0, 1, 2}- and {0, 1}-valued fields; the last two are full
+    of ties between chains, anchors and nets."""
+    rng = np.random.default_rng(m * 1000 + n)
+    return [
+        Grid2(rng.normal(size=(m, n))),
+        Grid2(rng.integers(0, 3, size=(m, n)).astype(float)),
+        Grid2(rng.integers(0, 2, size=(m, n)).astype(float)),
+    ]
+
+
+def _bits(r: AscentResult) -> tuple[str, Net, bool]:
+    return r.value.hex(), r.net, r.converged
+
+
+STACK_P = (1.0, 1.1, 1.5, 2.0, 3.0, 8.0)
+
+
+class TestStackedExhaustive:
+    """The exhaustive branch runs each block of same-size chains of the
+    smaller side as one stacked half-step (_stacked_rows).  Its value (by
+    float.hex), net and converged flag must be those of the per-chain loop
+    _loop_exhaustive_ascent.  Grid2 needs two samples per side, so the
+    shapes start at 2 x 2."""
+
+    @pytest.mark.parametrize("p", STACK_P)
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_per_chain_loop(self, m, p):
+        pe = Exponent(p)
+        for n in range(2, 9):
+            for f in _exhaustive_fields(m, n):
+                want = _bits(_loop_exhaustive_ascent(f, pe))
+                assert _bits(vitali_ascent(f, pe)) == want, f.samples
+
+    @pytest.mark.parametrize("p", STACK_P)
+    @pytest.mark.parametrize("shape", [(3, 40), (33, 8), (6, 128)])
+    def test_matches_per_chain_loop_on_tall_fields(self, shape, p):
+        pe = Exponent(p)
+        fields = _exhaustive_fields(*shape)
+        for f in fields if shape[1] < 100 else fields[:1]:  # 6 x 128: Gaussian only, for time
+            assert _bits(vitali_ascent(f, pe)) == _bits(_loop_exhaustive_ascent(f, pe)), f.samples
+
+    @pytest.mark.parametrize("per_block", (1, 2, 3))
+    @pytest.mark.parametrize("p", (1.0, 3.0))
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 4), (3, 8), (3, 40), (6, 10)])
+    def test_matches_per_chain_loop_in_small_blocks(self, shape, p, per_block, monkeypatch):
+        """_BLOCK set so that a block holds per_block chains, the last block
+        of a size fewer; a block never holds chains of two sizes, and each
+        chain of a block gets the half-step it gets alone.  (The best net
+        alone would not show a block whose chains all took the block's
+        best lane: the net that wins is usually that lane's own.)"""
+        pe = Exponent(p)
+        side = max(shape)
+        stacks = []
+
+        def recording(a, cols, pp):
+            stacks.append(cols.shape)
+            result = _stacked_rows(a, cols, pp)
+            for c, got in zip(cols.tolist(), result):
+                assert got == _chain_max(_pair_costs(_coldiff(a[:, c])[None], pp))[0]
+            return result
+
+        for f in _exhaustive_fields(*shape):
+            want = _bits(_loop_exhaustive_ascent(f, pe))
+            with monkeypatch.context() as patch:
+                patch.setattr(vitali2d, "_BLOCK", per_block * 4 * side * side)
+                patch.setattr(vitali2d, "_stacked_rows", recording)
+                assert _bits(vitali_ascent(f, pe)) == want, f.samples
+        k = min(shape)
+        sizes = [math.comb(k, c) for c in range(1, k + 1)]
+        blocks = [(min(per_block, left), c) for c, total in enumerate(sizes, 1)
+                  for left in range(total, 0, -per_block)]
+        assert stacks == blocks * 3
+
+    def test_peak_memory_on_a_tall_field(self):
+        """6 x 128: one chain per block, so no block holds more than one
+        doubled 128 x 128 tile (512 KiB); a version that holds all M^3
+        rotated costs at once needs 16 MiB."""
+        f = Grid2(np.random.default_rng(6).normal(size=(6, 128)))
+        tracemalloc.start()
+        try:
+            vitali_ascent(f, Exponent(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
+
+
 class TestAgainstOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(P_VALUES))
@@ -501,17 +591,31 @@ class TestChainMax:
                 rng.integers(0, 4, size=(m, m)).astype(float),
                 rng.integers(0, 2, size=(m, m)).astype(float),
             ):
-                assert _chain_max(cost) == _per_anchor_chain_max(cost)
+                assert _chain_max(cost[None]) == [_per_anchor_chain_max(cost)]
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 6, 8, 17))
+    def test_stack_matches_each_matrix(self, m):
+        """A stack of S matrices is S*M lanes of one chain DP: each matrix
+        gets the result it gets alone, its anchor chosen among its own
+        lanes only.  Small-integer costs tie across anchors and matrices."""
+        rng = np.random.default_rng(m + 100)
+        for stack in (
+            rng.random((7, m, m)),
+            rng.integers(0, 4, size=(9, m, m)).astype(float),
+            rng.integers(0, 2, size=(5, m, m)).astype(float),
+        ):
+            assert _chain_max(stack) == [_per_anchor_chain_max(cost) for cost in stack]
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_matches_per_anchor_dp_inside_ascent(self, p, monkeypatch):
         """Every pair-cost matrix the ascent meets, on small grids (chain
-        enumeration) and on larger ones (alternating sweeps)."""
+        enumeration, many matrices per stacked call) and on larger ones
+        (alternating sweeps, one matrix per call)."""
         calls = []
 
         def recording(cost):
             result = _chain_max(cost)
-            calls.append((cost.copy(), result))
+            calls.extend(zip(cost.copy(), result))
             return result
 
         monkeypatch.setattr(vitali2d, "_chain_max", recording)
@@ -533,13 +637,25 @@ class TestPairCosts:
         give the M x M x N expression bit for bit."""
         profiles = np.random.default_rng(m * n).normal(size=(m, n))
         fused = (np.abs(profiles[None, :, :] - profiles[:, None, :]) ** p).sum(axis=2)
-        assert np.array_equal(_pair_costs(profiles, p), fused)
+        assert np.array_equal(_pair_costs(profiles[None], p), fused[None])
+
+    @pytest.mark.parametrize(
+        "s, m, n", [(3, 1, 2), (20, 6, 3), (7, 33, 8), (2, 128, 6), (3, 20, 40)]
+    )
+    @pytest.mark.parametrize("p", (1.0, 1.1, 1.5, 2.0, 3.0, 8.0))
+    def test_stack_matches_each_matrix(self, s, m, n, p):
+        """Each matrix of a stack, read from a transposed (non-contiguous)
+        view as the exhaustive ascent passes it, gets its costs alone bit
+        for bit."""
+        profiles = np.random.default_rng(s * m * n).normal(size=(m, s, n)).transpose(1, 0, 2)
+        want = [_pair_costs(np.ascontiguousarray(x)[None], p)[0] for x in profiles]
+        assert np.array_equal(_pair_costs(profiles, p), want)
 
     def test_peak_memory_at_64(self):
         profiles = np.random.default_rng(0).normal(size=(64, 64))
         tracemalloc.start()
         try:
-            _pair_costs(profiles, 2.0)
+            _pair_costs(profiles[None], 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
