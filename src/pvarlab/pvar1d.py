@@ -156,7 +156,10 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
 
 
 def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
-    """Exact discrete p-variation: max of pvar_sum over all cyclic partitions.
+    """Discrete p-variation: pvar_sum of the cyclic partition one chain DP
+    picks.  The DP compares naive float sums of step costs, so the value is
+    the max of pvar_sum over all cyclic partitions unless partitions tie
+    within rounding; then it can fall a rounding error below pvar_oracle.
 
     An optimal cyclic partition may be assumed to contain a global-maximum
     sample (inserting a point with value >= both neighbours never decreases

@@ -147,20 +147,17 @@ def integral_K(
 ) -> Enclosure:
     """Enclosure of the boundary-slice integral: J applied to omega(t,1) and omega(1,t)."""
     _require_p_gt_1(table.p)
-    ju = integral_J(table.slice_u(), u_min)
-    jv = integral_J(table.slice_v(), v_min)
-    return Enclosure(
-        ju.lo + jv.lo,
-        ju.hi + jv.hi,
-        {
-            "domain": {
-                "u_min": ju.meta["domain"]["t_min"],
-                "v_min": jv.meta["domain"]["t_min"],
-                "t_max": 1.0,
-            },
-            "p": table.p.p,
-        },
-    )
+    p = table.p.p
+    su, sv = table.steps
+    if u_min is None:
+        u_min = su
+    if v_min is None:
+        v_min = sv
+    # contiguous copies: np.dot sums a strided column in another order
+    ulo, uhi = _enclose_1d(table.values[:, -1].copy(), su, p, u_min)
+    vlo, vhi = _enclose_1d(table.values[-1, :].copy(), sv, p, v_min)
+    domain = {"u_min": u_min, "v_min": v_min, "t_max": 1.0}
+    return Enclosure(ulo + vlo, uhi + vhi, {"domain": domain, "p": p})
 
 
 def integral_I(

@@ -18,7 +18,9 @@ Every ascent half-step is one stacked call: _pair_costs and _chain_max take
 a leading stack axis, so S pair-cost matrices of side M are S*M
 independent lanes of one pvar1d._chain_dp.  The exhaustive branch stacks a
 block of same-size chains of the smaller side (_stacked_rows); the
-iterative branch's half-step, _best_rows, is the stack of one.
+iterative branch's half-step is the stack of one.  Both branches pick their
+winning net by the oracle's rule (_first_max), skipping a lone candidate's
+naive pass.
 """
 
 from __future__ import annotations
@@ -159,15 +161,16 @@ def _flat(chains) -> np.ndarray:
     return np.fromiter(_chain.from_iterable(chains), np.intp)
 
 
-def _naive_sums(a: np.ndarray, nets: list[tuple[list[int], list[int]]], pp: float) -> np.ndarray:
+def _naive_sums(a: np.ndarray, nets: Sequence[tuple[Sequence[int], ...]], pp: float) -> np.ndarray:
     """Float sum of the _cell_terms of each net (rows, cols), for
-    pvar1d._near_max.  A net's cells run row step by row step, each over
-    every column step, as the index arrays np.repeat and a per-net tiling
-    of the step arrays give them.  A net has at most a.size cells, so
-    blocks of _BLOCK // (4 a.size) whole nets hold at most _BLOCK corner
-    samples (the p = 1 terms list four per cell) and the working memory
-    does not grow with the number of nets.  Each net's terms are summed
-    within its own block, so the blocking does not change its sum."""
+    pvar1d._near_max; it prices both vitali_ascent branches' candidates.
+    A net's cells run row step by row step, each over every column step,
+    as the index arrays np.repeat and a per-net tiling of the step arrays
+    give them.  A net has at most a.size cells, so blocks of
+    _BLOCK // (4 a.size) whole nets hold at most _BLOCK corner samples (the
+    p = 1 terms list four per cell) and the working memory does not grow
+    with the number of nets.  Each net's terms are summed within its own
+    block, so the blocking does not change its sum."""
     width = max(1, _BLOCK // (4 * a.size))
     out = []
     for i in range(0, len(nets), width):
@@ -268,19 +271,14 @@ def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
     return out
 
 
-def _best_rows(a: np.ndarray, cols: list[int], pp: float) -> tuple[float, list[int]]:
-    """One ascent half-step: the row chain of a that maximizes the
-    p-th-power net sum given the column chain cols, and that sum.  A row's
-    profile is its cyclic column differences over cols; the column
-    half-step is the same call on a.T.  This is the stack-of-one case of
-    _stacked_rows."""
-    return _stacked_rows(a, np.array([cols]), pp)[0]
-
-
 def _stacked_rows(a: np.ndarray, cols: np.ndarray, pp: float) -> list[tuple[float, list[int]]]:
-    """_best_rows for each column chain cols[s] of an (S, c) array of
-    chains of one size: one _pair_costs and one _chain_max call on the
-    (S, M, c) stack of profiles."""
+    """Ascent half-steps: for each column chain cols[s] of an (S, c) array
+    of chains of one size, the row chain of a that maximizes the
+    p-th-power net sum given cols[s], and that sum.  A row's profile is its
+    cyclic column differences over the chain; the (S, M, c) stack of
+    profiles takes one _pair_costs and one _chain_max call, whose lanes
+    never mix, so each chain gets the half-step it would get alone.  The
+    column half-step is the same call on a.T."""
     nxt = np.concatenate((cols[:, 1:], cols[:, :1]), axis=1)
     profiles = a[:, nxt] - a[:, cols]  # (M, S, c)
     return _chain_max(_pair_costs(profiles.transpose(1, 0, 2), pp))
@@ -290,88 +288,81 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     """Alternating coordinate ascent over nets; a certified lower bound.
 
     Holding one chain fixed, the optimal chain in the other coordinate is
-    found exactly by _best_rows (the all-anchor cyclic chain DP on pair
+    found exactly by _stacked_rows (the all-anchor cyclic chain DP on pair
     costs), so the objective is monotone nondecreasing across sweeps.
 
-    When a side has at most 8 samples, every chain of the smaller side is
-    paired with its best chain of the other side, which yields the global
-    discrete supremum; the first of these nets attaining the largest
-    vitali_sum wins (_first_max, on naive values priced as in
-    vitali_oracle).  The chains of each size run in blocks of
-    _BLOCK // (4 M^2) (at least one), each block one stacked half-step
-    (_stacked_rows) whose lanes never mix, so every chain gets the
-    half-step _best_rows gives it alone; M is the other side, and a block's
-    doubled tiles hold at most _BLOCK floats unless it is a single chain.
+    Candidates: when a side has at most 8 samples, every chain of the
+    smaller side paired with its best chain of the other side, converged.
+    The chains of each size run in blocks of _BLOCK // (4 M^2) (at least
+    one), each block one _stacked_rows call; M is the other side, and a
+    block's doubled tiles hold at most _BLOCK floats unless it is a single
+    chain.  Otherwise the final net of each run, with the converged flag of
+    the first run ending on it.  The runs start from the finest net, from
+    the coarse half-offset net when both sides are even (a useful second
+    start on indicator-type data), and from RESTARTS seeded random column
+    chains; each stops after MAX_SWEEPS sweeps or when a sweep gains
+    nothing.  Runs often meet, so each half-step is computed once per call.
 
-    Otherwise the runs start from the finest net, from the coarse
-    half-offset net when both sides are even (a useful second start on
-    indicator-type data), and from RESTARTS seeded random column chains;
-    each run stops after MAX_SWEEPS sweeps or when a sweep gains nothing,
-    and the first run with the strictly largest vitali_sum wins.  Runs
-    often meet, so each half-step and each final net's vitali_sum is
-    computed once per call; both are pure, and every run still takes its
-    own sweeps, so no result changes.
+    The first candidate attaining the largest vitali_sum wins
+    (pvar1d._first_max on _naive_sums prices, as in vitali_oracle; a lone
+    candidate is not priced), and the value is its vitali_sum.  In the
+    exhaustive branch that is the discrete supremum unless nets tie within
+    rounding: the chain DP picks by naive sums, so the value can fall a
+    rounding error below vitali_oracle's.
     """
     m, n = f.m, f.n
     pp = p.p
     a = f.samples
+    nets: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}  # (rows, cols) -> converged
 
     if min(m, n) <= 8:
         transpose = m < n
         a2 = a.T if transpose else a
         mm, k = a2.shape
         width = max(1, _BLOCK // (4 * mm * mm))  # subsets per block: S doubled M x M tiles
-        nets = []
         for size in range(1, k + 1):
             subsets = list(combinations(range(k), size))
             for s0 in range(0, len(subsets), width):
                 blk = np.array(subsets[s0 : s0 + width])
-                for cols, (_, rows) in zip(blk.tolist(), _stacked_rows(a2, blk, pp)):
-                    nets.append((cols, rows) if transpose else (rows, cols))
-        naive = _naive_sums(a, nets, pp)
-        i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, _net(*nets[i]), p))
-        return AscentResult(value, _net(*nets[i]), True)
+                for cols, (_, rows) in zip(map(tuple, blk.tolist()), _stacked_rows(a2, blk, pp)):
+                    nets[(cols, tuple(rows)) if transpose else (tuple(rows), cols)] = True
+    else:
+        half_steps: dict[tuple[int, tuple[int, ...]], tuple[float, list[int]]] = {}
 
-    half_steps: dict[tuple[int, tuple[int, ...]], tuple[float, list[int]]] = {}
-    values: dict[Net, float] = {}
+        def half_step(axis: int, chain: list[int]) -> tuple[float, list[int]]:
+            key = (axis, tuple(chain))
+            if key not in half_steps:
+                half_steps[key] = _stacked_rows(a.T if axis else a, np.array([chain]), pp)[0]
+            return half_steps[key]
 
-    def half_step(axis: int, chain: list[int]) -> tuple[float, list[int]]:
-        key = (axis, tuple(chain))
-        if key not in half_steps:
-            half_steps[key] = _best_rows(a.T if axis else a, chain, pp)
-        return half_steps[key]
+        def run(rows: list[int], cols: list[int]) -> tuple[list[int], list[int], bool]:
+            sub = a[np.ix_(rows, cols)]
+            d = np.roll(sub, -1, 0) - sub
+            obj = float(np.sum(np.abs(np.roll(d, -1, 1) - d) ** pp))
+            for _ in range(MAX_SWEEPS):
+                _, rows = half_step(0, cols)
+                val, cols = half_step(1, rows)
+                if val <= obj * (1.0 + 1e-13) + 1e-300:
+                    return rows, cols, True
+                obj = val
+            return rows, cols, False
 
-    def run(rows: list[int], cols: list[int]) -> tuple[list[int], list[int], bool]:
-        sub = a[np.ix_(rows, cols)]
-        d = np.roll(sub, -1, 0) - sub
-        obj = float(np.sum(np.abs(np.roll(d, -1, 1) - d) ** pp))
-        for _ in range(MAX_SWEEPS):
-            _, rows = half_step(0, cols)
-            val, cols = half_step(1, rows)
-            if val <= obj * (1.0 + 1e-13) + 1e-300:
-                return rows, cols, True
-            obj = val
-        return rows, cols, False
+        starts = [(list(range(m)), list(range(n)))]
+        if m % 2 == n % 2 == 0:
+            starts.append((list(range(0, m, 2)), list(range(1, n, 2))))
+        rng = np.random.default_rng(seed)
+        for _ in range(RESTARTS):
+            k = int(rng.integers(1, n + 1))
+            starts.append((list(range(m)), sorted(rng.choice(n, size=k, replace=False).tolist())))
+        for rows0, cols0 in starts:
+            rows, cols, converged = run(rows0, cols0)
+            nets.setdefault((tuple(rows), tuple(cols)), converged)
 
-    starts = [(list(range(m)), list(range(n)))]
-    if m % 2 == n % 2 == 0:
-        starts.append((list(range(0, m, 2)), list(range(1, n, 2))))
-    rng = np.random.default_rng(seed)
-    for _ in range(RESTARTS):
-        k = int(rng.integers(1, n + 1))
-        starts.append((list(range(m)), sorted(rng.choice(n, size=k, replace=False).tolist())))
-
-    best: AscentResult | None = None
-    for rows0, cols0 in starts:
-        rows, cols, converged = run(rows0, cols0)
-        net = _net(rows, cols)
-        if net not in values:
-            values[net] = vitali_sum(f, net, p)  # certified: an actual net evaluation
-        value = values[net]
-        if best is None or value > best.value:
-            best = AscentResult(value, net, converged)
-    assert best is not None
-    return best
+    cands = list(nets)
+    # _first_max keeps a lone candidate whatever its price, so it is not priced
+    naive = _naive_sums(a, cands, pp) if len(cands) > 1 else np.zeros(1)
+    i, value = _first_max(naive, m * n, pp, lambda i: vitali_sum(f, _net(*cands[i]), p))
+    return AscentResult(value, _net(*cands[i]), nets[cands[i]])
 
 
 def certified_vitali_method(f: Grid2, p: Exponent) -> str:

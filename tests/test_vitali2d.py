@@ -34,7 +34,6 @@ from pvarlab.vitali2d import (
     MAX_SWEEPS,
     ORACLE_MAX_SIDE,
     RESTARTS,
-    _best_rows,
     _cell_terms,
     _chain_max,
     _pair_costs,
@@ -304,11 +303,13 @@ class TestBasics:
         """Mixed cells of the +-2^1021 checkerboard are finite, but their sums
         (and at p = 2 their squares) are not: every evaluator raises
         OverflowError rather than returning a value or failing in its
-        filter."""
-        f = Grid2(np.array([[1.0, -1.0], [-1.0, 1.0]]) * 2.0**1021)
-        for fn in (vitali_oracle, vitali_finest, vitali_ascent):
-            with pytest.raises(OverflowError):
-                fn(f, Exponent(p))
+        filter.  At 9 x 9 the ascent takes its iterative branch."""
+        for side in (2, 9):
+            f = Grid2((-1.0) ** np.add.outer(np.arange(side), np.arange(side)) * 2.0**1021)
+            oracle = (vitali_oracle,) if side <= ORACLE_MAX_SIDE else ()
+            for fn in oracle + (vitali_finest, vitali_ascent):
+                with pytest.raises(OverflowError):
+                    fn(f, Exponent(p))
 
     def test_oracle_size_limit(self):
         f = Grid2(np.zeros((8, 3)))
@@ -437,21 +438,23 @@ class TestTwoPassOracle:
     @pytest.mark.parametrize("f", [Grid2(np.random.default_rng(32).normal(size=(32, 32))),
                                    gen_staircase(32)], ids=["gaussian", "staircase"])
     def test_iterative_ascent_computes_each_step_once(self, f, p, monkeypatch):
-        """Within one call no half-step (orientation of a, fixed chain) is
-        computed twice and no net is valued twice.  The Gaussian field's runs
+        """Within one call no half-step (a one-chain _stacked_rows call, by
+        orientation of a and fixed chain) is computed twice and no net is
+        valued twice.  The Gaussian field's runs
         meet chains and nets that earlier runs reached; the staircase's end
         on ten distinct nets."""
         steps, nets = [], []
 
-        def best_rows(a, cols, pp):
-            steps.append((a.strides, tuple(cols)))
-            return _best_rows(a, cols, pp)
+        def stacked_rows(a, cols, pp):
+            (chain,) = cols.tolist()
+            steps.append((a.strides, tuple(chain)))
+            return _stacked_rows(a, cols, pp)
 
         def value(g, net, pe):
             nets.append(net)
             return vitali_sum(g, net, pe)
 
-        monkeypatch.setattr(vitali2d, "_best_rows", best_rows)
+        monkeypatch.setattr(vitali2d, "_stacked_rows", stacked_rows)
         monkeypatch.setattr(vitali2d, "vitali_sum", value)
         result = vitali_ascent(f, Exponent(p))
         assert len(set(steps)) == len(steps)
@@ -564,6 +567,19 @@ class TestAgainstOracle:
         f = _random_field(seed)
         pe = Exponent(p)
         assert vitali_ascent(f, pe).value <= vitali_oracle(f, pe) + 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the exhaustive ascent's chain DP picks each half-step by naive "
+        "float sums, so on nets that tie within rounding it can fall an ulp "
+        "below the oracle",
+    )
+    def test_exhaustive_ascent_matches_oracle_on_a_rounding_tie(self):
+        """A 0.1-rounded 3 x 2 field at p = 2: the ascent gives
+        0x1.6666666666666p+0, the oracle 0x1.6666666666667p+0."""
+        f = Grid2(np.array([[-0.1, -0.5], [-0.3, 0.0], [0.5, 0.1]]))
+        pe = Exponent(2.0)
+        assert vitali_ascent(f, pe).value == vitali_oracle(f, pe)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
