@@ -82,10 +82,6 @@ class Grid1:
     def n(self) -> int:
         return self.samples.size
 
-    @property
-    def step(self) -> float:
-        return 1.0 / self.samples.size
-
 
 @dataclass(frozen=True)
 class Grid2:
@@ -108,18 +104,6 @@ class Grid2:
     @property
     def n(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def steps(self) -> tuple[float, float]:
-        return (1.0 / self.m, 1.0 / self.n)
-
-    def row(self, i: int) -> Grid1:
-        """x-section at x = i/M (a function of y)."""
-        return Grid1(self.samples[i % self.m, :])
-
-    def col(self, j: int) -> Grid1:
-        """y-section at y = j/N (a function of x)."""
-        return Grid1(self.samples[:, j % self.n])
 
 
 def dist_to_integer(x):

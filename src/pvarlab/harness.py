@@ -306,22 +306,27 @@ def sharpness_sweep(
     if size > MIXED_TABLE_CAP:
         raise ValueError(f"sweep size {size} exceeds the mixed-table limit {MIXED_TABLE_CAP}")
     exponents = [Exponent(p) for p in p_grid]
+    if family == "trigpoly":
+        for n in n_grid:
+            for m in n_grid:
+                if size <= 2 * n or size <= 2 * m:
+                    raise ValueError(f"size {size} misaligned for degree ({n},{m})")
+    else:
+        for n in n_grid:
+            if size % (4 * n):
+                raise ValueError(f"size {size} misaligned for sine frequency {n}")
     rows = []
     rng = np.random.default_rng(seed)
     for pe in exponents:
         if family == "trigpoly":
             for n in n_grid:
                 for m in n_grid:
-                    if size <= 2 * n or size <= 2 * m:
-                        raise ValueError(f"size {size} misaligned for degree ({n},{m})")
                     shape = (n + 1, m + 1)
                     coef = [rng.normal(size=shape) for _ in range(4)]
                     f, _ = gen_trigpoly(*coef, size, size)
                     rows.append(_sweep_row(f, pe, family, n, m))
         else:  # t1xt1, tnxt1, tnxtn: the second frequency is 1 or n
             for n in n_grid:
-                if size % (4 * n):
-                    raise ValueError(f"size {size} misaligned for sine frequency {n}")
                 m = 1 if family == "tnxt1" else n
                 f = gen_product(gen_sine(n, size), gen_sine(m, size))
                 rows.append(_sweep_row(f, pe, family, n, m))

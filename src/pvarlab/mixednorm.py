@@ -21,12 +21,12 @@ __all__ = [
 
 
 def phi_profile(f: Grid2 | FieldContext, p: Exponent) -> np.ndarray:
-    """x -> v_p(f_x), computed exactly per row; the context's read-only array."""
+    """x -> v_p(f_x), pvar_cyclic of each row; the context's read-only array."""
     return FieldContext.of(f).sections(p, 0)
 
 
 def psi_profile(f: Grid2 | FieldContext, p: Exponent) -> np.ndarray:
-    """y -> v_p(f_y), computed exactly per column; the context's read-only array."""
+    """y -> v_p(f_y), pvar_cyclic of each column; the context's read-only array."""
     return FieldContext.of(f).sections(p, 1)
 
 

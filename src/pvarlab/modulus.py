@@ -4,7 +4,7 @@ Moduli are prefix maxima of exact circular-shift norms; no interpolation
 between grid shifts, so every inequality check is exact at grid arguments.
 Every shift-norm table comes from one batched kernel, `_shift_norm_table`,
 whose entries are bitwise equal to the per-shift reference norms
-`shift_norm_1d` and `mixed_diff_norm`.
+`shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.
 
 The kernel evaluates |D|^p once for each pair of shifts whose differences
 are exact negatives of each other.  IEEE subtraction is antisymmetric,
@@ -39,8 +39,6 @@ __all__ = [
     "ModulusTable1D",
     "ModulusTable2D",
     "lp_norm",
-    "shift_norm_1d",
-    "mixed_diff_norm",
     "modulus_1d",
     "modulus_iso_2d",
     "modulus_mixed",
@@ -64,10 +62,6 @@ class ModulusTable1D:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
 
-    @property
-    def k_max(self) -> int:
-        return self.values.size - 1
-
 
 @dataclass(frozen=True)
 class ModulusTable2D:
@@ -80,14 +74,6 @@ class ModulusTable2D:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
 
-    def slice_u(self) -> ModulusTable1D:
-        """omega(f; t, 1) as a function of t."""
-        return ModulusTable1D(self.values[:, -1].copy(), self.p, self.steps[0])
-
-    def slice_v(self) -> ModulusTable1D:
-        """omega(f; 1, t) as a function of t."""
-        return ModulusTable1D(self.values[-1, :].copy(), self.p, self.steps[1])
-
 
 def _norm(a: np.ndarray, p: float) -> float:
     if math.isinf(p):
@@ -99,19 +85,6 @@ def lp_norm(f: Grid1 | Grid2, p: Exponent | float) -> float:
     """Rectangle-rule L^p norm; pass math.inf for the sup norm."""
     pp = p.p if isinstance(p, Exponent) else float(p)
     return _norm(f.samples, pp)
-
-
-def shift_norm_1d(g: Grid1, s: int, p: Exponent) -> float:
-    """||f(. + s/N) - f||_p, exact on the grid."""
-    a = g.samples
-    return _norm(np.roll(a, -s) - a, p.p)
-
-
-def mixed_diff_norm(f: Grid2, s_idx: int, t_idx: int, p: Exponent) -> float:
-    """L^p norm of the doubly-circular mixed difference at shift (s/M, t/N)."""
-    a = f.samples
-    ds = np.roll(a, -s_idx, axis=0) - a
-    return _norm(np.roll(ds, -t_idx, axis=1) - ds, p.p)
 
 
 def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarray:
@@ -137,8 +110,8 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
     row of M*N values in the row-major order of that shift's |D|^p, divided
     by M*N: the operations of _norm on the same numbers in the same order.
     So every entry is bitwise equal to the per-shift norms shift_norm_1d and
-    mixed_diff_norm.  The 1-D callers pass an (N, 1) column, whose row
-    shifts all fit in one block.
+    mixed_diff_norm, the references in tests/test_modulus.py.  The 1-D
+    callers pass an (N, 1) column, whose row shifts all fit in one block.
     """
     a = np.asarray(a, dtype=float)  # the strided views below read float64
     m, n = a.shape
@@ -300,7 +273,7 @@ def diff_modulus_bound_check(f: Grid2, h_idx: int, p: Exponent) -> dict:
     sf = modulus_iso_2d(f, p)
     sg = modulus_iso_2d(g, p)
     # the smallest delta = k/K whose ball reaches the row shift h: k M // K >= h_idx
-    k_h = -(-h_idx * sf.k_max // f.m)
+    k_h = -(-h_idx * (sf.values.size - 1) // f.m)
     iso_bound = 2.0 * np.minimum(sf.values, sf.values[k_h])
     iso_margin = float(np.min(iso_bound - sg.values))
 

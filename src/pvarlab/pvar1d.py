@@ -1,11 +1,11 @@
-"""Exact Wiener p-variation of a sampled periodic function over cyclic partitions.
+"""Wiener p-variation of a sampled periodic function over cyclic partitions.
 
-pvar_cyclic computes it by one anchored chain DP; pvar_oracle is the
-independent brute force over every index subset.  The oracle prices all
-subsets at once as naive sums of pair costs (_chain_sums, which vitali2d's
-oracle shares) and evaluates exactly only the subsets that _near_max
-cannot rule out (_first_max), so its value stays bit for bit the maximum
-of pvar_sum over all subsets.
+pvar_cyclic computes it by one anchored chain DP, to within a rounding error
+where partitions tie; pvar_oracle is the independent brute force over every
+index subset.  The oracle prices all subsets at once as naive sums of pair
+costs (_chain_sums, which vitali2d's oracle shares) and evaluates exactly
+only the subsets that _near_max cannot rule out (_first_max), so its value
+stays bit for bit the maximum of pvar_sum over all subsets.
 """
 
 from __future__ import annotations

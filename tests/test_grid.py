@@ -66,12 +66,6 @@ class TestContainers:
         Grid1(np.array([2.0**1021, -(2.0**1021)]))
         Grid2(np.array([[2.0**1021, 0.0], [0.0, -(2.0**1021)]]))
 
-    def test_grid2_sections(self):
-        f = Grid2([[1.0, 2.0], [3.0, 4.0]])
-        assert f.row(1).samples.tolist() == [3.0, 4.0]
-        assert f.col(0).samples.tolist() == [1.0, 3.0]
-        assert f.steps == (0.5, 0.5)
-
     def test_grid2_rejects_thin(self):
         with pytest.raises(ValueError):
             Grid2([[1.0, 2.0]])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,6 +178,21 @@ class TestSweeps:
     def test_misaligned_size_rejected(self):
         with pytest.raises(ValueError):
             sharpness_sweep("tnxt1", (2.0,), (3,), size=16)
+
+    @pytest.mark.parametrize(
+        "family, n_grid, size, message",
+        [
+            ("tnxt1", (1, 3), 16, "size 16 misaligned for sine frequency 3"),
+            ("trigpoly", (1, 4), 8, r"size 8 misaligned for degree \(1,4\)"),
+        ],
+    )
+    def test_misalignment_raised_before_any_row(self, family, n_grid, size, message):
+        """The first order or pair in loop order is valid, so a check made in
+        the loop would raise only after computing its row."""
+        with mock.patch.object(harness, "_sweep_row", wraps=harness._sweep_row) as row:
+            with pytest.raises(ValueError, match=message):
+                sharpness_sweep(family, (2.0,), n_grid, size=size)
+        assert row.call_count == 0
 
     def test_rows_and_csv(self):
         rows = sharpness_sweep("tnxt1", (2.0,), (1, 2), size=16)

@@ -1,8 +1,9 @@
 """Import-and-orphan lint of src/pvarlab, written with ast.
 
-Every imported name is read in its module, and every module-level private
+Every imported name is read in its module, every module-level private
 function, class or constant has a reader in the package besides its own
-definition.
+definition, and every public function or class has a reader outside the
+tests.
 """
 
 import ast
@@ -10,24 +11,33 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pvarlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pvarlab"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+PERFBENCH = [ast.parse(path.read_text(), str(path)) for path in sorted(ROOT.glob("perfbench/*.py"))]
+
+# Public functions and classes kept without a reader outside the tests, with why.
+UNREAD_PUBLIC = {"mixednorm.hardy_section_check": "ROADMAP item 1"}
 
 
-def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names loaded in tree outside the subtree skip; the strings of a
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _reads(tree: ast.AST, *skip: ast.AST) -> set[str]:
+    """Names loaded in tree outside the subtrees skip; the strings of a
     module-level __all__ count as reads."""
     found: set[str] = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
+        if any(node is s for s in skip):
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        elif _is_all(node):
             found.update(ast.literal_eval(node.value))
         stack.extend(ast.iter_child_nodes(node))
     return found
@@ -80,6 +90,41 @@ def test_every_private_definition_has_a_reader():
         f"{module}.{name}"
         for module, tree in MODULES.items()
         for name, node in _private_defs(tree)
-        if (module, name) not in imported and name not in _reads(tree, skip=node)
+        if (module, name) not in imported and name not in _reads(tree, node)
     ]
     assert not orphans, f"private definitions without a reader: {orphans}"
+
+
+def test_every_public_definition_has_a_reader():
+    """A function or class listed in its module's __all__ is read by another
+    module of the package other than __init__ (an import, which
+    test_every_import_is_read makes read), in its own module outside its
+    definition and __all__, or under perfbench/ (a name, attribute or import)."""
+    imported = {
+        (src.rpartition(".")[2], name)
+        for module, tree in MODULES.items()
+        if module != "__init__"
+        for src, name, _ in _imports(tree)
+        if src is not None
+    }
+    bench = set()
+    for tree in PERFBENCH:
+        bench |= _reads(tree) | {name for _, name, _ in _imports(tree)}
+        bench |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = []
+    for module, tree in MODULES.items():
+        exports = next((node for node in tree.body if _is_all(node)), None)
+        if exports is None:
+            continue
+        public = set(ast.literal_eval(exports.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name not in public:
+                continue
+            read = (
+                (module, node.name) in imported
+                or node.name in _reads(tree, node, exports)
+                or node.name in bench
+            )
+            if not read and f"{module}.{node.name}" not in UNREAD_PUBLIC:
+                unread.append(f"{module}.{node.name}")
+    assert not unread, f"public definitions that only tests read: {unread}"

@@ -112,7 +112,7 @@ class TestWp:
 def _row_pair_lipschitz(f: Grid2, p: Exponent) -> dict:
     """Reference: one pvar_cyclic call per row and per row pair, scanned in
     row-major order; section_lipschitz_check must return exactly its result."""
-    rows_var = [pvar_cyclic(f.row(i), p)[0] for i in range(f.m)]
+    rows_var = [pvar_cyclic(Grid1(f.samples[i]), p)[0] for i in range(f.m)]
     worst = None
     for i in range(f.m):
         for j in range(i + 1, f.m):
@@ -133,8 +133,8 @@ class TestSectionsBitwise:
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         for f in (Grid2(rng.normal(size=shape)), Grid2(rng.integers(0, 3, size=shape))):
             assert section_lipschitz_check(f, pe) == _row_pair_lipschitz(f, pe)
-            phi = [pvar_cyclic(f.row(i), pe)[0] for i in range(f.m)]
-            psi = [pvar_cyclic(f.col(j), pe)[0] for j in range(f.n)]
+            phi = [pvar_cyclic(Grid1(f.samples[i]), pe)[0] for i in range(f.m)]
+            psi = [pvar_cyclic(Grid1(f.samples[:, j]), pe)[0] for j in range(f.n)]
             assert phi_profile(f, pe).tolist() == phi
             assert psi_profile(f, pe).tolist() == psi
             assert w_p(f, pe) == pvar_cyclic(Grid1(phi), pe)[0] + pvar_cyclic(Grid1(psi), pe)[0]

@@ -17,11 +17,9 @@ from pvarlab import (
     gen_tent_scaled,
     hardy_littlewood_check,
     lp_norm,
-    mixed_diff_norm,
     modulus_1d,
     modulus_iso_2d,
     modulus_mixed,
-    shift_norm_1d,
 )
 from pvarlab import modulus
 from pvarlab.modulus import (
@@ -35,6 +33,20 @@ from pvarlab.modulus import (
 from pvarlab.vitali2d import vitali_finest
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
+
+
+# The per-shift reference norms; _shift_norm_table matches them bit for bit.
+def shift_norm_1d(g: Grid1, s: int, p: Exponent) -> float:
+    """||f(. + s/N) - f||_p, exact on the grid."""
+    a = g.samples
+    return _norm(np.roll(a, -s) - a, p.p)
+
+
+def mixed_diff_norm(f: Grid2, s_idx: int, t_idx: int, p: Exponent) -> float:
+    """L^p norm of the doubly-circular mixed difference at shift (s/M, t/N)."""
+    a = f.samples
+    ds = np.roll(a, -s_idx, axis=0) - a
+    return _norm(np.roll(ds, -t_idx, axis=1) - ds, p.p)
 
 
 def _random_grid1(seed: int, n: int = 16) -> Grid1:
@@ -106,7 +118,7 @@ class TestTables:
     def test_iso_table_arguments(self):
         f = _random_grid2(0, side=6)
         t = modulus_iso_2d(f, Exponent(2.0))
-        assert t.k_max == 6
+        assert t.values.size - 1 == 6
         assert t.values[0] == 0.0
 
     @staticmethod
@@ -155,12 +167,6 @@ class TestTables:
         ball = [float(norms[reach <= k].max()) for k in range(n + 1)]
         table = modulus_iso_2d(Grid2(a), Exponent(2.0)).values.tolist()
         assert table == pytest.approx(ball, rel=1e-12)
-
-    def test_slices_share_boundary_value(self):
-        f = _random_grid2(1, side=6)
-        t = modulus_mixed(f, Exponent(2.0))
-        assert t.slice_u().values[-1] == t.values[-1, -1]
-        assert t.slice_v().values[-1] == t.values[-1, -1]
 
 
 class TestInvariants:
