@@ -11,6 +11,7 @@ stays bit for bit the maximum of pvar_sum over all subsets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -90,7 +91,7 @@ def pvar_sum(g: Grid1, part: CyclicPartition, p: Exponent) -> float:
     return _sum_value(g.samples, part.indices, p.p)
 
 
-def _chain_dp(cost, na: int, m: int) -> tuple[np.ndarray, Callable[[int], list[int]]]:
+def _chain_dp(cost, na: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum-weight cyclic chains of positions 0..m-1, for na independent lanes.
 
     Every chain starts at position 0.  cost(j, k) returns each lane's prices
@@ -98,9 +99,9 @@ def _chain_dp(cost, na: int, m: int) -> tuple[np.ndarray, Callable[[int], list[i
     the closing step back to position 0 is priced by cost(0, m).  Lanes
     never mix: ties go to the earliest predecessor (or last position before
     the wrap) within each lane, by np.argmax along each row.  O(m^2) time
-    and O(m) memory per lane.  Returns the best step-cost sum of each lane
-    as an (na,) array, and chain(lane), which backtracks that lane's best
-    chain as positions in increasing order.
+    and O(m) memory per lane.  Returns each lane's best step-cost sum (na,),
+    and the predecessors pred (na, m) and last positions (na,) from which
+    _backtrack reads its best chain.
     """
     lanes = np.arange(na)
     best = np.zeros((na, m))
@@ -112,17 +113,28 @@ def _chain_dp(cost, na: int, m: int) -> tuple[np.ndarray, Callable[[int], list[i
         pred[:, j] = i
     closing = best + cost(0, m)
     last = closing.argmax(axis=1)
+    return closing[lanes, last], pred, last
 
-    def chain(a: int) -> list[int]:
-        back = pred[a].tolist()
-        j = int(last[a])
-        out = [j]
+
+def _backtrack(pred: np.ndarray, last: np.ndarray, lanes, anchors) -> list[list[int]]:
+    """The best chain of each lane in lanes (a _chain_dp's pred and last),
+    as the indices (anchor + x) % m of its positions x, ascending.
+
+    Positions rise from 0, so the indices of positions x >= m - anchor wrap
+    below the anchor: splitting the chain there and putting that part first
+    orders the indices without a sort.
+    """
+    m = pred.shape[1]
+    out = []
+    for back, j, a in zip(pred[lanes].tolist(), last[lanes].tolist(), anchors):
+        xs = [j]
         while j > 0:
             j = back[j]
-            out.append(j)
-        return out[::-1]
-
-    return closing[lanes, last], chain
+            xs.append(j)
+        xs.reverse()
+        cut = bisect_left(xs, m - a)
+        out.append([x + a - m for x in xs[cut:]] + [x + a for x in xs[:cut]])
+    return out
 
 
 def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, ...]]]:
@@ -149,9 +161,9 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
         anchors = blk.argmax(axis=1)
         rot = blk[np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n]
         col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
-        _, chain = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, len(blk), n)
-        for lane, (row, anchor) in enumerate(zip(blk.tolist(), anchors.tolist())):
-            idx = tuple(sorted((c + anchor) % n for c in chain(lane)))
+        _, pred, last = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, len(blk), n)
+        chains = _backtrack(pred, last, slice(None), anchors.tolist())
+        for row, idx in zip(blk.tolist(), map(tuple, chains)):
             yield _sum_value(row, idx, pp), idx
 
 

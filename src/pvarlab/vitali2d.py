@@ -14,20 +14,20 @@ that pvar1d._near_max cannot rule out (pvar1d._first_max), so their
 results are bit for bit those of calling vitali_sum on every net.
 The oracle never calls the chain DP: it is the independent reference for it.
 
-Every ascent half-step is one stacked call: _pair_costs and _chain_max take
-a leading stack axis, so S pair-cost matrices of side M are S*M
-independent lanes of one pvar1d._chain_dp.  The exhaustive branch stacks a
-block of same-size chains of the smaller side (_stacked_rows); the
-iterative branch's half-step is the stack of one.  Both branches pick their
-winning net by the oracle's rule (_first_max), skipping a lone candidate's
-naive pass.
+Ascent half-steps run in blocks of column chains (_half_steps): one
+profile array over every step of the block, one stack of pair costs, and
+one _chain_max call, whose S matrices of side M are S*M independent lanes
+of one pvar1d._chain_dp.  The exhaustive branch's blocks are consecutive
+chains of the smaller side, whatever their sizes; the iterative branch's
+half-step is a block of one.  Both branches pick their winning net by the
+oracle's rule (_first_max), skipping a lone candidate's naive pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain as _chain, combinations
+from itertools import chain as _chain, combinations, groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .grid import Exponent, Grid2, gen_staircase
 from .pvar1d import (
     _BLOCK,
     CyclicPartition,
+    _backtrack,
     _chain_dp,
     _chain_sums,
     _first_max,
@@ -239,69 +240,63 @@ def _chain_max(cost: np.ndarray) -> list[tuple[float, list[int]]]:
     costs are never copied whole.  Lanes never mix, and each matrix's best
     anchor is the earliest of its own M lanes attaining their largest
     total.  Returns, per matrix, the best p-th-power sum and the chain as
-    sorted indices.
+    sorted indices (pvar1d._backtrack).
     """
     s, m = cost.shape[:2]
     flat = np.tile(cost.transpose(0, 2, 1), (1, 2, 2)).ravel()
     step = flat.itemsize
     strides = (4 * m * m * step, (2 * m + 1) * step, 2 * m * step, step)
     oc = np.ndarray((s, m, m, m), flat.dtype, flat, 0, strides)
-    totals, chain = _chain_dp(lambda j, k: oc[:, :, j, :k].reshape(s * m, k), s * m, m)
-    out = []
-    for i, a in enumerate(totals.reshape(s, m).argmax(axis=1).tolist()):
-        lane = i * m + a
-        out.append((float(totals[lane]), sorted((a + x) % m for x in chain(lane))))
-    return out
+    totals, pred, last = _chain_dp(lambda j, k: oc[:, :, j, :k].reshape(s * m, k), s * m, m)
+    anchors = totals.reshape(s, m).argmax(axis=1)
+    lanes = anchors + m * np.arange(s)
+    return list(zip(totals[lanes].tolist(), _backtrack(pred, last, lanes, anchors.tolist())))
 
 
-def _pair_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
-    """cost[s, r, r'] = sum_j |profiles[s, r', j] - profiles[s, r, j]|^pp,
-    for a stack of S profile matrices of shape (M, N).
-
-    Rows r of every matrix are taken together in blocks of about _BLOCK
-    differences; each entry sums one contiguous run of N differences, so
-    neither the blocking nor the stacking changes it.
-    """
-    s, m, n = profiles.shape
-    rows = max(1, _BLOCK // (s * m * n))
-    out = np.empty((s, m, m))
+def _half_steps(
+    a: np.ndarray, chains: Sequence[Sequence[int]], pp: float
+) -> list[tuple[float, list[int]]]:
+    """Ascent half-steps: for each column chain of a, the best row chain
+    given it and that p-th-power net sum.  One (M, T) array holds every
+    chain's cyclic column differences; its |difference|^pp terms go in row
+    blocks of about _BLOCK values, each cost sums its chain's run of terms,
+    and one _chain_max solves the stack, so each chain gets the half-step
+    it gets alone.  The column half-step is the same call on a.T."""
+    prof = a[:, _flat(c[1:] + c[:1] for c in chains)] - a[:, _flat(chains)]
+    m, t = prof.shape
+    cost = np.empty((len(chains), m, m))
+    out = cost.transpose(1, 2, 0)  # out[r, r', s]: chain s's price of the step r -> r'
+    rows = max(1, _BLOCK // (m * t))
     for r0 in range(0, m, rows):
-        d = np.abs(profiles[:, None] - profiles[:, r0 : r0 + rows, None]) ** pp
-        d.sum(axis=3, out=out[:, r0 : r0 + rows])
-    return out
-
-
-def _stacked_rows(a: np.ndarray, cols: np.ndarray, pp: float) -> list[tuple[float, list[int]]]:
-    """Ascent half-steps: for each column chain cols[s] of an (S, c) array
-    of chains of one size, the row chain of a that maximizes the
-    p-th-power net sum given cols[s], and that sum.  A row's profile is its
-    cyclic column differences over the chain; the (S, M, c) stack of
-    profiles takes one _pair_costs and one _chain_max call, whose lanes
-    never mix, so each chain gets the half-step it would get alone.  The
-    column half-step is the same call on a.T."""
-    nxt = np.concatenate((cols[:, 1:], cols[:, :1]), axis=1)
-    profiles = a[:, nxt] - a[:, cols]  # (M, S, c)
-    return _chain_max(_pair_costs(profiles.transpose(1, 0, 2), pp))
+        terms = np.abs(prof - prof[r0 : r0 + rows, None]) ** pp
+        s0 = t0 = 0
+        for c, run in groupby(map(len, chains)):
+            k = len(list(run))
+            view = out[r0 : r0 + rows, :, s0 : s0 + k]
+            terms[:, :, t0 : t0 + k * c].reshape(view.shape + (c,)).sum(axis=3, out=view)
+            s0, t0 = s0 + k, t0 + k * c
+    del terms  # the last row block's terms are not held through the DP
+    return _chain_max(cost)
 
 
 def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     """Alternating coordinate ascent over nets; a certified lower bound.
 
     Holding one chain fixed, the optimal chain in the other coordinate is
-    found exactly by _stacked_rows (the all-anchor cyclic chain DP on pair
+    found exactly by _half_steps (the all-anchor cyclic chain DP on pair
     costs), so the objective is monotone nondecreasing across sweeps.
 
     Candidates: when a side has at most 8 samples, every chain of the
     smaller side paired with its best chain of the other side, converged.
-    The chains of each size run in blocks of _BLOCK // (4 M^2) (at least
-    one), each block one _stacked_rows call; M is the other side, and a
-    block's doubled tiles hold at most _BLOCK floats unless it is a single
-    chain.  Otherwise the final net of each run, with the converged flag of
-    the first run ending on it.  The runs start from the finest net, from
-    the coarse half-offset net when both sides are even (a useful second
-    start on indicator-type data), and from RESTARTS seeded random column
-    chains; each stops after MAX_SWEEPS sweeps or when a sweep gains
-    nothing.  Runs often meet, so each half-step is computed once per call.
+    Consecutive chains, whatever their sizes, run in blocks of
+    _BLOCK // (4 M^2) (at least one), each block one _half_steps call; M is
+    the other side, and a block's doubled tiles hold at most _BLOCK floats
+    unless it is a single chain.  Otherwise the final net of each run, with
+    the converged flag of the first run ending on it.  The runs start from
+    the finest net, from the coarse half-offset net when both sides are
+    even (a useful second start on indicator-type data), and from RESTARTS
+    seeded random column chains; each stops after MAX_SWEEPS sweeps or when
+    a sweep gains nothing.  Runs often meet, so each half-step is computed once per call.
 
     The first candidate attaining the largest vitali_sum wins
     (pvar1d._first_max on _naive_sums prices, as in vitali_oracle; a lone
@@ -319,20 +314,19 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
         transpose = m < n
         a2 = a.T if transpose else a
         mm, k = a2.shape
-        width = max(1, _BLOCK // (4 * mm * mm))  # subsets per block: S doubled M x M tiles
-        for size in range(1, k + 1):
-            subsets = list(combinations(range(k), size))
-            for s0 in range(0, len(subsets), width):
-                blk = np.array(subsets[s0 : s0 + width])
-                for cols, (_, rows) in zip(map(tuple, blk.tolist()), _stacked_rows(a2, blk, pp)):
-                    nets[(cols, tuple(rows)) if transpose else (tuple(rows), cols)] = True
+        width = max(1, _BLOCK // (4 * mm * mm))  # chains per block: S doubled M x M tiles
+        chains = [c for size in range(1, k + 1) for c in combinations(range(k), size)]
+        for s0 in range(0, len(chains), width):
+            blk = chains[s0 : s0 + width]
+            for cols, (_, rows) in zip(blk, _half_steps(a2, blk, pp)):
+                nets[(cols, tuple(rows)) if transpose else (tuple(rows), cols)] = True
     else:
         half_steps: dict[tuple[int, tuple[int, ...]], tuple[float, list[int]]] = {}
 
         def half_step(axis: int, chain: list[int]) -> tuple[float, list[int]]:
             key = (axis, tuple(chain))
             if key not in half_steps:
-                half_steps[key] = _stacked_rows(a.T if axis else a, np.array([chain]), pp)[0]
+                half_steps[key] = _half_steps(a.T if axis else a, [chain], pp)[0]
             return half_steps[key]
 
         def run(rows: list[int], cols: list[int]) -> tuple[list[int], list[int], bool]:

@@ -21,7 +21,14 @@ from pvarlab import (
     pvar_sum,
 )
 from pvarlab import pvar1d
-from pvarlab.pvar1d import ORACLE_MAX_N, _pvar_lanes, _pvar_rows, _sum_value
+from pvarlab.pvar1d import (
+    ORACLE_MAX_N,
+    _backtrack,
+    _chain_dp,
+    _pvar_lanes,
+    _pvar_rows,
+    _sum_value,
+)
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
 
@@ -345,6 +352,70 @@ class TestLanes:
     def test_rows_reject_single_samples(self):
         with pytest.raises(ValueError):
             _pvar_rows(np.zeros((3, 1)), Exponent(2.0))
+
+
+def _closure_chain_dp(cost, na: int, m: int):
+    """Reference for _backtrack: the chain DP with a per-lane backtrack
+    closure.  Returns each lane's best total and chain(lane), that lane's
+    best chain as positions in increasing order."""
+    lanes = np.arange(na)
+    best = np.zeros((na, m))
+    pred = np.zeros((na, m), dtype=np.intp)
+    for j in range(1, m):
+        cand = best[:, :j] + cost(j, j)
+        i = cand.argmax(axis=1)
+        best[:, j] = cand[lanes, i]
+        pred[:, j] = i
+    closing = best + cost(0, m)
+    last = closing.argmax(axis=1)
+
+    def chain(a: int) -> list[int]:
+        back = pred[a].tolist()
+        j = int(last[a])
+        out = [j]
+        while j > 0:
+            j = back[j]
+            out.append(j)
+        return out[::-1]
+
+    return closing[lanes, last], chain
+
+
+class TestBacktrack:
+    """_backtrack against a per-lane closure that sorts the rotated chain."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 7, 16, 40))
+    @pytest.mark.parametrize("na", (1, 5, 400))
+    def test_matches_per_lane_closure(self, na, m):
+        """Random and small-integer (tie-heavy) costs; a random subset of
+        lanes in random order with random anchors, and every lane at once."""
+        rng = np.random.default_rng(na * 100 + m)
+        for cost in (rng.random((na, m, m)), rng.integers(0, 3, size=(na, m, m)).astype(float)):
+            totals, pred, last = _chain_dp(lambda j, k: cost[:, :k, j], na, m)
+            want_totals, chain = _closure_chain_dp(lambda j, k: cost[:, :k, j], na, m)
+            assert np.array_equal(totals, want_totals)
+            for lanes in (rng.permutation(na)[: max(1, na // 3)], np.arange(na)):
+                anchors = rng.integers(0, m, size=len(lanes)).tolist()
+                want = [sorted((a + x) % m for x in chain(i)) for i, a in zip(lanes, anchors)]
+                assert _backtrack(pred, last, lanes, anchors) == want
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_lane_partitions_on_tie_grids(self, p):
+        """_pvar_lanes partitions on the ternary and integer grids, against
+        each lane rotated to its first maximum and backtracked by the
+        closure."""
+        rng = np.random.default_rng(2018)
+        ternary = (0.0, 1.0, 2.0)
+        blocks = [np.array(list(itertools.product(ternary, repeat=n))) for n in range(2, 7)]
+        blocks += [rng.integers(-3, 4, size=(3, n)).astype(float) for n in range(2, 41)]
+        for rows in blocks:
+            na, n = rows.shape
+            anchors = rows.argmax(axis=1)
+            rot = rows[np.arange(na)[:, None], (anchors[:, None] + np.arange(n)) % n]
+            col = rot.T[:, :, None]
+            _, chain = _closure_chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** p, na, n)
+            want = [tuple(sorted((x + a) % n for x in chain(i))) for i, a in enumerate(anchors)]
+            assert [idx for _, idx in _pvar_lanes(rows, Exponent(p))] == want
 
 
 def _mp_optimum(g: Grid1, p: float):

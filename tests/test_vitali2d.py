@@ -36,9 +36,8 @@ from pvarlab.vitali2d import (
     RESTARTS,
     _cell_terms,
     _chain_max,
-    _pair_costs,
+    _half_steps,
     _root,
-    _stacked_rows,
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -52,6 +51,16 @@ def _rowdiff(a: np.ndarray) -> np.ndarray:
 def _coldiff(a: np.ndarray) -> np.ndarray:
     """Cyclic differences along the columns: a[:, j + 1] - a[:, j], wrapping."""
     return np.roll(a, -1, axis=1) - a
+
+
+def _fused_costs(profiles: np.ndarray, pp: float) -> np.ndarray:
+    """Reference pair costs of one (M, N) profile matrix, as a stack of one:
+    cost[0, r, r'] = sum_j |profiles[r', j] - profiles[r, j]|^pp, from the
+    whole M x M x N array of terms at once.  numpy's summation order follows
+    the memory layout, so the profiles are laid out column by column, as
+    a[:, idx] lays out the ascent's."""
+    d = np.asfortranarray(profiles)
+    return (np.abs(d[None, :, :] - d[:, None, :]) ** pp).sum(axis=2)[None]
 
 
 def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
@@ -162,15 +171,15 @@ def _loop_oracle(f: Grid2, p: Exponent) -> float:
 def _loop_exhaustive_ascent(f: Grid2, p: Exponent) -> AscentResult:
     """Reference for vitali_ascent when a side has at most 8 samples:
     vitali_sum on the net of every chain of that side, the other side
-    solved by one _chain_max call per chain on a stack of one pair-cost
-    matrix; the first net attaining the largest value wins."""
+    solved by one _chain_max call per chain on its _fused_costs; the first
+    net attaining the largest value wins."""
     pp = p.p
     transpose = f.m < f.n
     a2 = f.samples.T if transpose else f.samples
     best = None
     for size in range(1, a2.shape[1] + 1):
         for cols in itertools.combinations(range(a2.shape[1]), size):
-            _, rows = _chain_max(_pair_costs(_coldiff(a2[:, list(cols)])[None], pp))[0]
+            _, rows = _chain_max(_fused_costs(_coldiff(a2[:, list(cols)]), pp))[0]
             rws, cls = (list(cols), rows) if transpose else (rows, list(cols))
             net = Net(CyclicPartition(tuple(rws)), CyclicPartition(tuple(cls)))
             value = vitali_sum(f, net, p)
@@ -186,7 +195,7 @@ def _loop_iterative_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult
     3, ...) when both sides are even, and RESTARTS random column chains
     drawn from default_rng(seed).  Each run alternates the best row chain
     given the columns and the best column chain given the rows, each by
-    _chain_max on the pair costs of np.roll profiles (a stack of one),
+    _chain_max on the _fused_costs of np.roll profiles,
     until a sweep gains nothing (relative 1e-13) or MAX_SWEEPS sweeps; the
     first run with the strictly largest vitali_sum wins."""
     m, n, pp, a = f.m, f.n, p.p, f.samples
@@ -202,8 +211,8 @@ def _loop_iterative_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult
         obj = float(np.sum(np.abs(_coldiff(_rowdiff(a[np.ix_(rows, cols)]))) ** pp))
         converged = False
         for _ in range(MAX_SWEEPS):
-            _, rows = _chain_max(_pair_costs(_coldiff(a[:, cols])[None], pp))[0]
-            val, cols = _chain_max(_pair_costs(_rowdiff(a[rows, :]).T[None], pp))[0]
+            _, rows = _chain_max(_fused_costs(_coldiff(a[:, cols]), pp))[0]
+            val, cols = _chain_max(_fused_costs(_rowdiff(a[rows, :]).T, pp))[0]
             if val <= obj * (1.0 + 1e-13) + 1e-300:
                 converged = True
                 break
@@ -438,23 +447,23 @@ class TestTwoPassOracle:
     @pytest.mark.parametrize("f", [Grid2(np.random.default_rng(32).normal(size=(32, 32))),
                                    gen_staircase(32)], ids=["gaussian", "staircase"])
     def test_iterative_ascent_computes_each_step_once(self, f, p, monkeypatch):
-        """Within one call no half-step (a one-chain _stacked_rows call, by
+        """Within one call no half-step (a one-chain _half_steps call, by
         orientation of a and fixed chain) is computed twice and no net is
         valued twice.  The Gaussian field's runs
         meet chains and nets that earlier runs reached; the staircase's end
         on ten distinct nets."""
         steps, nets = [], []
 
-        def stacked_rows(a, cols, pp):
-            (chain,) = cols.tolist()
+        def half_steps(a, chains, pp):
+            (chain,) = chains
             steps.append((a.strides, tuple(chain)))
-            return _stacked_rows(a, cols, pp)
+            return _half_steps(a, chains, pp)
 
         def value(g, net, pe):
             nets.append(net)
             return vitali_sum(g, net, pe)
 
-        monkeypatch.setattr(vitali2d, "_stacked_rows", stacked_rows)
+        monkeypatch.setattr(vitali2d, "_half_steps", half_steps)
         monkeypatch.setattr(vitali2d, "vitali_sum", value)
         result = vitali_ascent(f, Exponent(p))
         assert len(set(steps)) == len(steps)
@@ -491,9 +500,10 @@ STACK_P = (1.0, 1.1, 1.5, 2.0, 3.0, 8.0)
 
 
 class TestStackedExhaustive:
-    """The exhaustive branch runs each block of same-size chains of the
-    smaller side as one stacked half-step (_stacked_rows).  Its value (by
-    float.hex), net and converged flag must be those of the per-chain loop
+    """The exhaustive branch runs each block of consecutive chains of the
+    smaller side, whatever their sizes, as one half-step routine
+    (_half_steps) and one chain DP.  Its value (by float.hex), net and
+    converged flag must be those of the per-chain loop
     _loop_exhaustive_ascent.  Grid2 needs two samples per side, so the
     shapes start at 2 x 2."""
 
@@ -518,39 +528,80 @@ class TestStackedExhaustive:
     @pytest.mark.parametrize("p", (1.0, 3.0))
     @pytest.mark.parametrize("shape", [(5, 5), (7, 4), (3, 8), (3, 40), (6, 10)])
     def test_matches_per_chain_loop_in_small_blocks(self, shape, p, per_block, monkeypatch):
-        """_BLOCK set so that a block holds per_block chains, the last block
-        of a size fewer; a block never holds chains of two sizes, and each
-        chain of a block gets the half-step it gets alone.  (The best net
-        alone would not show a block whose chains all took the block's
-        best lane: the net that wins is usually that lane's own.)"""
+        """_BLOCK set so that a block holds per_block consecutive chains in
+        enumeration order, the last block fewer, so blocks can mix sizes:
+        at 5 x 5 with 2 per block the fifth size-1 chain shares a block
+        with the first size-2 chain.  Each block is one _chain_max stack,
+        and each chain of a block gets the half-step it gets alone.  (The
+        best net alone would not show a block whose chains all took the
+        block's best lane: the net that wins is usually that lane's own.)"""
         pe = Exponent(p)
         side = max(shape)
-        stacks = []
+        blocks, stacks, results = [], [], []
 
-        def recording(a, cols, pp):
-            stacks.append(cols.shape)
-            result = _stacked_rows(a, cols, pp)
-            for c, got in zip(cols.tolist(), result):
-                assert got == _chain_max(_pair_costs(_coldiff(a[:, c])[None], pp))[0]
+        def recording(a, chains, pp):
+            result = _half_steps(a, chains, pp)
+            blocks.append(list(chains))
+            results.append((a, result))
             return result
+
+        def chain_max(cost):
+            stacks.append(len(cost))
+            return _chain_max(cost)
 
         for f in _exhaustive_fields(*shape):
             want = _bits(_loop_exhaustive_ascent(f, pe))
             with monkeypatch.context() as patch:
                 patch.setattr(vitali2d, "_BLOCK", per_block * 4 * side * side)
-                patch.setattr(vitali2d, "_stacked_rows", recording)
+                patch.setattr(vitali2d, "_half_steps", recording)
+                patch.setattr(vitali2d, "_chain_max", chain_max)
                 assert _bits(vitali_ascent(f, pe)) == want, f.samples
+        for chains, (a, result) in zip(blocks, results):
+            for c, got in zip(chains, result):
+                assert got == _half_steps(a, [c], p)[0]
         k = min(shape)
-        sizes = [math.comb(k, c) for c in range(1, k + 1)]
-        blocks = [(min(per_block, left), c) for c, total in enumerate(sizes, 1)
-                  for left in range(total, 0, -per_block)]
-        assert stacks == blocks * 3
+        chains = [c for size in range(1, k + 1) for c in itertools.combinations(range(k), size)]
+        runs = [chains[i : i + per_block] for i in range(0, len(chains), per_block)]
+        assert blocks == runs * 3
+        assert stacks == [len(run) for run in runs] * 3
+        if (shape, per_block) == ((5, 5), 2):
+            assert runs[2] == [(4,), (0, 1)]
+
+    @pytest.mark.parametrize(
+        "shape, stacks", [((6, 6), [63]), ((8, 8), [128, 127]), ((6, 128), [1] * 63)]
+    )
+    def test_one_chain_dp_per_block(self, shape, stacks, monkeypatch):
+        """Chains of every size share a block of _BLOCK // (4 M^2): a 6 x 6
+        field takes one chain DP of 63 matrices (blocks of one size would
+        take six), 8 x 8 two, and 6 x 128 one chain per block."""
+        calls = []
+
+        def chain_max(cost):
+            calls.append(len(cost))
+            return _chain_max(cost)
+
+        monkeypatch.setattr(vitali2d, "_chain_max", chain_max)
+        vitali_ascent(_exhaustive_fields(*shape)[0], Exponent(2.0))
+        assert calls == stacks
 
     def test_peak_memory_on_a_tall_field(self):
         """6 x 128: one chain per block, so no block holds more than one
         doubled 128 x 128 tile (512 KiB); a version that holds all M^3
         rotated costs at once needs 16 MiB."""
         f = Grid2(np.random.default_rng(6).normal(size=(6, 128)))
+        tracemalloc.start()
+        try:
+            vitali_ascent(f, Exponent(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
+
+    def test_peak_memory_at_two_chains_per_block(self):
+        """8 x 64: two chains per block, so a block holds two doubled 64 x 64
+        tiles (256 KiB) and the row blocks of its terms are released before
+        its chain DP."""
+        f = Grid2(np.random.default_rng(8).normal(size=(8, 64)))
         tracemalloc.start()
         try:
             vitali_ascent(f, Exponent(2.0))
@@ -645,33 +696,49 @@ class TestChainMax:
             assert result == _per_anchor_chain_max(cost)
 
 
+def _half_step_costs(a: np.ndarray, chains, pp: float, monkeypatch) -> np.ndarray:
+    """The pair-cost stack that _half_steps(a, chains, pp) solves."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(vitali2d, "_chain_max", lambda cost: seen.append(cost.copy()) or [])
+        _half_steps(a, chains, pp)
+    (cost,) = seen
+    return cost
+
+
 class TestPairCosts:
+    """The pair costs _half_steps hands to _chain_max."""
+
     @pytest.mark.parametrize("m, n", [(1, 3), (5, 7), (33, 40), (64, 64), (128, 64), (40, 1000)])
     @pytest.mark.parametrize("p", P_VALUES)
-    def test_matches_fused_expression(self, m, n, p):
+    def test_matches_fused_expression(self, m, n, p, monkeypatch):
         """Row blocks (one block, a partial last block, one row per block)
         give the M x M x N expression bit for bit."""
-        profiles = np.random.default_rng(m * n).normal(size=(m, n))
-        fused = (np.abs(profiles[None, :, :] - profiles[:, None, :]) ** p).sum(axis=2)
-        assert np.array_equal(_pair_costs(profiles[None], p), fused[None])
+        a = np.random.default_rng(m * n).normal(size=(m, n))
+        costs = _half_step_costs(a, [tuple(range(n))], p, monkeypatch)
+        assert np.array_equal(costs, _fused_costs(_coldiff(a), p))
 
     @pytest.mark.parametrize(
         "s, m, n", [(3, 1, 2), (20, 6, 3), (7, 33, 8), (2, 128, 6), (3, 20, 40)]
     )
     @pytest.mark.parametrize("p", (1.0, 1.1, 1.5, 2.0, 3.0, 8.0))
-    def test_stack_matches_each_matrix(self, s, m, n, p):
-        """Each matrix of a stack, read from a transposed (non-contiguous)
-        view as the exhaustive ascent passes it, gets its costs alone bit
-        for bit."""
-        profiles = np.random.default_rng(s * m * n).normal(size=(m, s, n)).transpose(1, 0, 2)
-        want = [_pair_costs(np.ascontiguousarray(x)[None], p)[0] for x in profiles]
-        assert np.array_equal(_pair_costs(profiles, p), want)
+    def test_stack_matches_each_matrix(self, s, m, n, p, monkeypatch):
+        """Each chain of a block of s chains of 1 to n columns, in runs of
+        equal size, read from a transposed (non-contiguous) view as the
+        exhaustive ascent passes it, gets its costs alone bit for bit."""
+        rng = np.random.default_rng(s * m * n)
+        a = rng.normal(size=(n + 2, m)).T
+        sizes = sorted(rng.integers(1, n + 1, size=s).tolist())
+        chains = [tuple(sorted(rng.choice(n + 2, size=k, replace=False).tolist())) for k in sizes]
+        want = [_half_step_costs(a, [c], p, monkeypatch)[0] for c in chains]
+        assert np.array_equal(_half_step_costs(a, chains, p, monkeypatch), want)
 
-    def test_peak_memory_at_64(self):
-        profiles = np.random.default_rng(0).normal(size=(64, 64))
+    def test_peak_memory_at_64(self, monkeypatch):
+        a = np.random.default_rng(0).normal(size=(64, 64))
+        monkeypatch.setattr(vitali2d, "_chain_max", lambda cost: [])
         tracemalloc.start()
         try:
-            _pair_costs(profiles[None], 2.0)
+            _half_steps(a, [tuple(range(64))], 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
