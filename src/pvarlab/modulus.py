@@ -23,6 +23,15 @@ without changing them.  Write a_(s,t) = a(. + s, . + t) on the (M, N) grid.
 for entry.  Its mean is then summed over the rotated block in its own
 row-major order, the order in which _norm sums the partner's difference,
 so the mirrored entries keep the per-shift bits too.
+
+A prefix max needs a mirrored entry only where it can reach the running
+maximum.  So _prefix_max_table, behind modulus_mixed and modulus_iso_2d,
+runs the kernel without its mirror step.  It bounds each mirror from
+above by its partner's norm times 1 + w (the same terms summed in another
+order), and re-evaluates exactly only the mirrors whose bound reaches the
+prefix max of the evaluated entries.  Its tables keep the bits of the
+full table.  hardy_littlewood_check and the 1-D callers read raw entries,
+so they take the full table.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2, _freeze
-from .pvar1d import _BLOCK, _root, omega_p_functional
+from .pvar1d import _BLOCK, _U, _root, omega_p_functional
 
 __all__ = [
     "ModulusTable1D",
@@ -87,14 +96,48 @@ def lp_norm(f: Grid1 | Grid2, p: Exponent | float) -> float:
     return _norm(f.samples, pp)
 
 
-def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarray:
+def _view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """A strided view of float64 buf, offset and steps in elements; np.ndarray
+    checks that it fits in buf."""
+    return np.ndarray(shape, float, buf, 8 * start, tuple(8 * k for k in steps))
+
+
+def _abs_pow(d: np.ndarray, p: float) -> None:
+    """|d|^p in place, the terms of every shift norm."""
+    if p == 2.0:
+        np.multiply(d, d, out=d)  # x*x equals |x|*|x| bit for bit
+    else:
+        np.abs(d, out=d)
+        if p != 1.0:
+            d **= p
+
+
+def _row_norms(block: np.ndarray, p: float):
+    """The p-th root of each row's mean in a (k, M*N) block of |D|^p terms.
+
+    Each mean is np.add.reduce over one contiguous row, divided by M*N: the
+    operations of _norm on the same numbers in the same order.
+    """
+    means = np.add.reduce(block, axis=1) / block.shape[1]
+    if p == 1.0:
+        return means
+    inv = 1.0 / p
+    return [v**inv for v in means.tolist()]
+
+
+def _shift_norm_table(
+    a: np.ndarray, p: float, mixed: bool = False, mirrored: bool = True
+) -> np.ndarray:
     """raw[s, t] = ||D(s, t)||_p on the (M, N) array a, for s = 0..M, t = 0..N.
 
     D(s, t) is a(. + s, . + t) - a, or with mixed=True the mixed difference
     ds(., . + t) - ds with ds = a(. + s, .) - a; the mixed row and column 0
     are left at zero.  |D|^p is evaluated once per mirror pair (see the
     module docstring): for t <= N/2 only, and for s <= M/2 in mixed tables
-    and in the self-mirrored plain columns t = 0 and t = N/2.
+    and in the self-mirrored plain columns t = 0 and t = N/2.  With
+    mirrored=False the other entries, the mirrors, are left at zero (and so
+    are their copies in row M and column N): _prefix_max_table bounds them
+    from their partners and re-evaluates only those that can set a maximum.
 
     A block is the row shifts s0..s0+w-1 of one column shift t, each a
     contiguous (M*N) window of dbl[:, 0]; dbl[:, 1] repeats the block.  In
@@ -105,45 +148,31 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
     columns of each row, which wrap within the row and so read N further
     on.  Both reads are strided views with one step between windows, so a
     whole block is rotated in two copies however many windows it holds.
+    Without mirrors neither the repeat nor the rotated copy is allocated.
 
-    Every mean, direct or mirrored, is np.add.reduce over one contiguous
-    row of M*N values in the row-major order of that shift's |D|^p, divided
-    by M*N: the operations of _norm on the same numbers in the same order.
-    So every entry is bitwise equal to the per-shift norms shift_norm_1d and
-    mixed_diff_norm, the references in tests/test_modulus.py.  The 1-D
-    callers pass an (N, 1) column, whose row shifts all fit in one block.
+    Every mean, direct or mirrored, is _row_norms over the row-major |D|^p
+    of that shift.  So every entry is bitwise equal to the per-shift norms
+    shift_norm_1d and mixed_diff_norm, the references in
+    tests/test_modulus.py.  The 1-D callers pass an (N, 1) column, whose
+    row shifts all fit in one block.
     """
     a = np.asarray(a, dtype=float)  # the strided views below read float64
     m, n = a.shape
     mn = a.size
     raw = np.zeros((m + 1, n + 1))
     width = max(1, min(_BLOCK // mn, m // 2 if mixed else m))
-    dbl = np.empty((width, 2, mn))
-    out = np.empty((width, mn))
+    dbl = np.empty((width, 1 + mirrored, mn))
+    out = np.empty((width, mn)) if mirrored else None
     flip = (m - np.arange(m)) % m
-    inv = 1.0 / p
-
-    def view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
-        # a strided view in elements; np.ndarray checks that it fits in buf
-        return np.ndarray(shape, float, buf, 8 * start, tuple(8 * k for k in steps))
-
-    def put(rows, t: int, block: np.ndarray) -> None:
-        means = np.add.reduce(block, axis=1) / mn
-        raw[rows, t] = means if p == 1.0 else [v**inv for v in means.tolist()]
 
     def finish(t: int, s0: int, w: int, mirrors: list) -> None:
         # mirrors: (r, c, lo, hi) sends (s, t) to ((M - s) % M if r else s,
         # (N - t) % N if c else t) by a rotation of (r*s, c*t), for lo <= s < hi
         d = dbl[:w, 0]
-        if p == 2.0:
-            np.multiply(d, d, out=d)  # x*x equals |x|*|x| bit for bit
-        else:
-            np.abs(d, out=d)
-            if p != 1.0:
-                d **= p
-        put(slice(s0, s0 + w), t, d)
+        _abs_pow(d, p)
+        raw[s0 : s0 + w, t] = _row_norms(d, p)
         spans = [(r, c, max(lo, s0), min(hi, s0 + w)) for r, c, lo, hi in mirrors]
-        spans = [span for span in spans if span[2] < span[3]]
+        spans = [span for span in spans if mirrored and span[2] < span[3]]
         if spans:
             dbl[:w, 1] = d
         for r, c, lo, hi in spans:
@@ -151,19 +180,19 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
             step = 2 * mn - r * n
             start = (lo - s0) * 2 * mn + mn - r * lo * n - ct
             o = out[:kk]
-            np.copyto(o, view(dbl, start, (kk, mn), (step, 1)))
+            np.copyto(o, _view(dbl, start, (kk, mn), (step, 1)))
             if ct:
-                o.reshape(kk, m, n)[:, :, :ct] = view(dbl, start + n, (kk, m, ct), (step, n, 1))
-            put(flip[lo:hi] if r else slice(lo, hi), (n - t) % n if c else t, o)
+                o.reshape(kk, m, n)[:, :, :ct] = _view(dbl, start + n, (kk, m, ct), (step, n, 1))
+            raw[flip[lo:hi] if r else slice(lo, hi), (n - t) % n if c else t] = _row_norms(o, p)
 
     if mixed:
         s_hi, half = m // 2 + 1, (m + 1) // 2  # 2s < M  <=>  s < half
         src = np.concatenate((a, a)).ravel()
         ds = np.empty((width, m, 2 * n))  # ds of each row shift, columns doubled
-        blocks = dbl.reshape(width, 2, m, n)
+        blocks = dbl.reshape(width, 1 + mirrored, m, n)
         for s0 in range(1, s_hi, width):
             w = min(s_hi - s0, width)
-            np.subtract(view(src, s0 * n, (w, m, n), (n, n, 1)), a, out=ds[:w, :, :n])
+            np.subtract(_view(src, s0 * n, (w, m, n), (n, n, 1)), a, out=ds[:w, :, :n])
             ds[:w, :, n:] = ds[:w, :, :n]
             for t in range(1, n // 2 + 1):
                 np.subtract(ds[:w, :, t : t + n], ds[:w, :, :n], out=blocks[:w, 0])
@@ -180,12 +209,54 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
             mirrors = [(1, 1, 1, (m + 1) // 2) if lone else (1, 1, 0, m)]
             for s0 in range(0, s_hi, width):
                 w = min(s_hi - s0, width)
-                np.subtract(view(src, s0 * n, (w, mn), (n, 1)), flat, out=dbl[:w, 0])
+                np.subtract(_view(src, s0 * n, (w, mn), (n, 1)), flat, out=dbl[:w, 0])
                 finish(t, s0, w, mirrors)
     # shifts M and N wrap to 0
     raw[m] = raw[0]
     raw[:m, n] = raw[:m, 0]
     return raw
+
+
+def _shift_norms(
+    a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """||D(rows[i], cols[i])||_p for each listed shift, with the kernel's bits.
+
+    The shifts are grouped by row shift (mixed) or column shift (plain).
+    Each group forms its windows once, as the kernel does: the ds of its row
+    shift with columns doubled, or a rolled by its column shift with rows
+    doubled.  Then each run of at most _BLOCK values is one gather of its
+    shifts' windows and one subtraction into a reused buffer.  Every
+    difference is the kernel's subtraction of the same two floats, and
+    _abs_pow and _row_norms finish each buffer as the kernel finishes a
+    block, so every value equals the per-shift norm bit for bit.
+    """
+    m, n = a.shape
+    mn = a.size
+    buf = np.empty((max(1, min(_BLOCK // mn, len(rows))), mn))
+    norms = np.empty(len(rows))
+    two = np.empty((m, 2 * n) if mixed else (2 * m, n))
+    if mixed:  # window t of ds: ds(., . + t), subtracted from ds
+        windows, base = _view(two, 0, (n, m, n), (1, 2 * n, 1)), two[:, :n]
+    else:  # window s of a(., . + t): a(. + s, . + t), subtracted from a
+        windows, base = _view(two, 0, (m, mn), (n, 1)), a.ravel()
+    key, pick = (rows, cols) if mixed else (cols, rows)
+    for g in sorted(set(key.tolist())):
+        if mixed:
+            np.subtract(a[g:], a[: m - g], out=two[: m - g, :n])
+            np.subtract(a[:g], a[m - g :], out=two[m - g :, :n])
+            two[:, n:] = two[:, :n]
+        else:
+            two[:m, : n - g], two[:m, n - g :] = a[:, g:], a[:, :g]
+            two[m:] = two[:m]
+        group = np.flatnonzero(key == g)
+        for i0 in range(0, group.size, len(buf)):
+            chunk = group[i0 : i0 + len(buf)]
+            block = buf[: chunk.size]
+            np.subtract(windows[pick[chunk]], base, out=block.reshape((-1,) + windows.shape[1:]))
+            _abs_pow(block, p)
+            norms[chunk] = _row_norms(block, p)
+    return norms
 
 
 def modulus_1d(g: Grid1, p: Exponent) -> ModulusTable1D:
@@ -194,12 +265,75 @@ def modulus_1d(g: Grid1, p: Exponent) -> ModulusTable1D:
     return ModulusTable1D(np.maximum.accumulate(norms), p, 1.0 / g.n)
 
 
+def _prefix_max(raw: np.ndarray) -> np.ndarray:
+    table = np.maximum.accumulate(raw, axis=0)
+    return np.maximum.accumulate(table, axis=1, out=table)
+
+
 def _prefix_max_table(f: Grid2, p: Exponent, cap: int, mixed: bool) -> np.ndarray:
-    """2-D prefix max of f's shift-norm table; grids with a side above cap are refused."""
+    """2-D prefix max of f's shift-norm table; grids with a side above cap are refused.
+
+    The kernel evaluates only the shifts it does not mirror.  The prefix
+    max L of those entries is a lower bound on the table.  A mirror's |D|^p
+    terms are its partner's terms in another order, so its norm r' lies
+    within a factor 1 + w of its partner's r; only the mirrors whose bound
+    reaches L at their own position are re-evaluated (_shift_norms), and
+    the prefix max is taken again.  A mirror left out is below L at its
+    position, so below the table at every position it reaches, and the
+    table keeps the bits of the full one.
+
+    The width, with u = 2^-53, gamma_j = ju/(1 - ju) and k = M*N: each norm
+    is root(fl(S/k)), S a float sum of the same k nonnegative terms with
+    real sum T.
+
+    - S = T(1 + theta), |theta| <= gamma_(k-1), in any order (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, ch. 4).
+    - The division adds a factor within 1 +- u while the mean is normal,
+      and the root (CPython pow, the identity at p = 1) one within 1 +- 2u,
+      assuming an error below one ulp, as pvar1d._near_max does.  The 1/p
+      power only shrinks the ratio of the means, since p >= 1.
+    - So r'/r <= (1 + gamma)/(1 - gamma) (1 + u)/(1 - u) (1 + 2u)/(1 - 2u)
+      <= 1/(1 - (2k - 2)u) 1/(1 - 2u) 1/(1 - 4u) <= 1/(1 - (2k + 4)u).
+    - grow = fl(1/(1 - (2k + 6)u)), whose divisor is exact, and the
+      product fl(r grow) each lose at most a factor 1 - u, so fl(r grow) >=
+      r (1 - 2u)/(1 - (2k + 6)u) >= r/(1 - (2k + 4)u) >= r'.  So w =
+      gamma_(2k+6).
+
+    Outside the normal range the bound changes.  A mean below 2^-1022 on
+    either side keeps r' below 2^(-1020/p)(1 + 2u), so under floor =
+    2^(-1000/p)(1 + 8u).  A mirror's sum can overflow only when its
+    partner's S reaches 2^1023, which puts r above ceil =
+    (2^1022/k)^(1/p)(1 - 8u); such a partner bounds its mirror by inf.
+    Computed, floor and ceil move by at most 4u + 710u/p, inside their
+    margins 8u and the factors 2^(20/p) and 2^(1/p), for any p.
+    """
     if f.m > cap or f.n > cap:
         raise ValueError(f"grid {f.m}x{f.n} exceeds cap {cap}; pass a larger cap")
-    raw = _shift_norm_table(f.samples, p.p, mixed=mixed)
-    return np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+    a, pp = f.samples, p.p
+    m, n = a.shape
+    raw = _shift_norm_table(a, pp, mixed, mirrored=False)
+    s, t = np.ogrid[:m, :n]
+    if mixed:  # partners are the shifts s <= M/2, t <= N/2; row and column 0 stay 0
+        ps, pt = np.minimum(s, m - s), np.minimum(t, n - t)
+        mirror = ((ps != s) | (pt != t)) & (s > 0) & (t > 0)
+    else:  # partners are (-s, -t); the columns t = 0, N/2 mirror onto themselves
+        ps, pt = -s % m, -t % n
+        mirror = (2 * t > n) | (2 * t % n == 0) & (2 * s > m)
+    grow = 1.0 / (1.0 - (2 * m * n + 6) * _U)
+    floor = 2.0 ** (-1000.0 / pp) * (1.0 + 8.0 * _U)
+    ceil = (2.0**1022 / (m * n)) ** (1.0 / pp) * (1.0 - 8.0 * _U)
+    core = raw[:m, :n]
+    bound = core[ps, pt]  # each entry's partner
+    over = bound >= ceil
+    bound *= grow
+    np.maximum(bound, floor, out=bound)
+    bound[over] = math.inf
+    mirror &= bound >= _prefix_max(raw)[:m, :n]
+    rows, cols = np.nonzero(mirror)
+    core[rows, cols] = _shift_norms(a, pp, mixed, rows, cols)
+    raw[m] = raw[0]
+    raw[:m, n] = raw[:m, 0]
+    return _prefix_max(raw)
 
 
 def modulus_iso_2d(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusTable1D:

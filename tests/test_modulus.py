@@ -1,6 +1,7 @@
 """L^p moduli of continuity: tables, invariants and the difference lemmas."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from pvarlab import (
     Grid2,
     gen_product,
     gen_sine,
+    gen_staircase,
     gen_tent_scaled,
     hardy_littlewood_check,
     lp_norm,
@@ -25,6 +27,8 @@ from pvarlab import modulus
 from pvarlab.modulus import (
     _BLOCK,
     _norm,
+    _prefix_max,
+    _prefix_max_table,
     _shift_norm_table,
     averaged_modulus_check,
     diff_modulus_bound_check,
@@ -437,3 +441,132 @@ class TestKernelBitwise:
         r = hardy_littlewood_check(f)
         assert r["sup_ratio"] == s_best
         assert r["v1_finest"] == vitali_finest(f, Exponent(1.0))
+
+
+class TestTwoPassTables:
+    """modulus_mixed and modulus_iso_2d against the prefix max of the per-shift
+    norms, compared with == on bits.
+
+    The tables are built from the evaluated shifts, with only the mirrors
+    that can set a maximum re-evaluated.  Ties between a mirror and its
+    partner need the exact mirror: the {0, 1, 2}-valued, {0, 1}-valued and
+    0.1-rounded fields tie often, and a 0.1-rounded 5x9 mixed table at p = 1
+    needs the bound's width (see _prefix_max_table) to keep its bits.
+    """
+
+    SHAPES = tuple((m, n) for m, n in TestKernelBitwise.SHAPES if m >= 2 and n >= 2) + (
+        (5, 12), (12, 5), (33, 8), (5, 9),
+    )
+
+    @staticmethod
+    def _fields(m: int, n: int):
+        rng = np.random.default_rng(m * 1000 + n + 7)
+        yield rng.normal(size=(m, n))
+        yield rng.integers(0, 3, size=(m, n)).astype(float)
+        yield (rng.random((m, n)) < 0.3).astype(float)
+        yield np.round(rng.normal(size=(m, n)), 1)
+
+    @staticmethod
+    def _check(a: np.ndarray, p: float) -> None:
+        f, pe = Grid2(a), Exponent(p)
+        mixed = _prefix_max(_per_shift_table(a, p, mixed=True))
+        plain = _prefix_max(_per_shift_table(a, p, mixed=False))
+        assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed))
+        full = _prefix_max_table(f, pe, max(f.m, f.n), mixed=False)
+        assert np.array_equal(_bits(full), _bits(plain))
+        K = max(f.m, f.n)
+        ks = np.arange(K + 1)
+        iso = plain[ks * f.m // K, ks * f.n // K]
+        assert np.array_equal(_bits(modulus_iso_2d(f, pe).values), _bits(iso))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
+    def test_matches_per_shift_prefix_max(self, shape, p):
+        for a in self._fields(*shape):
+            self._check(a, p)
+
+    @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
+    def test_matches_per_shift_prefix_max_on_the_staircase(self, p):
+        """32^2 staircase: 225 of the 256 evaluated mixed windows tie the
+        running maximum."""
+        self._check(gen_staircase(32).samples, p)
+
+    @pytest.mark.parametrize("shape, seed", [((5, 9), 26), ((10, 6), 10), ((7, 6), 31)])
+    def test_matches_where_a_mirror_rounds_above_its_partner(self, shape, seed):
+        """0.1-rounded fields at p = 1 (mixed, plain, mixed table) on which a
+        bound without its width, w = 0, leaves out a mirror that sets a
+        maximum: 11 of about 87,000 tables of sides 2-12 were such."""
+        m, n = shape
+        rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
+        self._check(np.round(rng.normal(size=shape), 1), 1.0)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (33, 8)])
+    @pytest.mark.parametrize("windows", [1, 3, None])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_re_evaluation_matches_per_shift_norms(self, shape, windows, mixed):
+        """_shift_norms on every shift of the table, in buffers of one, three
+        or _BLOCK // (M N) shifts, against the per-shift norms."""
+        m, n = shape
+        rows, cols = (x.ravel() for x in np.indices(shape))
+        block = _BLOCK if windows is None else windows * m * n
+        for a in TestKernelBitwise._fields(m, n):
+            for p in TestKernelBitwise.P_KERNEL:
+                with mock.patch.object(modulus, "_BLOCK", block):
+                    got = modulus._shift_norms(a, p, mixed, rows, cols)
+                want = _per_shift_table(a, p, mixed)[:m, :n].ravel()
+                assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0))
+    def test_matches_at_the_ends_of_the_float_range(self, p):
+        """Sums that overflow, means below 2^-1022 and a constant field.  On
+        the 4x2 field at p = 1 the plain sum of shift (3, 0) overflows while
+        that of its partner (1, 0), over the same terms, does not."""
+        big = np.array([
+            [2.2471164185778944e307, 2.2471164185778911e307],
+            [2.2471164185760063e307, -2.247114263003939e307],
+            [-2.247116418577895e307, -2.247116418577895e307],
+            [2.2471164104519827e307, 2.2471164185778944e307],
+        ])
+        rng = np.random.default_rng(3)
+        tiny = rng.normal(size=(6, 7)) * 1e-300
+        steps = rng.integers(0, 3, size=(5, 8)) * 5e-324
+        for a in (big, tiny, steps, np.full((6, 6), 0.5)):
+            self._check(a, p)
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_few_mirrors_are_re_evaluated(self, p):
+        """Fewer than 1 % of the mirrored entries are re-evaluated on Gaussian
+        64^2 fields, so a width that is too loose fails here.
+
+        Tie-heavy fields cost more: on the 32^2 staircase 240 of the 705
+        mirrored mixed entries are re-evaluated.
+        """
+        counts = []
+
+        def counted(a, p, mixed, rows, cols):
+            counts.append(len(rows))
+            return shift_norms(a, p, mixed, rows, cols)
+
+        shift_norms = modulus._shift_norms
+        mirrored = (63 * 63 - 32 * 32, 31 * 64 + 2 * 31)  # mixed, plain at 64^2
+        with mock.patch.object(modulus, "_shift_norms", counted):
+            for seed in range(3):
+                f = Grid2(np.random.default_rng(seed).normal(size=(64, 64)))
+                modulus_mixed(f, Exponent(p))
+                modulus_iso_2d(f, Exponent(p))
+        for k, total in enumerate(mirrored):
+            assert max(counts[k::2]) < 0.01 * total, counts
+
+    def test_peak_memory_at_the_cap(self):
+        """The tracemalloc peaks of the 128^2 tables at p = 1.5 stay within 5 %
+        of those of the tables that price every mirror (1.88 and 1.51 MiB)."""
+        f = Grid2(np.random.default_rng(5).normal(size=(128, 128)))
+        for table, limit in ((modulus_mixed, 1.88), (modulus_iso_2d, 1.51)):
+            tracemalloc.start()
+            try:
+                table(f, Exponent(1.5))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.05 * limit * 2**20, (table.__name__, peak)
