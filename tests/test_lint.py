@@ -2,8 +2,9 @@
 
 Every imported name is read in its module, every module-level private
 function, class or constant has a reader in the package besides its own
-definition, and every public function or class has a reader outside the
-tests.
+definition, every public function or class has a reader outside the
+tests, and the front ends (harness, cli) import only public names from the
+other modules.
 """
 
 import ast
@@ -16,6 +17,8 @@ SRC = ROOT / "src" / "pvarlab"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 PERFBENCH = [ast.parse(path.read_text(), str(path)) for path in sorted(ROOT.glob("perfbench/*.py"))]
 
+# The modules that read the package through its public API only.
+FRONT_ENDS = ("harness", "cli")
 # Public functions and classes kept without a reader outside the tests, with why.
 UNREAD_PUBLIC = {"mixednorm.hardy_section_check": "ROADMAP item 1"}
 
@@ -128,3 +131,18 @@ def test_every_public_definition_has_a_reader():
             if not read and f"{module}.{node.name}" not in UNREAD_PUBLIC:
                 unread.append(f"{module}.{node.name}")
     assert not unread, f"public definitions that only tests read: {unread}"
+
+
+@pytest.mark.parametrize("module", FRONT_ENDS)
+def test_front_ends_import_no_private_name(module):
+    """No underscore-prefixed name (dunders such as __version__ aside) is
+    imported from another pvarlab module."""
+    private = [
+        f"{node.module or '.'}:{a.name}"
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "pvarlab")
+        for a in node.names
+        if a.name.startswith("_") and not a.name.endswith("__")
+    ]
+    assert not private, f"{module} imports private names: {private}"

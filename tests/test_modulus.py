@@ -13,11 +13,13 @@ from pvarlab import (
     Exponent,
     Grid1,
     Grid2,
+    ModulusTable1D,
     gen_product,
     gen_sine,
     gen_staircase,
     gen_tent_scaled,
     hardy_littlewood_check,
+    integral_J,
     lp_norm,
     modulus_1d,
     modulus_iso_2d,
@@ -302,20 +304,53 @@ def _per_shift_table(a: np.ndarray, p: float, mixed: bool, rows=None) -> np.ndar
     return np.array(want)
 
 
+KERNEL_SHAPES = (
+    (1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (40, 48),
+    (2, 2), (1, 8), (8, 1), (6, 8), (7, 6), (6, 9), (8, 6),
+)
+TABLE_SHAPES = tuple((m, n) for m, n in KERNEL_SHAPES if m >= 2 and n >= 2) + (
+    (5, 12), (12, 5), (33, 8), (5, 9),
+)
+TABLE_FIELD_KINDS = ("normal", "012", "01", "rounded")
+
+
+def _table_fields(m: int, n: int):
+    """The TABLE_FIELD_KINDS fields: a Gaussian one and three that tie often,
+    {0, 1, 2}-valued, 30 % {0, 1} and 0.1-rounded."""
+    rng = np.random.default_rng(m * 1000 + n + 7)
+    yield rng.normal(size=(m, n))
+    yield rng.integers(0, 3, size=(m, n)).astype(float)
+    yield (rng.random((m, n)) < 0.3).astype(float)
+    yield np.round(rng.normal(size=(m, n)), 1)
+
+
+def _range_end_fields() -> dict:
+    """Sums that overflow (big), means below 2^-1022 (tiny and the subnormal
+    steps) and a constant field.  On the 4x2 big field at p = 1 the plain sum
+    of shift (3, 0) overflows while that of its partner (1, 0), over the
+    same terms, does not."""
+    rng = np.random.default_rng(3)
+    big = np.array([
+        [2.2471164185778944e307, 2.2471164185778911e307],
+        [2.2471164185760063e307, -2.247114263003939e307],
+        [-2.247116418577895e307, -2.247116418577895e307],
+        [2.2471164104519827e307, 2.2471164185778944e307],
+    ])
+    tiny = rng.normal(size=(6, 7)) * 1e-300
+    steps = rng.integers(0, 3, size=(5, 8)) * 5e-324
+    return {"big": big, "tiny": tiny, "steps": steps, "constant": np.full((6, 6), 0.5)}
+
+
 class TestKernelBitwise:
     """The batched kernel against the per-shift np.roll norms, compared with ==.
 
-    Every shape is checked on a Gaussian and on a {0, 1, 2}-valued field; the
+    Every KERNEL_SHAPES shape is checked on a Gaussian and on a {0, 1, 2}-valued field; the
     latter has many exactly tied differences.  Shapes 0-5 keep their indices.
     Even and odd M and N hit the self-mirrored shifts s = M/2 and t = N/2 or
     miss them; 1 x N and M x 1 leave one axis without shifts; 40x48 spans
     many windows per block.
     """
 
-    SHAPES = (
-        (1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (40, 48),
-        (2, 2), (1, 8), (8, 1), (6, 8), (7, 6), (6, 9), (8, 6),
-    )
     P_KERNEL = (1.0, 1.1, 1.5, 2.0, 3.0, 8.0)
 
     @staticmethod
@@ -327,14 +362,14 @@ class TestKernelBitwise:
     def _samples(m: int, n: int) -> np.ndarray:
         return TestKernelBitwise._fields(m, n)[0]
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("p", P_KERNEL)
     def test_plain_table(self, shape, p):
         for a in self._fields(*shape):
             want = _per_shift_table(a, p, mixed=False)
             assert np.array_equal(_bits(_shift_norm_table(a, p)), _bits(want))
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("p", P_KERNEL)
     def test_mixed_table(self, shape, p):
         m, n = shape
@@ -417,17 +452,38 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("p", P_VALUES)
     def test_modulus_1d(self, n, p):
         """The (N, 1) column the 1-D callers pass and the (1, N) row both give
-        the per-shift norms."""
-        g, pe = Grid1(self._samples(1, n)[0]), Exponent(p)
-        norms = [shift_norm_1d(g, s % n, pe) for s in range(n + 1)]
-        assert np.array_equal(_bits(_shift_norm_table(g.samples[None, :], p)[0]), _bits(norms))
-        assert np.array_equal(_bits(_shift_norm_table(g.samples[:, None], p)[:, 0]), _bits(norms))
-        want = np.maximum.accumulate(norms)
-        assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(want))
+        the per-shift norms, and modulus_1d, which evaluates only the mirrors
+        whose bound reaches the running max, gives their prefix max.  On a
+        Gaussian, a {0, 1, 2}-valued, a 0.1-rounded and a constant input."""
+        normal, ties = (x[0] for x in self._fields(1, n))
+        pe = Exponent(p)
+        for samples in (normal, ties, np.round(normal, 1), np.full(n, 0.5)):
+            g = Grid1(samples)
+            norms = [shift_norm_1d(g, s % n, pe) for s in range(n + 1)]
+            assert np.array_equal(_bits(_shift_norm_table(samples[None, :], p)[0]), _bits(norms))
+            assert np.array_equal(_bits(_shift_norm_table(samples[:, None], p)[:, 0]), _bits(norms))
+            want = np.maximum.accumulate(norms)
+            table = modulus_1d(g, pe)
+            assert np.array_equal(_bits(table.values), _bits(want))
+            if p > 1.0:  # np.dot in the enclosure sums a strided table in another order
+                assert integral_J(table) == integral_J(ModulusTable1D(want, pe, 1.0 / n))
 
-    def test_hardy_littlewood_matches_per_shift_loop(self):
-        f = Grid2(self._samples(6, 9))
-        a = f.samples
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(a, id=f"{m}x{n}-{kind}")
+            for m, n in TABLE_SHAPES
+            for kind, a in zip(TABLE_FIELD_KINDS, _table_fields(m, n))
+        ]
+        + [pytest.param(a, id=k) for k, a in _range_end_fields().items() if k != "big"],
+    )
+    def test_hardy_littlewood_matches_per_shift_loop(self, a):
+        """sup_ratio, read from the p = 1 mixed table, against the largest
+        ratio over every shift, on the table fields and the tiny, subnormal-
+        step and constant fields.  No mirror can set the largest ratio: its
+        norm lies within a factor 1 + w of its partner's, and its u v is
+        larger by a factor of at least 1 + 2/max(M, N)."""
+        f = Grid2(a)
         m, n = a.shape
         s_best = 0.0
         for s in range(1, m):
@@ -454,35 +510,23 @@ class TestTwoPassTables:
     needs the bound's width (see _prefix_max_table) to keep its bits.
     """
 
-    SHAPES = tuple((m, n) for m, n in TestKernelBitwise.SHAPES if m >= 2 and n >= 2) + (
-        (5, 12), (12, 5), (33, 8), (5, 9),
-    )
-
-    @staticmethod
-    def _fields(m: int, n: int):
-        rng = np.random.default_rng(m * 1000 + n + 7)
-        yield rng.normal(size=(m, n))
-        yield rng.integers(0, 3, size=(m, n)).astype(float)
-        yield (rng.random((m, n)) < 0.3).astype(float)
-        yield np.round(rng.normal(size=(m, n)), 1)
-
     @staticmethod
     def _check(a: np.ndarray, p: float) -> None:
         f, pe = Grid2(a), Exponent(p)
         mixed = _prefix_max(_per_shift_table(a, p, mixed=True))
         plain = _prefix_max(_per_shift_table(a, p, mixed=False))
         assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed))
-        full = _prefix_max_table(f, pe, max(f.m, f.n), mixed=False)
+        full = _prefix_max_table(a, p, mixed=False)
         assert np.array_equal(_bits(full), _bits(plain))
         K = max(f.m, f.n)
         ks = np.arange(K + 1)
         iso = plain[ks * f.m // K, ks * f.n // K]
         assert np.array_equal(_bits(modulus_iso_2d(f, pe).values), _bits(iso))
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", TABLE_SHAPES)
     @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
     def test_matches_per_shift_prefix_max(self, shape, p):
-        for a in self._fields(*shape):
+        for a in _table_fields(*shape):
             self._check(a, p)
 
     @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
@@ -519,19 +563,9 @@ class TestTwoPassTables:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("p", (1.0, 1.5, 2.0))
     def test_matches_at_the_ends_of_the_float_range(self, p):
-        """Sums that overflow, means below 2^-1022 and a constant field.  On
-        the 4x2 field at p = 1 the plain sum of shift (3, 0) overflows while
-        that of its partner (1, 0), over the same terms, does not."""
-        big = np.array([
-            [2.2471164185778944e307, 2.2471164185778911e307],
-            [2.2471164185760063e307, -2.247114263003939e307],
-            [-2.247116418577895e307, -2.247116418577895e307],
-            [2.2471164104519827e307, 2.2471164185778944e307],
-        ])
-        rng = np.random.default_rng(3)
-        tiny = rng.normal(size=(6, 7)) * 1e-300
-        steps = rng.integers(0, 3, size=(5, 8)) * 5e-324
-        for a in (big, tiny, steps, np.full((6, 6), 0.5)):
+        """The _range_end_fields: sums that overflow, means below 2^-1022
+        and a constant field."""
+        for a in _range_end_fields().values():
             self._check(a, p)
 
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
@@ -560,7 +594,9 @@ class TestTwoPassTables:
 
     def test_peak_memory_at_the_cap(self):
         """The tracemalloc peaks of the 128^2 tables at p = 1.5 stay within 5 %
-        of those of the tables that price every mirror (1.88 and 1.51 MiB)."""
+        of 1.88 and 1.51 MiB, the peaks of a kernel that evaluated every
+        mirror: evaluating the partners and a few mirrors must not add to
+        them."""
         f = Grid2(np.random.default_rng(5).normal(size=(128, 128)))
         for table, limit in ((modulus_mixed, 1.88), (modulus_iso_2d, 1.51)):
             tracemalloc.start()
