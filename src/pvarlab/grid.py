@@ -59,7 +59,9 @@ _MAX_ABS_SAMPLE = 2.0**1021
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only C-contiguous float copy of a, so neither the caller's array
+    nor a view of it is frozen or shared."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

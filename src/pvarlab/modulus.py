@@ -2,8 +2,8 @@
 
 Moduli are prefix maxima of exact circular-shift norms; no interpolation
 between grid shifts, so every inequality check is exact at grid arguments.
-Every shift norm is one batched subtraction, in _partner_table's block loop
-or in _shift_norms, and is bitwise equal to the per-shift reference norms
+Every shift norm comes from one evaluator, _shift_norms, as one batched
+subtraction, and is bitwise equal to the per-shift reference norms
 `shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.
 
 The shifts come in mirror pairs whose differences are exact negatives of
@@ -18,12 +18,11 @@ bit for bit.  Write a_(s,t) = a(. + s, . + t) on the (M, N) grid.
   columns).
 
 So a mirror's |D|^p terms are its partner's in another order, and its norm
-lies within a factor 1 + w of its partner's (see _prefix_max_table).  The
-block loop evaluates the partners only.  _shift_norm_table evaluates every
-mirror with _shift_norms.  The prefix-max tables behind modulus_1d,
-modulus_mixed and modulus_iso_2d evaluate only the mirrors whose bound
-reaches the prefix max of the partners, and keep the bits of the full
-table.
+lies within a factor 1 + w of its partner's (see _prefix_max_table).
+_shift_norm_table evaluates every partner and mirror.  The prefix-max
+tables behind modulus_1d, modulus_mixed and modulus_iso_2d evaluate the
+partners, then only the mirrors whose bound reaches the prefix max of the
+partners, and keep the bits of the full table.
 """
 
 from __future__ import annotations
@@ -114,70 +113,32 @@ def _row_norms(d: np.ndarray, p: float):
     return [v**inv for v in means.tolist()]
 
 
-def _partner_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
-    """An (M + 1, N + 1) table of ||D(s, t)||_p at the partner shifts of the
-    (M, N) array a: t <= N/2, and s <= M/2 in mixed tables and in the
-    self-mirrored plain columns t = 0 and t = N/2.
+def _mirrors(m: int, n: int, mixed: bool):
+    """(ps, pt, partner, mirror): the partner (ps[s], pt[t]) of each shift
+    (s, t) of the (M, N) core, as broadcasting index arrays, and the masks
+    of the partners and of the mirrors.  The mixed row and column 0, whose
+    differences vanish, are in neither mask."""
+    s, t = np.ogrid[:m, :n]
+    if mixed:  # partners are the shifts 0 < s <= M/2, 0 < t <= N/2
+        ps, pt = np.minimum(s, m - s), np.minimum(t, n - t)
+        live = (s > 0) & (t > 0)
+        mirror = ((ps != s) | (pt != t)) & live
+        return ps, pt, live & ~mirror, mirror
+    # partners are (-s, -t); the columns t = 0, N/2 mirror onto themselves
+    mirror = (2 * t > n) | (2 * t % n == 0) & (2 * s > m)
+    return -s % m, -t % n, ~mirror, mirror
 
-    The mirrors, row M and column N are left at zero for _fill_mirrors, and
-    so are the mixed row and column 0, whose differences vanish.  A block is
-    the row shifts s0..s0+w-1 of one column shift t, each a contiguous row
-    of M*N differences.  In plain tables a row shift's window is a flat
-    slice of a rolled by t columns and then stacked twice, so no row shift
-    needs a copy of its own.  The 1-D callers pass an (N, 1) column, whose
-    row shifts all fit in one block.
-    """
-    a = np.asarray(a, dtype=float)  # the strided views below read float64
-    m, n = a.shape
-    mn = a.size
-    raw = np.zeros((m + 1, n + 1))
-    width = max(1, min(_BLOCK // mn, m // 2 if mixed else m))
-    block = np.empty((width, mn))
-    if mixed:
-        s_hi = m // 2 + 1
-        src = np.concatenate((a, a)).ravel()
-        ds = np.empty((width, m, 2 * n))  # ds of each row shift, columns doubled
-        blocks = block.reshape(width, m, n)
-        for s0 in range(1, s_hi, width):
-            w = min(s_hi - s0, width)
-            np.subtract(_view(src, s0 * n, (w, m, n), (n, n, 1)), a, out=ds[:w, :, :n])
-            ds[:w, :, n:] = ds[:w, :, :n]
-            for t in range(1, n // 2 + 1):
-                np.subtract(ds[:w, :, t : t + n], ds[:w, :, :n], out=blocks[:w])
-                raw[s0 : s0 + w, t] = _row_norms(block[:w], p)
-    else:
-        flat = a.ravel()
-        for t in range(n // 2 + 1):
-            s_hi = m // 2 + 1 if 2 * t % n == 0 else m  # column t is its own mirror
-            src = np.concatenate((np.roll(a, -t, axis=1),) * 2).ravel()
-            for s0 in range(0, s_hi, width):
-                w = min(s_hi - s0, width)
-                np.subtract(_view(src, s0 * n, (w, mn), (n, 1)), flat, out=block[:w])
-                raw[s0 : s0 + w, t] = _row_norms(block[:w], p)
+
+def _fill(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool, mask: np.ndarray) -> np.ndarray:
+    """raw with the shifts marked in the (M, N) mask evaluated by _shift_norms."""
+    rows, cols = np.nonzero(mask)
+    raw[rows, cols] = _shift_norms(a, p, mixed, rows, cols)
     return raw
 
 
-def _mirrors(m: int, n: int, mixed: bool):
-    """(ps, pt, mirror): the partner (ps[s], pt[t]) of each shift (s, t) of
-    the (M, N) core, as broadcasting index arrays, and the mirror mask."""
-    s, t = np.ogrid[:m, :n]
-    if mixed:  # partners are the shifts s <= M/2, t <= N/2; row and column 0 stay 0
-        ps, pt = np.minimum(s, m - s), np.minimum(t, n - t)
-        mirror = ((ps != s) | (pt != t)) & (s > 0) & (t > 0)
-    else:  # partners are (-s, -t); the columns t = 0, N/2 mirror onto themselves
-        ps, pt = -s % m, -t % n
-        mirror = (2 * t > n) | (2 * t % n == 0) & (2 * s > m)
-    return ps, pt, mirror
-
-
-def _fill_mirrors(
-    raw: np.ndarray, a: np.ndarray, p: float, mixed: bool, mirror: np.ndarray
-) -> np.ndarray:
-    """raw with the mirrors marked in mirror evaluated by _shift_norms, and
-    the shifts M and N wrapped to 0."""
-    m, n = a.shape
-    rows, cols = np.nonzero(mirror)
-    raw[rows, cols] = _shift_norms(a, p, mixed, rows, cols)
+def _wrapped(raw: np.ndarray) -> np.ndarray:
+    """raw with the shifts M and N wrapped to 0."""
+    m, n = raw.shape[0] - 1, raw.shape[1] - 1
     raw[m] = raw[0]
     raw[:m, n] = raw[:m, 0]
     return raw
@@ -188,60 +149,73 @@ def _shift_norm_table(a: np.ndarray, p: float, mixed: bool = False) -> np.ndarra
 
     D(s, t) is a(. + s, . + t) - a, or with mixed=True the mixed difference
     ds(., . + t) - ds with ds = a(. + s, .) - a; the mixed row and column 0
-    are zero.  The partners come from the block loop and every mirror from
-    _shift_norms, so every entry is bitwise equal to the per-shift norms
-    shift_norm_1d and mixed_diff_norm, the references in
-    tests/test_modulus.py.
+    are zero.  Every partner and mirror comes from one _shift_norms call, so
+    every entry is bitwise equal to the per-shift norms shift_norm_1d and
+    mixed_diff_norm, the references in tests/test_modulus.py.
     """
-    mirror = _mirrors(*a.shape, mixed)[2]
-    return _fill_mirrors(_partner_table(a, p, mixed), a, p, mixed, mirror)
+    m, n = a.shape
+    partner, mirror = _mirrors(m, n, mixed)[2:]
+    return _wrapped(_fill(np.zeros((m + 1, n + 1)), a, p, mixed, partner | mirror))
 
 
 def _shift_norms(
     a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """||D(rows[i], cols[i])||_p for each listed shift, with the block loop's bits.
+    """||D(rows[i], cols[i])||_p for each listed shift of the (M, N) array a.
 
-    The shifts are grouped by row shift (mixed) or column shift (plain).
-    Each group forms its windows once, as the block loop does: the ds of its
-    row shift with columns doubled, or a rolled by its column shift with
-    rows doubled.  Then each run of at most _BLOCK values is one gather of
-    its shifts' windows and one subtraction into a reused buffer.  Every
-    difference is the block loop's subtraction of the same two floats, and
-    _row_norms finishes each buffer as it finishes a block, so every value
-    equals the per-shift norm bit for bit.
+    The shifts are sorted by group, the row shift of a mixed difference or
+    the column shift of a plain one, and then by window.  Each group forms
+    its windows once in a reused array: the ds of its row shift with columns
+    doubled, whose window t is ds(., . + t), or a rolled by its column shift
+    with rows doubled, whose flat window s is a(. + s, . + t).  Each run of
+    consecutive windows is cut into chunks of at most _BLOCK values; a chunk
+    is one basic slice of the windows, subtracted from the shared base (ds,
+    or a) into a reused buffer, whose rows _row_norms finishes.  Every
+    difference is the same subtraction of the same two floats as the
+    per-shift norm's, so every value equals it bit for bit.
     """
     m, n = a.shape
     mn = a.size
-    buf = np.empty((max(1, min(_BLOCK // mn, len(rows))), mn))
-    norms = np.empty(len(rows))
+    key, pick = (rows, cols) if mixed else (cols, rows)
+    span = (n if mixed else m) + 1  # a gap between the windows of two groups
+    pos = key * span + pick
+    order = np.argsort(pos)
+    pos = pos[order]
+    starts = np.flatnonzero(np.diff(pos, prepend=-2) != 1).tolist()
+    width = max(1, min(_BLOCK // mn, len(pos)))
+    buf = np.empty((width, mn))
     two = np.empty((m, 2 * n) if mixed else (2 * m, n))
     if mixed:  # window t of ds: ds(., . + t), subtracted from ds
         windows, base = _view(two, 0, (n, m, n), (1, 2 * n, 1)), two[:, :n]
+        src = np.concatenate((a, a))
     else:  # window s of a(., . + t): a(. + s, . + t), subtracted from a
         windows, base = _view(two, 0, (m, mn), (n, 1)), a.ravel()
-    key, pick = (rows, cols) if mixed else (cols, rows)
-    for g in sorted(set(key.tolist())):
-        if mixed:
-            np.subtract(a[g:], a[: m - g], out=two[: m - g, :n])
-            np.subtract(a[:g], a[m - g :], out=two[m - g :, :n])
-            two[:, n:] = two[:, :n]
-        else:
-            two[:m, : n - g], two[:m, n - g :] = a[:, g:], a[:, :g]
-            two[m:] = two[:m]
-        group = np.flatnonzero(key == g)
-        for i0 in range(0, group.size, len(buf)):
-            chunk = group[i0 : i0 + len(buf)]
-            block = buf[: chunk.size]
-            np.subtract(windows[pick[chunk]], base, out=block.reshape((-1,) + windows.shape[1:]))
-            norms[chunk] = _row_norms(block, p)
+    blocks = buf.reshape((width,) + windows.shape[1:])
+    vals = np.empty(len(pos))
+    group = None
+    for i0, i1 in zip(starts, starts[1:] + [len(pos)]):
+        g, w0 = divmod(int(pos[i0]), span)
+        if g != group:
+            group = g
+            if mixed:
+                np.subtract(src[g : g + m], a, out=base)
+                two[:, n:] = base
+            else:
+                two[:m, : n - g], two[:m, n - g :] = a[:, g:], a[:, :g]
+                two[m:] = two[:m]
+        for j in range(i0, i1, width):
+            k = min(width, i1 - j)
+            w = w0 + j - i0
+            np.subtract(windows[w : w + k], base, out=blocks[:k])
+            vals[j : j + k] = _row_norms(buf[:k], p)
+    norms = np.empty(len(pos))
+    norms[order] = vals
     return norms
 
 
 def modulus_1d(g: Grid1, p: Exponent) -> ModulusTable1D:
     """omega(f; k/N)_p as the prefix max of circular-shift norms."""
-    # a contiguous copy: np.dot in the enclosures sums a strided column in another order
-    table = _prefix_max_table(g.samples[:, None], p.p, mixed=False)[:, 0].copy()
+    table = _prefix_max_table(g.samples[:, None], p.p, mixed=False)[:, 0]
     return ModulusTable1D(table, p, 1.0 / g.n)
 
 
@@ -253,11 +227,11 @@ def _prefix_max(raw: np.ndarray) -> np.ndarray:
 def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     """2-D prefix max of the shift-norm table of the (M, N) array a.
 
-    _partner_table evaluates the partners; their prefix max L is a lower
-    bound on the table.  A mirror's |D|^p terms are its partner's terms in
-    another order, so its norm r' lies within a factor 1 + w of its
-    partner's r; only the mirrors whose bound reaches L at their own
-    position are evaluated (_fill_mirrors), and the prefix max is taken
+    _shift_norms evaluates the partners first; their prefix max L is a
+    lower bound on the table.  A mirror's |D|^p terms are its partner's
+    terms in another order, so its norm r' lies within a factor 1 + w of its
+    partner's r; a second _shift_norms call evaluates only the mirrors whose
+    bound reaches L at their own position, and the prefix max is taken
     again.  A mirror left out is below L at its position, so below the
     table at every position it reaches, and the table keeps the bits of the
     prefix max of _shift_norm_table.
@@ -288,8 +262,8 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     margins 8u and the factors 2^(20/p) and 2^(1/p), for any p.
     """
     m, n = a.shape
-    raw = _partner_table(a, p, mixed)
-    ps, pt, mirror = _mirrors(m, n, mixed)
+    ps, pt, partner, mirror = _mirrors(m, n, mixed)
+    raw = _fill(np.zeros((m + 1, n + 1)), a, p, mixed, partner)
     grow = 1.0 / (1.0 - (2 * m * n + 6) * _U)
     floor = 2.0 ** (-1000.0 / p) * (1.0 + 8.0 * _U)
     ceil = (2.0**1022 / (m * n)) ** (1.0 / p) * (1.0 - 8.0 * _U)
@@ -299,7 +273,7 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     np.maximum(bound, floor, out=bound)
     bound[over] = math.inf
     mirror &= bound >= _prefix_max(raw)[:m, :n]
-    return _prefix_max(_fill_mirrors(raw, a, p, mixed, mirror))
+    return _prefix_max(_wrapped(_fill(raw, a, p, mixed, mirror)))
 
 
 def _capped(f: Grid2, cap: int) -> np.ndarray:

@@ -34,10 +34,9 @@ ORACLE_MAX_N = 18
 # per-call overhead on 32^2 grids, small enough to stay in cache at the
 # 128^2 cap.  Shared by the lane blocks of the chain DP, the shift-norm
 # tables, the pair costs and the naive net sums (in corner samples).  The
-# shift-norm block loop holds one block of 256 KB, |D|^p; mixed tables add
-# the column-doubled row differences, two more (768 KB in all).  The mirror
-# evaluations hold at most three at the cap: |D|^p, the gathered windows and
-# the doubled array.  Either stays well inside a 2 MB L2.
+# shift-norm evaluator holds one block of 256 KB, |D|^p, and its doubled
+# windows, one more; mixed tables add the row-doubled samples, a third
+# (768 KB in all at the cap), well inside a 2 MB L2.
 _BLOCK = 1 << 15
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64

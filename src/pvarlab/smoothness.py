@@ -121,6 +121,7 @@ def _cell_weights(n_cells: int, step: float, t_min: float, p: float) -> np.ndarr
 
 
 def _enclose_1d(values: np.ndarray, step: float, p: float, t_min: float) -> tuple[float, float]:
+    values = np.ascontiguousarray(values)  # np.dot sums a strided array in another order
     n = values.size - 1
     with np.errstate(divide="ignore"):
         w = _cell_weights(n, step, t_min, p)
@@ -153,9 +154,8 @@ def integral_K(
         u_min = su
     if v_min is None:
         v_min = sv
-    # contiguous copies: np.dot sums a strided column in another order
-    ulo, uhi = _enclose_1d(table.values[:, -1].copy(), su, p, u_min)
-    vlo, vhi = _enclose_1d(table.values[-1, :].copy(), sv, p, v_min)
+    ulo, uhi = _enclose_1d(table.values[:, -1], su, p, u_min)
+    vlo, vhi = _enclose_1d(table.values[-1, :], sv, p, v_min)
     domain = {"u_min": u_min, "v_min": v_min, "t_max": 1.0}
     return Enclosure(ulo + vlo, uhi + vhi, {"domain": domain, "p": p})
 

@@ -55,6 +55,25 @@ class TestContainers:
         with pytest.raises(ValueError):
             Grid1(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("make", (Grid1, Grid2))
+    def test_samples_are_an_own_frozen_copy(self, make):
+        """The caller's array stays writable and later writes to it, or to
+        the base of a strided input, do not reach the grid; a strided input
+        gives C-contiguous samples."""
+        shape = (6,) if make is Grid1 else (3, 3)
+        a = np.zeros(shape)
+        g = make(a)
+        assert a.flags.writeable
+        a[...] = 1.0
+        assert not g.samples.any()
+        base = np.arange(24.0).reshape(6, 4)
+        view = base[::2, 1] if make is Grid1 else base[::2, ::2]
+        h = make(view)
+        assert h.samples.flags.c_contiguous and not h.samples.flags.writeable
+        want = view.copy()
+        base[...] = -1.0
+        assert np.array_equal(h.samples, want)
+
     @pytest.mark.parametrize("bad", (1.7e308, -1e308, np.nextafter(2.0**1021, np.inf)))
     def test_samples_bounded_by_2_pow_1021(self, bad):
         """Above 2^1021 a sample difference or a mixed cell can overflow, so

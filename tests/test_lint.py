@@ -146,3 +146,17 @@ def test_front_ends_import_no_private_name(module):
         if a.name.startswith("_") and not a.name.endswith("__")
     ]
     assert not private, f"{module} imports private names: {private}"
+
+
+def test_row_norms_has_one_reader():
+    """modulus._row_norms, which turns differences into shift norms, is read
+    or imported by one top-level definition of the package, _shift_norms, so
+    every shift norm has one evaluator."""
+    readers = [
+        f"{module}.{getattr(node, 'name', type(node).__name__)}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if getattr(node, "name", None) != "_row_norms"
+        and "_row_norms" in _reads(node) | {name for _, name, _ in _imports(node)}
+    ]
+    assert readers == ["modulus._shift_norms"], readers

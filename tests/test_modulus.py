@@ -548,17 +548,27 @@ class TestTwoPassTables:
     @pytest.mark.parametrize("windows", [1, 3, None])
     @pytest.mark.parametrize("mixed", [False, True])
     def test_re_evaluation_matches_per_shift_norms(self, shape, windows, mixed):
-        """_shift_norms on every shift of the table, in buffers of one, three
-        or _BLOCK // (M N) shifts, against the per-shift norms."""
+        """_shift_norms in buffers of one, three or _BLOCK // (M N) shifts,
+        against the per-shift norms, on lists of shifts of any shape: every
+        shift of the table, the partners, the mirrors, and seeded sparse
+        subsets in shuffled order, whose runs of consecutive windows split
+        at group and buffer boundaries."""
         m, n = shape
-        rows, cols = (x.ravel() for x in np.indices(shape))
+        _, _, partner, mirror = modulus._mirrors(m, n, mixed)
+        rng = np.random.default_rng(m * 100 + n)
+        everything = np.arange(m * n)
+        flats = [everything, np.flatnonzero(partner), np.flatnonzero(mirror)]
+        for size in (1, 2, m * n // 7 + 1, m * n // 2):
+            flats.append(rng.permutation(rng.choice(everything, size, replace=False)))
         block = _BLOCK if windows is None else windows * m * n
         for a in TestKernelBitwise._fields(m, n):
             for p in TestKernelBitwise.P_KERNEL:
-                with mock.patch.object(modulus, "_BLOCK", block):
-                    got = modulus._shift_norms(a, p, mixed, rows, cols)
                 want = _per_shift_table(a, p, mixed)[:m, :n].ravel()
-                assert np.array_equal(_bits(got), _bits(want))
+                for flat in flats:
+                    rows, cols = np.divmod(flat, n)
+                    with mock.patch.object(modulus, "_BLOCK", block):
+                        got = modulus._shift_norms(a, p, mixed, rows, cols)
+                    assert np.array_equal(_bits(got), _bits(want[flat]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("p", (1.0, 1.5, 2.0))
@@ -575,22 +585,26 @@ class TestTwoPassTables:
 
         Tie-heavy fields cost more: on the 32^2 staircase 240 of the 705
         mirrored mixed entries are re-evaluated.
+
+        Each table also makes a call for its partners; only the mirrors among
+        the listed shifts are counted.
         """
-        counts = []
+        counts = {True: [], False: []}
 
         def counted(a, p, mixed, rows, cols):
-            counts.append(len(rows))
+            mirror = modulus._mirrors(*a.shape, mixed)[3]
+            counts[mixed].append(int(mirror[rows, cols].sum()))
             return shift_norms(a, p, mixed, rows, cols)
 
         shift_norms = modulus._shift_norms
-        mirrored = (63 * 63 - 32 * 32, 31 * 64 + 2 * 31)  # mixed, plain at 64^2
+        mirrored = {True: 63 * 63 - 32 * 32, False: 31 * 64 + 2 * 31}  # at 64^2
         with mock.patch.object(modulus, "_shift_norms", counted):
             for seed in range(3):
                 f = Grid2(np.random.default_rng(seed).normal(size=(64, 64)))
                 modulus_mixed(f, Exponent(p))
                 modulus_iso_2d(f, Exponent(p))
-        for k, total in enumerate(mirrored):
-            assert max(counts[k::2]) < 0.01 * total, counts
+        for mixed, total in mirrored.items():
+            assert max(counts[mixed]) < 0.01 * total, counts
 
     def test_peak_memory_at_the_cap(self):
         """The tracemalloc peaks of the 128^2 tables at p = 1.5 stay within 5 %
