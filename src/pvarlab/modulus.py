@@ -4,7 +4,11 @@ Moduli are prefix maxima of exact circular-shift norms; no interpolation
 between grid shifts, so every inequality check is exact at grid arguments.
 Every shift norm comes from one evaluator, _shift_norms, as one batched
 subtraction, and is bitwise equal to the per-shift reference norms
-`shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.
+`shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.  Its
+|D|^p, like every array power here, comes from pvar1d._abs_pow, which
+keeps the bits of np.abs(D) ** p and keeps the SIMD vectors that hold a
+zero difference, common on separable and tie-heavy fields, off numpy's
+slow power path.
 
 The shifts come in mirror pairs whose differences are exact negatives of
 each other, rotated.  IEEE subtraction is antisymmetric, x - y = -(y - x)
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Exponent, Grid1, Grid2, _freeze
-from .pvar1d import _BLOCK, _U, _root, omega_p_functional
+from .pvar1d import _BLOCK, _U, _abs_pow, _root, omega_p_functional
 
 __all__ = [
     "ModulusTable1D",
@@ -78,7 +82,7 @@ class ModulusTable2D:
 def _norm(a: np.ndarray, p: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(a)))
-    return _root(float(np.mean(np.abs(a) ** p)), p)
+    return _root(float(np.mean(_abs_pow(a.astype(float), p))), p)
 
 
 def lp_norm(f: Grid1 | Grid2, p: Exponent | float) -> float:
@@ -95,17 +99,16 @@ def _view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray
 
 def _row_norms(d: np.ndarray, p: float):
     """The L^p norm of each row of a (k, M*N) block of differences d, which
-    becomes |d|^p in place.
+    becomes |d|^p in place (pvar1d._abs_pow, as in _norm).
 
+    Zero differences are common: a mixed difference of a field that is
+    separable, or constant along an axis, vanishes, and so does any
+    difference of a tie-heavy field on its flat patches.  _abs_pow powers
+    such a block without numpy's slow path for vectors holding a zero.
     Each mean is np.add.reduce over one contiguous row, divided by M*N: the
     operations of _norm on the same numbers in the same order.
     """
-    if p == 2.0:
-        np.multiply(d, d, out=d)  # x*x equals |x|*|x| bit for bit
-    else:
-        np.abs(d, out=d)
-        if p != 1.0:
-            d **= p
+    _abs_pow(d, p)
     means = np.add.reduce(d, axis=1) / d.shape[1]
     if p == 1.0:
         return means

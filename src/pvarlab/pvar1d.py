@@ -33,10 +33,12 @@ ORACLE_MAX_N = 18
 # Elements of one batched block of work: large enough to amortize numpy's
 # per-call overhead on 32^2 grids, small enough to stay in cache at the
 # 128^2 cap.  Shared by the lane blocks of the chain DP, the shift-norm
-# tables, the pair costs and the naive net sums (in corner samples).  The
-# shift-norm evaluator holds one block of 256 KB, |D|^p, and its doubled
-# windows, one more; mixed tables add the row-doubled samples, a third
-# (768 KB in all at the cap), well inside a 2 MB L2.
+# tables, the pair costs, the ascent's blocks of chains (in doubled tile
+# entries) and the naive net sums (in corner samples).  The shift-norm
+# evaluator holds one block of 256 KB, |D|^p, with its zero mask (one byte
+# per value, 32 KB) while _abs_pow powers it, and its doubled windows, one
+# more block; mixed tables add the row-doubled samples, a third (800 KB in
+# all at the cap), well inside a 2 MB L2.
 _BLOCK = 1 << 15
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64
@@ -67,6 +69,30 @@ def _root(s: float, p: float) -> float:
     if p == 1.0:
         return s
     return s ** (1.0 / p)
+
+
+def _abs_pow(d: np.ndarray, p: float) -> np.ndarray:
+    """d becomes |d|^p in place, with the bits of np.abs(d) ** p; returns d.
+
+    At p = 2 it is d*d, which equals |d|*|d| bit for bit, and at p = 1 it
+    is |d|.  numpy's SIMD power takes a slow path, several times slower,
+    on any vector of lanes that holds a zero.  So at other p a block that
+    holds a zero is powered with ones in the zeros' place, and the zeros
+    are put back: 0^p = 0 and 1^p = 1 exactly, and every other lane is the
+    same power of the same float.
+    """
+    if p == 2.0:
+        return np.multiply(d, d, out=d)
+    np.abs(d, out=d)
+    if p != 1.0:
+        zero = d == 0.0
+        if zero.any():
+            d[zero] = 1.0
+            d **= p
+            d[zero] = 0.0
+        else:
+            d **= p
+    return d
 
 
 def _sum_value(vals: Sequence[float], idx: Iterable[int], p: float) -> float:

@@ -17,10 +17,12 @@ The oracle never calls the chain DP: it is the independent reference for it.
 Ascent half-steps run in blocks of column chains (_half_steps): one
 profile array over every step of the block, one stack of pair costs, and
 one _chain_max call, whose S matrices of side M are S*M independent lanes
-of one pvar1d._chain_dp.  The exhaustive branch's blocks are consecutive
-chains of the smaller side, whatever their sizes; the iterative branch's
-half-step is a block of one.  Both branches pick their winning net by the
-oracle's rule (_first_max), skipping a lone candidate's naive pass.
+of one pvar1d._chain_dp.  Both branches cut their chains into blocks of
+the same width (_blocked_half_steps): the exhaustive branch's are
+consecutive chains of the smaller side, whatever their sizes; the
+iterative branch's are the distinct new chains of one sweep of all its
+runs.  Both pick their winning net by the oracle's rule (_first_max),
+skipping a lone candidate's naive pass.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .grid import Exponent, Grid2, gen_staircase
 from .pvar1d import (
     _BLOCK,
     CyclicPartition,
+    _abs_pow,
     _backtrack,
     _chain_dp,
     _chain_sums,
@@ -258,25 +261,47 @@ def _half_steps(
 ) -> list[tuple[float, list[int]]]:
     """Ascent half-steps: for each column chain of a, the best row chain
     given it and that p-th-power net sum.  One (M, T) array holds every
-    chain's cyclic column differences; its |difference|^pp terms go in row
-    blocks of about _BLOCK values, each cost sums its chain's run of terms,
-    and one _chain_max solves the stack, so each chain gets the half-step
-    it gets alone.  The column half-step is the same call on a.T."""
+    chain's cyclic column differences; its |difference|^pp terms
+    (pvar1d._abs_pow) go in row blocks of about _BLOCK values, each cost
+    sums its chain's run of terms, and one _chain_max solves the stack, so
+    each chain gets the half-step it gets alone.  The column half-step is
+    the same call on a.T.
+
+    The costs are symmetric bit for bit: |x - y| == |y - x|, and the two
+    steps' terms are summed in the same order.  So each unordered row pair
+    is priced once: the row block from r0 on prices only the steps to
+    r' >= r0 (the first block, every step), and copies the steps to
+    r' < r0 from the earlier blocks' reversed steps.  One block covering
+    every row copies nothing."""
     prof = a[:, _flat(c[1:] + c[:1] for c in chains)] - a[:, _flat(chains)]
     m, t = prof.shape
     cost = np.empty((len(chains), m, m))
     out = cost.transpose(1, 2, 0)  # out[r, r', s]: chain s's price of the step r -> r'
     rows = max(1, _BLOCK // (m * t))
     for r0 in range(0, m, rows):
-        terms = np.abs(prof - prof[r0 : r0 + rows, None]) ** pp
+        terms = _abs_pow(prof[r0:] - prof[r0 : r0 + rows, None], pp)
         s0 = t0 = 0
         for c, run in groupby(map(len, chains)):
             k = len(list(run))
-            view = out[r0 : r0 + rows, :, s0 : s0 + k]
+            view = out[r0 : r0 + rows, r0:, s0 : s0 + k]
             terms[:, :, t0 : t0 + k * c].reshape(view.shape + (c,)).sum(axis=3, out=view)
             s0, t0 = s0 + k, t0 + k * c
+        if r0:
+            out[r0 : r0 + rows, :r0] = out[:r0, r0 : r0 + rows].transpose(1, 0, 2)
     del terms  # the last row block's terms are not held through the DP
     return _chain_max(cost)
+
+
+def _blocked_half_steps(
+    a: np.ndarray, chains: Sequence[Sequence[int]], pp: float
+) -> Iterator[tuple[float, list[int]]]:
+    """_half_steps of each chain of a, in order, in blocks of
+    _BLOCK // (4 M^2) chains (at least one), M the row count of a: a
+    block's doubled M x M tiles in _chain_max hold at most _BLOCK floats
+    unless it is a single chain."""
+    width = max(1, _BLOCK // (4 * a.shape[0] ** 2))
+    for s0 in range(0, len(chains), width):
+        yield from _half_steps(a, chains[s0 : s0 + width], pp)
 
 
 def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
@@ -285,18 +310,22 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     Holding one chain fixed, the optimal chain in the other coordinate is
     found exactly by _half_steps (the all-anchor cyclic chain DP on pair
     costs), so the objective is monotone nondecreasing across sweeps.
+    Chains run through _half_steps in blocks of _BLOCK // (4 M^2) (at least
+    one), M the side of the chains the block picks; a block's doubled tiles
+    hold at most _BLOCK floats unless it is a single chain.
 
     Candidates: when a side has at most 8 samples, every chain of the
-    smaller side paired with its best chain of the other side, converged.
-    Consecutive chains, whatever their sizes, run in blocks of
-    _BLOCK // (4 M^2) (at least one), each block one _half_steps call; M is
-    the other side, and a block's doubled tiles hold at most _BLOCK floats
-    unless it is a single chain.  Otherwise the final net of each run, with
-    the converged flag of the first run ending on it.  The runs start from
-    the finest net, from the coarse half-offset net when both sides are
-    even (a useful second start on indicator-type data), and from RESTARTS
-    seeded random column chains; each stops after MAX_SWEEPS sweeps or when
-    a sweep gains nothing.  Runs often meet, so each half-step is computed once per call.
+    smaller side paired with its best chain of the other side, converged,
+    the chains in blocks of consecutive ones, whatever their sizes.
+    Otherwise the final net of each run, with the converged flag of the
+    first run ending on it.  The runs start from the finest net, from the
+    coarse half-offset net when both sides are even (a useful second start
+    on indicator-type data), and from RESTARTS seeded random column chains;
+    each stops after MAX_SWEEPS sweeps or when a sweep gains nothing.  The
+    runs advance in lockstep: each half of a sweep gathers the distinct
+    chains its live runs need that no earlier block solved, and solves them
+    in blocks, so each half-step is computed once per call.  No run reads
+    another's result, so each ends where it would alone.
 
     The first candidate attaining the largest vitali_sum wins
     (pvar1d._first_max on _naive_sums prices, as in vitali_oracle; a lone
@@ -313,33 +342,20 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
     if min(m, n) <= 8:
         transpose = m < n
         a2 = a.T if transpose else a
-        mm, k = a2.shape
-        width = max(1, _BLOCK // (4 * mm * mm))  # chains per block: S doubled M x M tiles
+        k = a2.shape[1]
         chains = [c for size in range(1, k + 1) for c in combinations(range(k), size)]
-        for s0 in range(0, len(chains), width):
-            blk = chains[s0 : s0 + width]
-            for cols, (_, rows) in zip(blk, _half_steps(a2, blk, pp)):
-                nets[(cols, tuple(rows)) if transpose else (tuple(rows), cols)] = True
+        for cols, (_, rows) in zip(chains, _blocked_half_steps(a2, chains, pp)):
+            nets[(cols, tuple(rows)) if transpose else (tuple(rows), cols)] = True
     else:
-        half_steps: dict[tuple[int, tuple[int, ...]], tuple[float, list[int]]] = {}
+        memo: tuple[dict, dict] = ({}, {})  # per axis: fixed chain -> (value, best other chain)
 
-        def half_step(axis: int, chain: list[int]) -> tuple[float, list[int]]:
-            key = (axis, tuple(chain))
-            if key not in half_steps:
-                half_steps[key] = _half_steps(a.T if axis else a, [chain], pp)[0]
-            return half_steps[key]
-
-        def run(rows: list[int], cols: list[int]) -> tuple[list[int], list[int], bool]:
-            sub = a[np.ix_(rows, cols)]
-            d = np.roll(sub, -1, 0) - sub
-            obj = float(np.sum(np.abs(np.roll(d, -1, 1) - d) ** pp))
-            for _ in range(MAX_SWEEPS):
-                _, rows = half_step(0, cols)
-                val, cols = half_step(1, rows)
-                if val <= obj * (1.0 + 1e-13) + 1e-300:
-                    return rows, cols, True
-                obj = val
-            return rows, cols, False
+        def half_steps(axis: int, chains: list[tuple[int, ...]]) -> list:
+            """memo[axis] of each chain, solving the chains not yet in it."""
+            done = memo[axis]
+            new = list(dict.fromkeys(c for c in chains if c not in done))
+            steps = _blocked_half_steps(a.T if axis else a, new, pp)
+            done.update((c, (v, tuple(other))) for c, (v, other) in zip(new, steps))
+            return [done[c] for c in chains]
 
         starts = [(list(range(m)), list(range(n)))]
         if m % 2 == n % 2 == 0:
@@ -348,9 +364,27 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
         for _ in range(RESTARTS):
             k = int(rng.integers(1, n + 1))
             starts.append((list(range(m)), sorted(rng.choice(n, size=k, replace=False).tolist())))
-        for rows0, cols0 in starts:
-            rows, cols, converged = run(rows0, cols0)
-            nets.setdefault((tuple(rows), tuple(cols)), converged)
+        objs, ends = [], []  # each run's objective, and its (rows, cols, converged) so far
+        for rows, cols in starts:
+            sub = a[np.ix_(rows, cols)]
+            d = np.roll(sub, -1, 0) - sub
+            objs.append(float(np.sum(_abs_pow(np.roll(d, -1, 1) - d, pp))))
+            ends.append((tuple(rows), tuple(cols), False))
+        live = list(range(len(starts)))
+        for _ in range(MAX_SWEEPS):
+            if not live:
+                break
+            rows = [r for _, r in half_steps(0, [ends[i][1] for i in live])]
+            going = []
+            for i, r, (val, cols) in zip(live, rows, half_steps(1, rows)):
+                converged = val <= objs[i] * (1.0 + 1e-13) + 1e-300
+                ends[i] = (r, cols, converged)
+                if not converged:
+                    objs[i] = val
+                    going.append(i)
+            live = going
+        for rows, cols, converged in ends:
+            nets.setdefault((rows, cols), converged)
 
     cands = list(nets)
     # _first_max keeps a lone candidate whatever its price, so it is not priced

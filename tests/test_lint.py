@@ -160,3 +160,34 @@ def test_row_norms_has_one_reader():
         and "_row_norms" in _reads(node) | {name for _, name, _ in _imports(node)}
     ]
     assert readers == ["modulus._shift_norms"], readers
+
+
+def _numpy_call(node: ast.AST, name: str) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    )
+
+
+@pytest.mark.parametrize("module", ("modulus", "vitali2d"))
+def test_array_powers_go_through_abs_pow(module):
+    """Every array power of the shift-norm tables and the ascent is
+    pvar1d._abs_pow's, the one seam where a power's bits or speed change:
+    no `**=`, no `np.abs(...) ** ...` and no np.power.  Scalar CPython
+    powers stay: `x**pp` over tolist() floats, `v**inv` and _root."""
+    tree = MODULES[module]
+    powers = [
+        f"{module}:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Pow)
+        or isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and _numpy_call(node.left, "abs")
+        or _numpy_call(node, "power")
+    ]
+    assert not powers, f"array powers outside _abs_pow: {powers}"
+    assert "_abs_pow" in _reads(tree), f"{module} never calls _abs_pow"

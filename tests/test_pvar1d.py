@@ -23,6 +23,7 @@ from pvarlab import (
 from pvarlab import pvar1d
 from pvarlab.pvar1d import (
     ORACLE_MAX_N,
+    _abs_pow,
     _backtrack,
     _chain_dp,
     _pvar_lanes,
@@ -515,3 +516,39 @@ class TestInvariants:
         d = np.abs(a[:, None] - a[None, :]) ** p
         expect = float(np.mean(d)) ** (1.0 / p)
         assert omega_p_functional(g, Exponent(p)) == pytest.approx(expect, abs=1e-12)
+
+
+def _abs_pow_inputs() -> dict[str, np.ndarray]:
+    """Blocks with no zeros, 10 %, 50 % and 100 % zeros, signed zeros, ones,
+    subnormals (small: numpy powers them slowly) and powers that overflow,
+    and a 2-D block."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=4096)
+    out = {"no_zeros": x}
+    for frac in (0.1, 0.5, 1.0):
+        out[f"zeros_{frac:.0%}"] = np.where(rng.random(x.size) < frac, 0.0, x)
+    out["signed_zeros"] = np.where(rng.random(x.size) < 0.3, rng.choice([0.0, -0.0], x.size), x)
+    out["ones"] = rng.choice([1.0, -1.0, 0.0, -0.0, 0.5], x.size)
+    out["subnormals"] = rng.integers(-1000, 1000, 256) * 5e-324 + rng.choice([0.0, 1.0], 256)
+    out["overflow"] = rng.choice([0.0, 1e160, -1e200, 1e300, -3.0], 512)
+    out["block_2d"] = out["zeros_10%"].reshape(8, 512)
+    return out
+
+
+ABS_POW_INPUTS = _abs_pow_inputs()
+
+
+class TestAbsPow:
+    """_abs_pow, which powers blocks with ones in their zeros' place, keeps
+    the bits of np.abs(x) ** p, and works in place."""
+
+    @pytest.mark.parametrize("p", P_VALUES + (1.1, 8.0))
+    @pytest.mark.parametrize("name", sorted(ABS_POW_INPUTS))
+    def test_bits_of_numpy_power(self, name, p):
+        x = ABS_POW_INPUTS[name]
+        d = x.copy()
+        with np.errstate(over="ignore"):
+            want = np.abs(x) ** p
+            got = _abs_pow(d, p)
+        assert got is d
+        assert got.tobytes() == want.tobytes()

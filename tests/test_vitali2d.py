@@ -31,6 +31,7 @@ from pvarlab import (
 )
 from pvarlab import vitali2d
 from pvarlab.vitali2d import (
+    _BLOCK,
     MAX_SWEEPS,
     ORACLE_MAX_SIDE,
     RESTARTS,
@@ -447,16 +448,15 @@ class TestTwoPassOracle:
     @pytest.mark.parametrize("f", [Grid2(np.random.default_rng(32).normal(size=(32, 32))),
                                    gen_staircase(32)], ids=["gaussian", "staircase"])
     def test_iterative_ascent_computes_each_step_once(self, f, p, monkeypatch):
-        """Within one call no half-step (a one-chain _half_steps call, by
-        orientation of a and fixed chain) is computed twice and no net is
-        valued twice.  The Gaussian field's runs
-        meet chains and nets that earlier runs reached; the staircase's end
-        on ten distinct nets."""
+        """Within one call no half-step (a chain of a _half_steps call, by
+        orientation of a and fixed chain) is computed twice, whichever block
+        it is solved in, and no net is valued twice.  The Gaussian field's
+        runs meet chains and nets that other runs reached; the staircase's
+        end on ten distinct nets."""
         steps, nets = [], []
 
         def half_steps(a, chains, pp):
-            (chain,) = chains
-            steps.append((a.strides, tuple(chain)))
+            steps.extend((a.strides, tuple(chain)) for chain in chains)
             return _half_steps(a, chains, pp)
 
         def value(g, net, pe):
@@ -479,6 +479,26 @@ class TestTwoPassOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the 127 x 127 naive sums take 126 KiB
+
+    @pytest.mark.parametrize("side", (64, 128))
+    def test_iterative_ascent_peak_memory(self, side):
+        """The runs' half-steps go in blocks of _BLOCK // (4 M^2) chains
+        (at least one), so a block's doubled tiles hold at most
+        tile = max(_BLOCK, 4 M^2) floats.  The block's profile, its cost
+        stack and the chain DP's scores, predecessors, candidates and
+        sliced costs hold at most S M^2 values each, a quarter of the
+        tiles: about 2.5 tiles in all, 3.2 as measured at both sizes.  The
+        limit is four tiles (1 MiB at 64^2, 2 MiB at 128^2).  Solving all
+        of a sweep's chains in one call peaks at 3.4 and 13.5 MiB."""
+        f = Grid2(np.random.default_rng(side).normal(size=(side, side)))
+        tile = 8 * max(_BLOCK, 4 * side * side)
+        tracemalloc.start()
+        try:
+            vitali_ascent(f, Exponent(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * tile
 
 
 def _exhaustive_fields(m: int, n: int) -> list[Grid2]:
