@@ -22,11 +22,21 @@ bit for bit.  Write a_(s,t) = a(. + s, . + t) on the (M, N) grid.
   columns).
 
 So a mirror's |D|^p terms are its partner's in another order, and its norm
-lies within a factor 1 + w of its partner's (see _prefix_max_table).
+lies within a factor 1 + w of its partner's (see _partner_bounds).
 _shift_norm_table evaluates every partner and mirror.  The prefix-max
-tables behind modulus_1d, modulus_mixed and modulus_iso_2d evaluate the
-partners, then only the mirrors whose bound reaches the prefix max of the
-partners, and keep the bits of the full table.
+tables behind modulus_1d, modulus_mixed and modulus_iso_2d evaluate only
+the shifts whose upper bound reaches the prefix max of the lower bounds,
+and keep the bits of the full table (see _prefix_max_table).  The bounds
+have two sources, chosen by p:
+
+* p = 2: the squared norm of a shift difference is a sum of at most five
+  autocorrelation values, ||D||^2 = 2c(0) - 2c(h) for plain shifts and
+  4c(0, 0) - 4c(s, 0) - 4c(0, t) + 2c(s, t) + 2c(s, -t) for mixed ones,
+  and one rfft2/irfft2 pair gives every c(h).  _l2_bounds widens that
+  estimate by a derived bound on its error, so it filters; the values
+  are still the evaluated norms.
+* Other p: the partners are evaluated, and each mirror is bounded by its
+  partner's norm (_partner_bounds).
 """
 
 from __future__ import annotations
@@ -230,18 +240,37 @@ def _prefix_max(raw: np.ndarray) -> np.ndarray:
 def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     """2-D prefix max of the shift-norm table of the (M, N) array a.
 
-    _shift_norms evaluates the partners first; their prefix max L is a
-    lower bound on the table.  A mirror's |D|^p terms are its partner's
-    terms in another order, so its norm r' lies within a factor 1 + w of its
-    partner's r; a second _shift_norms call evaluates only the mirrors whose
-    bound reaches L at their own position, and the prefix max is taken
-    again.  A mirror left out is below L at its position, so below the
-    table at every position it reaches, and the table keeps the bits of the
-    prefix max of _shift_norm_table.
+    One rule picks the shifts to evaluate.  lo and hi bound the norm that
+    _shift_norms computes for each shift of the (M, N) core, and one
+    _shift_norms call evaluates the live shifts whose hi reaches the prefix
+    max of lo at their own position; the others keep the zero the table
+    starts with.  A shift left out lies strictly below that prefix max,
+    which a shift in its rectangle reaches, so below the table at every
+    position it reaches.  The shift that sets a table entry is therefore
+    never left out, and the table keeps the bits of the prefix max of
+    _shift_norm_table.  At p = 2 the bounds come from one autocorrelation
+    (_l2_bounds), at other p from the partners, which _partner_bounds
+    evaluates into the table first.
+    """
+    m, n = a.shape
+    raw = np.zeros((m + 1, n + 1))
+    lo, hi = _l2_bounds(a, mixed) if p == 2.0 else _partner_bounds(raw, a, p, mixed)
+    todo = hi >= _prefix_max(lo)
+    del lo, hi  # freed before the evaluation, whose buffers set the peak
+    return _prefix_max(_wrapped(_fill(raw, a, p, mixed, todo)))
 
-    The width, with u = 2^-53, gamma_j = ju/(1 - ju) and k = M*N: each norm
-    is root(fl(S/k)), S a float sum of the same k nonnegative terms with
-    real sum T.
+
+def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
+    """(lo, hi) on the (M, N) core once _shift_norms has evaluated the
+    partners into raw: lo is raw's core, exact at the partners and zero
+    elsewhere, and hi bounds each mirror through its partner and is -inf
+    at every other shift.
+
+    A mirror's |D|^p terms are its partner's terms in another order, so its
+    norm r' lies within a factor 1 + w of its partner's r.  The width, with
+    u = 2^-53, gamma_j = ju/(1 - ju) and k = M*N: each norm is
+    root(fl(S/k)), S a float sum of the same k nonnegative terms with real
+    sum T.
 
     - S = T(1 + theta), |theta| <= gamma_(k-1), in any order (Higham,
       *Accuracy and Stability of Numerical Algorithms*, ch. 4).
@@ -259,24 +288,120 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     Outside the normal range the bound changes.  A mean below 2^-1022 on
     either side keeps r' below 2^(-1020/p)(1 + 2u), so under floor =
     2^(-1000/p)(1 + 8u).  A mirror's sum can overflow only when its
-    partner's S reaches 2^1023, which puts r above ceil =
-    (2^1022/k)^(1/p)(1 - 8u); such a partner bounds its mirror by inf.
-    Computed, floor and ceil move by at most 4u + 710u/p, inside their
-    margins 8u and the factors 2^(20/p) and 2^(1/p), for any p.
+    partner's S reaches 2^1023, which puts r above _ceil(k, p); such a
+    partner bounds its mirror by inf.  Computed, floor moves by at most
+    4u + 710u/p, inside its margins 8u and 2^(20/p), for any p.
     """
     m, n = a.shape
     ps, pt, partner, mirror = _mirrors(m, n, mixed)
-    raw = _fill(np.zeros((m + 1, n + 1)), a, p, mixed, partner)
+    _fill(raw, a, p, mixed, partner)
     grow = 1.0 / (1.0 - (2 * m * n + 6) * _U)
     floor = 2.0 ** (-1000.0 / p) * (1.0 + 8.0 * _U)
-    ceil = (2.0**1022 / (m * n)) ** (1.0 / p) * (1.0 - 8.0 * _U)
-    bound = raw[ps, pt]  # each entry's partner
-    over = bound >= ceil
-    bound *= grow
-    np.maximum(bound, floor, out=bound)
-    bound[over] = math.inf
-    mirror &= bound >= _prefix_max(raw)[:m, :n]
-    return _prefix_max(_wrapped(_fill(raw, a, p, mixed, mirror)))
+    hi = raw[ps, pt]  # each entry's partner
+    over = hi >= _ceil(m * n, p)
+    hi *= grow
+    np.maximum(hi, floor, out=hi)
+    hi[over] = math.inf
+    hi[~mirror] = -math.inf
+    return raw[:m, :n], hi
+
+
+def _ceil(k: int, p: float) -> float:
+    """(2^1022/k)^(1/p)(1 - 8u): a mean of k terms |D|^p whose float sum
+    overflows puts the real norm above it.  The sum reaches 2^1024 only
+    when the real sum of its terms reaches 2^1023, a real norm of
+    (2^1023/k)^(1/p).  Computed, the bound moves by at most 4u + 710u/p,
+    inside its margins 8u and 2^(1/p), for any p."""
+    return (2.0**1022 / k) ** (1.0 / p) * (1.0 - 8.0 * _U)
+
+
+def _l2_estimate(a: np.ndarray, mixed: bool):
+    """(est, width, e): est[s, t] estimates 4^-e times the square of the
+    p = 2 norm that _shift_norms computes for shift (s, t) of the (M, N)
+    array a, within width save underflow and overflow (see _l2_bounds),
+    from the autocorrelation of b = 2^-e a.
+
+    e is the exponent of max|a| (numpy.frexp), so max|b| lies in [1/2, 1):
+    no transform can overflow, and b is 2^-e a exactly, save entries below
+    2^-1022, which round by at most 2^-1075 and so move a squared norm by
+    far less than u S below.  With k = M*N, means over the k samples and
+    c(h) = mean(b b(. + h)), the squared norms of the exact differences are
+
+        plain: 2c(0, 0) - 2c(s, t),
+        mixed: 4c(0, 0) - 4c(s, 0) - 4c(0, t) + 2c(s, t) + 2c(s, -t),
+
+    weights of absolute sum at most 16.  One rfft2 of b, its squared moduli
+    and one irfft2 give k c.  The width, with u = 2^-53, gamma_j = ju/(1 -
+    ju), L = max(1, log2 k) and S = mean(b^2) = c(0, 0):
+
+    - Each transform's output moves by at most eps = 128 L u times the
+      2-norm of its exact output.  Higham, *Accuracy and Stability of
+      Numerical Algorithms*, Theorem 24.2, gives L eta/(1 - L eta), eta =
+      mu + gamma_4 (sqrt(2) + mu) < 8u, for a radix-2 Cooley-Tukey FFT with
+      twiddles within mu = u; the factor 16 is a safety factor for
+      pocketfft's other radices, Bluestein's algorithm on large prime
+      factors and the real-input packing.
+    - The spectrum F of b has ||F||_2 = k sqrt(S) (Parseval), so the squared
+      moduli, each rounded within gamma_2, move by at most (2 eps + eps^2 +
+      gamma_2 (1 + eps)^2) k^2 S in the 1-norm.  An entry of the exact
+      inverse moves by at most that 1-norm over k, and the inverse's own
+      error is at most eps times its 2-norm, at most eps (1 + eps)^2 (1 +
+      gamma_2) k^(3/2) S.  With the division by k, every c(h) lies within
+      e_c S, e_c = (sqrt(k) + 4) eps, so est before its own rounding lies
+      within 16 e_c S of the real squared norm.  e_c < 0.009 for k below
+      2^60, so S <= 1.01 c0 with c0 the computed c(0, 0).
+    - Forming est (scalings by powers of two, exact, and four roundings of
+      sums below 17 S) adds at most 96u S.
+    - _shift_norms rounds each difference, its square, a sum of k terms
+      and a mean within gamma_(k+3) (ch. 4), and its root within 2u, so its
+      square lies within gamma_(k+8) of the real squared norm, at most 16 S:
+      at most 17(k + 8)u S.  A mixed difference subtracts two differences ds
+      of one row shift, each rounded within u |ds|, and ||ds||_2 <= 2
+      sqrt(S), so the difference moves by at most 4u sqrt(S) in norm, at
+      most 4 sqrt(S), and its square by at most 33u S.
+    - _l2_bounds rounds est +- width, their roots and the ldexp within 3u
+      of at most 17 S.
+
+    So width = 2 c0 (16 e_c + (17k + 512)u), its 2 covering S <= 1.01 c0
+    and the factors 1 + eps.
+    """
+    m, n = a.shape
+    k = a.size
+    e = int(np.frexp(max(a.max(), -a.min()))[1])
+    spec = np.fft.rfft2(np.ldexp(a, -e))
+    parts = _abs_pow(spec.view(float), 2.0)  # re^2 and im^2, interleaved
+    parts[:, 0::2] += parts[:, 1::2]
+    parts[:, 1::2] = 0.0
+    c = np.fft.irfft2(spec, s=(m, n)) / k
+    c0 = float(c[0, 0])
+    if mixed:  # 2(c(s, -t) + c(s, t) - 2c(s, 0) - 2c(0, t) + 2c(0, 0))
+        est = 2.0 * (c[:, -np.arange(n) % n] + c - 2.0 * c[:, :1] - 2.0 * c[:1] + 2.0 * c0)
+    else:
+        est = 2.0 * (c0 - c)
+    eps = 128.0 * max(1.0, math.log2(k)) * _U
+    width = 2.0 * c0 * (16.0 * (math.sqrt(k) + 4.0) * eps + (17.0 * k + 512.0) * _U)
+    return est, width, e
+
+
+def _l2_bounds(a: np.ndarray, mixed: bool):
+    """(lo, hi) on the p = 2 norm that _shift_norms computes for each shift
+    of the (M, N) core of a, from _l2_estimate; hi is -inf at the mixed row
+    and column 0, whose differences vanish.
+
+    Underflow moves a computed mean of squares by at most 2^-1073: a square
+    below 2^-1022 rounds within 2^-1075, and so does a mean below it, while
+    sums and differences of floats round no worse there.  So it moves the
+    root by at most 2^-536.5, inside the 2^-535 by which lo and hi widen.
+    A sum can overflow only above _ceil(k, 2), which the real norm, at most
+    hi, then exceeds; hi is inf there.
+    """
+    est, width, e = _l2_estimate(a, mixed)
+    hi = np.ldexp(np.sqrt(est + width), e) + 2.0**-535
+    hi[hi >= _ceil(a.size, 2.0)] = math.inf
+    if mixed:
+        hi[0] = hi[:, 0] = -math.inf
+    lo = np.ldexp(np.sqrt(np.maximum(est - width, 0.0)), e) - 2.0**-535
+    return np.maximum(lo, 0.0), hi
 
 
 def _capped(f: Grid2, cap: int) -> np.ndarray:

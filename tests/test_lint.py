@@ -8,6 +8,9 @@ other modules.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,3 +194,20 @@ def test_array_powers_go_through_abs_pow(module):
     ]
     assert not powers, f"array powers outside _abs_pow: {powers}"
     assert "_abs_pow" in _reads(tree), f"{module} never calls _abs_pow"
+
+
+def test_numpy_fft_stays_unloaded_and_in_modulus():
+    """Importing pvarlab leaves numpy.fft unloaded: its first load costs
+    about 2 ms and 0.7 MB, which only a p = 2 modulus table should pay, in
+    modulus, the one module that reads np.fft."""
+    code = "import sys, pvarlab; print('numpy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.split() == ["False"], run.stdout + run.stderr
+    readers = [
+        module
+        for module, tree in MODULES.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "fft" for node in ast.walk(tree))
+        or any("fft" in f"{src}.{name}" for src, name, _ in _imports(tree))
+    ]
+    assert readers == ["modulus"], readers

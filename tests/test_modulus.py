@@ -1,7 +1,11 @@
 """L^p moduli of continuity: tables, invariants and the difference lemmas."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +32,8 @@ from pvarlab import (
 from pvarlab import modulus
 from pvarlab.modulus import (
     _BLOCK,
+    _l2_bounds,
+    _l2_estimate,
     _norm,
     _prefix_max,
     _prefix_max_table,
@@ -499,15 +505,49 @@ class TestKernelBitwise:
         assert r["v1_finest"] == vitali_finest(f, Exponent(1.0))
 
 
+def _l2_fields() -> dict:
+    """Fields on which the p = 2 bounds of _l2_bounds work hard: transform
+    lengths that are not powers of two (33 x 40; 127, a prime), (N, 1)
+    columns as modulus_1d passes them, a mean offset that cancels in every
+    difference, a separable field whose mixed differences cancel down to
+    1e-9, rare spikes over tiny noise, fields that tie often and the 32^2
+    staircase."""
+    rng = np.random.default_rng(28)
+    x = np.arange(24) / 24
+    y = np.arange(18) / 18
+    spikes = 1e-3 * rng.normal(size=(24, 20))
+    spikes[rng.random((24, 20)) < 0.01] = 1e6
+    spikes[3, 7] = 1e6
+    return {
+        "normal-33x40": rng.normal(size=(33, 40)),
+        "normal-127x5": rng.normal(size=(127, 5)),
+        "column-97": rng.normal(size=(97, 1)),
+        "column-256-rounded": np.round(rng.normal(size=(256, 1)), 1),
+        "offset": 1e8 + rng.normal(size=(16, 18)),
+        "separable": np.sin(2 * np.pi * x)[:, None]
+        + np.cos(4 * np.pi * y)[None, :] ** 3
+        + 1e-9 * rng.normal(size=(24, 18)),
+        "spikes": spikes,
+        "rounded": np.round(rng.normal(size=(20, 21)), 1),
+        "012": rng.integers(0, 3, size=(19, 16)).astype(float),
+        "staircase": gen_staircase(32).samples,
+    }
+
+
+L2_FIELDS = _l2_fields()
+RANGE_END_FIELDS = _range_end_fields()  # with the constant field
+
+
 class TestTwoPassTables:
     """modulus_mixed and modulus_iso_2d against the prefix max of the per-shift
     norms, compared with == on bits.
 
-    The tables are built from the evaluated shifts, with only the mirrors
-    that can set a maximum re-evaluated.  Ties between a mirror and its
+    The tables are built from the evaluated shifts: at p != 2 the partners
+    and only the mirrors that can set a maximum, at p = 2 only the shifts
+    that the autocorrelation bounds keep.  Ties between a mirror and its
     partner need the exact mirror: the {0, 1, 2}-valued, {0, 1}-valued and
     0.1-rounded fields tie often, and a 0.1-rounded 5x9 mixed table at p = 1
-    needs the bound's width (see _prefix_max_table) to keep its bits.
+    needs the bound's width (see _partner_bounds) to keep its bits.
     """
 
     @staticmethod
@@ -586,8 +626,9 @@ class TestTwoPassTables:
         Tie-heavy fields cost more: on the 32^2 staircase 240 of the 705
         mirrored mixed entries are re-evaluated.
 
-        Each table also makes a call for its partners; only the mirrors among
-        the listed shifts are counted.
+        A table lists its partners too, in a call of their own at p != 2 and
+        with the mirrors that its bounds keep at p = 2; only the mirrors
+        among the listed shifts are counted.
         """
         counts = {True: [], False: []}
 
@@ -607,16 +648,103 @@ class TestTwoPassTables:
             assert max(counts[mixed]) < 0.01 * total, counts
 
     def test_peak_memory_at_the_cap(self):
-        """The tracemalloc peaks of the 128^2 tables at p = 1.5 stay within 5 %
-        of 1.88 and 1.51 MiB, the peaks of a kernel that evaluated every
-        mirror: evaluating the partners and a few mirrors must not add to
-        them."""
+        """The tracemalloc peaks of the 128^2 tables at p = 1.5 and p = 2 stay
+        within 5 % of 1.88 and 1.51 MiB, the peaks at p = 1.5 of a kernel
+        that evaluated every mirror: evaluating the partners and a few
+        mirrors, or at p = 2 the autocorrelation and the few shifts its
+        bounds keep, must not add to them."""
         f = Grid2(np.random.default_rng(5).normal(size=(128, 128)))
-        for table, limit in ((modulus_mixed, 1.88), (modulus_iso_2d, 1.51)):
-            tracemalloc.start()
-            try:
-                table(f, Exponent(1.5))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.05 * limit * 2**20, (table.__name__, peak)
+        for p in (1.5, 2.0):
+            for table, limit in ((modulus_mixed, 1.88), (modulus_iso_2d, 1.51)):
+                tracemalloc.start()
+                try:
+                    table(f, Exponent(p))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1.05 * limit * 2**20, (table.__name__, p, peak)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS))
+    def test_matches_per_shift_prefix_max_at_p2(self, name):
+        """The L2_FIELDS and the range-end fields at p = 2, where the tables
+        evaluate only the shifts that the bounds of _l2_bounds keep."""
+        a = L2_FIELDS[name] if name in L2_FIELDS else RANGE_END_FIELDS[name]
+        for mixed in (False, True):
+            want = _prefix_max(_per_shift_table(a, 2.0, mixed))
+            assert np.array_equal(_bits(_prefix_max_table(a, 2.0, mixed)), _bits(want))
+        if a.shape[1] == 1:
+            pe = Exponent(2.0)
+            g = Grid1(a[:, 0])
+            norms = [shift_norm_1d(g, s % g.n, pe) for s in range(g.n + 1)]
+            want = np.maximum.accumulate(norms)
+            assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(want))
+        else:
+            self._check(a, 2.0)
+
+    @pytest.mark.skipif(
+        not any(
+            getattr(np._core._multiarray_umath, "__cpu_features__", {}).get(name)
+            for name in ("AVX512_ICL", "AVX512_SPR", "X86_V4")
+        ),
+        reason="the host has none of the SIMD features to disable",
+    )
+    def test_matches_at_p2_under_the_other_simd_dispatch(self):
+        """The bit comparison above, once more in a fresh process with numpy's
+        AVX-512 loops disabled (ROADMAP item 12)."""
+        root = Path(__file__).resolve().parents[1]
+        node = f"{Path(__file__).name}::TestTwoPassTables::test_matches_per_shift_prefix_max_at_p2"
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/{node}"],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+
+    def test_few_shifts_are_evaluated_at_p2(self):
+        """At p = 2 a table lists fewer than 2 % of its shifts to _shift_norms
+        on Gaussian 64^2 fields: the bounds leave out the partners as well as
+        the mirrors."""
+        counts = {True: [], False: []}
+
+        def counted(a, p, mixed, rows, cols):
+            counts[mixed].append(len(rows))
+            return shift_norms(a, p, mixed, rows, cols)
+
+        shift_norms = modulus._shift_norms
+        with mock.patch.object(modulus, "_shift_norms", counted):
+            for seed in range(3):
+                f = Grid2(np.random.default_rng(seed).normal(size=(64, 64)))
+                modulus_mixed(f, Exponent(2.0))
+                modulus_iso_2d(f, Exponent(2.0))
+        assert len(counts[True]) == len(counts[False]) == 3, counts
+        assert max(counts[True]) < 0.02 * 63 * 63, counts
+        assert max(counts[False]) < 0.02 * 64 * 64, counts
+
+
+class TestL2Bounds:
+    """The p = 2 bounds of modulus._l2_bounds against every computed norm."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS))
+    def test_bounds_hold_and_are_loose(self, name):
+        """lo <= the computed norm <= hi at every live shift, on these fields
+        and at the ends of the float range; and, away from those ends, the
+        estimate misses the computed square by less than 1/1000 of the
+        derived width, so a width that holds only by a narrow margin fails.
+        With the width set to 0, every field away from those ends fails."""
+        ends = name not in L2_FIELDS
+        a = RANGE_END_FIELDS[name] if ends else L2_FIELDS[name]
+        m, n = a.shape
+        for mixed in (False, True):
+            norms = _shift_norm_table(a, 2.0, mixed)[:m, :n]
+            live = np.ones((m, n), bool)
+            if mixed:
+                live[0] = live[:, 0] = False
+            lo, hi = _l2_bounds(a, mixed)
+            assert (lo[live] <= norms[live]).all() and (norms[live] <= hi[live]).all()
+            assert (hi[~live] == -math.inf).all()
+            if live.any() and not ends:
+                est, width, e = _l2_estimate(a, mixed)
+                miss = np.abs(est - np.ldexp(norms, -e) ** 2)[live]
+                assert miss.max() < width / 1000, (mixed, miss.max() / width)
