@@ -32,7 +32,8 @@ have two sources, chosen by p:
 * p = 2: the squared norm of a shift difference is a sum of at most five
   autocorrelation values, ||D||^2 = 2c(0) - 2c(h) for plain shifts and
   4c(0, 0) - 4c(s, 0) - 4c(0, t) + 2c(s, t) + 2c(s, -t) for mixed ones,
-  and one rfft2/irfft2 pair gives every c(h).  _l2_bounds widens that
+  and one rfft2/irfft2 pair of the field less its mean gives every c(h)
+  (differences ignore the mean).  _l2_bounds widens that
   estimate by a derived bound on its error, so it filters; the values
   are still the evaluated norms.
 * Other p: the partners are evaluated, and each mirror is bounded by its
@@ -319,13 +320,17 @@ def _l2_estimate(a: np.ndarray, mixed: bool):
     """(est, width, e): est[s, t] estimates 4^-e times the square of the
     p = 2 norm that _shift_norms computes for shift (s, t) of the (M, N)
     array a, within width save underflow and overflow (see _l2_bounds),
-    from the autocorrelation of b = 2^-e a.
+    from the autocorrelation of b = 2^-e a - z, z the computed mean of
+    2^-e a.  Differences do not see z, so the width scales with the
+    centred mean square: a large mean does not widen it.
 
-    e is the exponent of max|a| (numpy.frexp), so max|b| lies in [1/2, 1):
-    no transform can overflow, and b is 2^-e a exactly, save entries below
-    2^-1022, which round by at most 2^-1075 and so move a squared norm by
-    far less than u S below.  With k = M*N, means over the k samples and
-    c(h) = mean(b b(. + h)), the squared norms of the exact differences are
+    e is the exponent of max|a| (numpy.frexp), so max|2^-e a| lies in
+    [1/2, 1) and max|b| < 2: no sum or transform can overflow.  2^-e a is
+    exact, save entries below 2^-1022, which round by at most 2^-1075; a
+    field with such an entry and one of at least 1/2 has S >= 1/(16k), so
+    this moves a squared norm by far less than u S below.  With k = M*N,
+    means over the k samples and c(h) = mean(b b(. + h)), the squared
+    norms of the exact differences of b are
 
         plain: 2c(0, 0) - 2c(s, t),
         mixed: 4c(0, 0) - 4c(s, 0) - 4c(0, t) + 2c(s, t) + 2c(s, -t),
@@ -352,6 +357,11 @@ def _l2_estimate(a: np.ndarray, mixed: bool):
       2^60, so S <= 1.01 c0 with c0 the computed c(0, 0).
     - Forming est (scalings by powers of two, exact, and four roundings of
       sums below 17 S) adds at most 96u S.
+    - b is 2^-e a - z rounded: each entry moves by at most u times its
+      centred value, and z cancels in every difference.  So a difference
+      of b is the exact difference of 2^-e a moved by at most 2u sqrt(S)
+      in norm (plain) or 4u sqrt(S) (mixed); as the norms are at most
+      2 sqrt(S) and 4 sqrt(S), its square moves by at most 9u S or 33u S.
     - _shift_norms rounds each difference, its square, a sum of k terms
       and a mean within gamma_(k+3) (ch. 4), and its root within 2u, so its
       square lies within gamma_(k+8) of the real squared norm, at most 16 S:
@@ -362,13 +372,15 @@ def _l2_estimate(a: np.ndarray, mixed: bool):
     - _l2_bounds rounds est +- width, their roots and the ldexp within 3u
       of at most 17 S.
 
-    So width = 2 c0 (16 e_c + (17k + 512)u), its 2 covering S <= 1.01 c0
-    and the factors 1 + eps.
+    These add up to 16 e_c S + (17k + 349)u S.  So width = 2 c0 (16 e_c +
+    (17k + 512)u), its 2 covering S <= 1.01 c0 and the factors 1 + eps.
     """
     m, n = a.shape
     k = a.size
     e = int(np.frexp(max(a.max(), -a.min()))[1])
-    spec = np.fft.rfft2(np.ldexp(a, -e))
+    b = np.ldexp(a, -e)
+    b -= b.mean()
+    spec = np.fft.rfft2(b)
     parts = _abs_pow(spec.view(float), 2.0)  # re^2 and im^2, interleaved
     parts[:, 0::2] += parts[:, 1::2]
     parts[:, 1::2] = 0.0

@@ -1,11 +1,14 @@
 """Wiener p-variation of a sampled periodic function over cyclic partitions.
 
 pvar_cyclic computes it by one anchored chain DP, to within a rounding error
-where partitions tie; pvar_oracle is the independent brute force over every
-index subset.  The oracle prices all subsets at once as naive sums of pair
-costs (_chain_sums, which vitali2d's oracle shares) and evaluates exactly
-only the subsets that _near_max cannot rule out (_first_max), so its value
-stays bit for bit the maximum of pvar_sum over all subsets.
+where partitions tie.  At p > 1 the DP runs on the turning points only
+(_turning_points): no optimal partition holds a sample strictly inside a
+monotone run, so a tent of frequency k costs O(N + k^2), not O(N^2).
+pvar_oracle is the independent brute force over every index subset.  The
+oracle prices all subsets at once as naive sums of pair costs (_chain_sums,
+which vitali2d's oracle shares) and evaluates exactly only the subsets that
+_near_max cannot rule out (_first_max), so its value stays bit for bit the
+maximum of pvar_sum over all subsets.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ ORACLE_MAX_N = 18
 # more block; mixed tables add the row-doubled samples, a third (800 KB in
 # all at the cap), well inside a 2 MB L2.
 _BLOCK = 1 << 15
+
+# Lane blocks of at most this many samples find their turning points in
+# Python (_turning_points).
+_SMALL_BLOCK = 64
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64
 
@@ -142,25 +149,73 @@ def _chain_dp(cost, na: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return closing[lanes, last], pred, last
 
 
-def _backtrack(pred: np.ndarray, last: np.ndarray, lanes, anchors) -> list[list[int]]:
+def _backtrack(
+    pred: np.ndarray, last: np.ndarray, lanes, anchors, pos=None, n=None
+) -> list[list[int]]:
     """The best chain of each lane in lanes (a _chain_dp's pred and last),
-    as the indices (anchor + x) % m of its positions x, ascending.
+    as the indices (anchor + x) % n of its positions x, ascending.
 
-    Positions rise from 0, so the indices of positions x >= m - anchor wrap
-    below the anchor: splitting the chain there and putting that part first
-    orders the indices without a sort.
+    By default a position is its own lane position and n = m, the number
+    of positions.  A lane whose positions stand for a subset of its n
+    positions (_turning_points) passes pos, with pos[lane, x] the lane
+    position that position x stands for, increasing in x along the chain.
+    Positions rise from 0, so the indices of positions x >= n - anchor
+    wrap below the anchor: splitting the chain there and putting that part
+    first orders the indices without a sort.
     """
-    m = pred.shape[1]
+    n = pred.shape[1] if n is None else n
+    places = [None] * len(anchors) if pos is None else pos[lanes].tolist()
     out = []
-    for back, j, a in zip(pred[lanes].tolist(), last[lanes].tolist(), anchors):
+    for back, j, a, place in zip(pred[lanes].tolist(), last[lanes].tolist(), anchors, places):
         xs = [j]
         while j > 0:
             j = back[j]
             xs.append(j)
         xs.reverse()
-        cut = bisect_left(xs, m - a)
-        out.append([x + a - m for x in xs[cut:]] + [x + a for x in xs[:cut]])
+        if place is not None:
+            xs = [place[x] for x in xs]
+        cut = bisect_left(xs, n - a)
+        out.append([x + a - n for x in xs[cut:]] + [x + a for x in xs[:cut]])
     return out
+
+
+def _turning_points(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each lane (row) of rot without its strictly monotone interior
+    samples, for a chain DP at p > 1: (lanes, pos) with pos as _backtrack
+    reads it, or (rot, None) when no lane drops a sample.
+
+    A sample is dropped when it lies strictly between its two cyclic
+    neighbours; plateau samples stay, and so does a lane's first sample,
+    which _pvar_lanes makes a global maximum.  Each lane keeps its samples
+    in order and is padded to the block's largest kept count with copies
+    of its first sample (pos 0, never read: see _pvar_lanes).  Blocks of
+    at most _SMALL_BLOCK samples compare in Python: there the dozen numpy
+    calls of the other branch cost more than the comparisons, and more
+    than the DP steps a drop saves on a lane of a few samples.  Both
+    branches drop the same samples.
+    """
+    na, n = rot.shape
+    if rot.size <= _SMALL_BLOCK:
+        kept = [
+            [i for i, (a, x, c) in enumerate(zip(r[-1:] + r, r, r[1:] + r))
+             if not (a < x < c or a > x > c)]
+            for r in rot.tolist()
+        ]
+        if sum(map(len, kept)) == rot.size:
+            return rot, None
+        t = max(map(len, kept))
+        pos = np.array([k + [0] * (t - len(k)) for k in kept])
+    else:
+        ext = np.concatenate((rot[:, -1:], rot, rot[:, :1]), axis=1)
+        up, down = ext[:, :-1] < ext[:, 1:], ext[:, :-1] > ext[:, 1:]
+        drop = up[:, :-1] & up[:, 1:] | down[:, :-1] & down[:, 1:]
+        if not drop.any():
+            return rot, None
+        count = n - np.add.reduce(drop, axis=1)
+        t = int(count.max())
+        pos = np.argsort(drop, axis=1, kind="stable")[:, :t]  # kept positions first, in order
+        pos[np.arange(t) >= count[:, None]] = 0
+    return rot[np.arange(na)[:, None], pos], pos
 
 
 def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, ...]]]:
@@ -175,6 +230,37 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
     number of lanes.  Like Grid1, lanes need at least 2 samples, all finite;
     unlike Grid1's, they may exceed 2^1021 (difference sections of grid
     samples reach 2^1022).
+
+    At p > 1 the DP runs on each lane's turning points only
+    (_turning_points): no partition that holds a sample i strictly inside a
+    monotone run (x_(i-1) < x_i < x_(i+1), or the same with >) is optimal.
+    Let a and c be the values of i's neighbours in a partition of at least
+    two points (a one-point partition sums to 0).
+
+    - If x_i lies strictly between a and c, dropping i is strictly better:
+      with s = |a - x_i| > 0 and t = |x_i - c| > 0, |a - c|^p = (s + t)^p
+      > s^p + t^p at p > 1.
+    - Otherwise x_i >= a, c or x_i <= a, c.  Moving i one step along its
+      run, to the neighbour with the larger (or smaller) value, makes both
+      increments strictly larger.  That neighbour is neither of i's
+      partition neighbours, whose values it strictly exceeds (or undercuts),
+      so the points keep their cyclic order.
+
+    The same argument holds for the DP's open chains from the anchor, which
+    is never dropped, so in exact arithmetic the restricted DP finds the
+    same best chains.  It compares naive float sums, so where chains tie
+    within rounding its choice can differ from the unrestricted DP's.  At
+    p = 1 every refinement of a monotone run ties exactly with the run's
+    ends; there the DP keeps every sample and returns the refinement its
+    tie rule picks.
+
+    A lane padded with copies of its anchor sample x_0 gets the chain it
+    gets unpadded.  The pads come after its last real position.  A step
+    from a real position i to a pad costs |x_0 - x_i|^p, the float of the
+    closing step from i, and pad-to-pad and pad-closing steps cost 0; so
+    every pad's best sum is the largest real closing sum, bit for bit,
+    closing ties go to the earliest position, a real one, and no real
+    position's predecessor is a pad.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[1] < 2 or not np.isfinite(a).all():
@@ -186,9 +272,10 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
         blk = a[l0 : l0 + width]
         anchors = blk.argmax(axis=1)
         rot = blk[np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n]
+        rot, pos = (rot, None) if pp == 1.0 else _turning_points(rot)
         col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
-        _, pred, last = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, len(blk), n)
-        chains = _backtrack(pred, last, slice(None), anchors.tolist())
+        _, pred, last = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, *rot.shape)
+        chains = _backtrack(pred, last, slice(None), anchors.tolist(), pos, n)
         for row, idx in zip(blk.tolist(), map(tuple, chains)):
             yield _sum_value(row, idx, pp), idx
 
@@ -202,12 +289,14 @@ def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
     An optimal cyclic partition may be assumed to contain a global-maximum
     sample (inserting a point with value >= both neighbours never decreases
     the sum for p >= 1), so one chain DP anchored at the first such sample
-    suffices: O(N^2) time, O(N) memory, step costs priced one position at a
-    time.  Ties in the naive step-cost sum go to the partition whose last
-    point before the wrap comes first, and each point's predecessor is the
-    earliest one attaining its best prefix sum (see _chain_dp).  The value
-    returned is pvar_sum of that partition.  This is the one-lane case of
-    _pvar_lanes.
+    suffices.  At p > 1 it runs on the T samples that are not strictly
+    inside a monotone run (the proof is at _pvar_lanes), at p = 1 on all N
+    (T = N): O(N + T^2) time, O(N) memory, step costs priced one position
+    at a time.  Ties in the naive step-cost sum go to the partition whose
+    last point before the wrap comes first, and each point's predecessor
+    is the earliest one attaining its best prefix sum (see _chain_dp).
+    The value returned is pvar_sum of that partition.  This is the
+    one-lane case of _pvar_lanes.
     """
     value, idx = next(_pvar_lanes(g.samples[None, :], p))
     return value, CyclicPartition(idx)

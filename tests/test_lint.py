@@ -151,18 +151,40 @@ def test_front_ends_import_no_private_name(module):
     assert not private, f"{module} imports private names: {private}"
 
 
+def _top_level_readers(name: str) -> list[str]:
+    """The top-level definitions of the package that read or import name,
+    under any name a module-level import binds it to, as
+    module.definition; name's own definition and those imports are left
+    out (test_every_import_is_read makes an import read)."""
+    readers = []
+    for module, tree in MODULES.items():
+        bound = {name} | {b for _, n, b in _imports(tree) if n == name}
+        readers += [
+            f"{module}.{getattr(node, 'name', type(node).__name__)}"
+            for node in tree.body
+            if getattr(node, "name", None) != name
+            and not isinstance(node, (ast.Import, ast.ImportFrom))
+            and bound & (_reads(node) | {n for _, n, _ in _imports(node)})
+        ]
+    return readers
+
+
 def test_row_norms_has_one_reader():
     """modulus._row_norms, which turns differences into shift norms, is read
     or imported by one top-level definition of the package, _shift_norms, so
     every shift norm has one evaluator."""
-    readers = [
-        f"{module}.{getattr(node, 'name', type(node).__name__)}"
-        for module, tree in MODULES.items()
-        for node in tree.body
-        if getattr(node, "name", None) != "_row_norms"
-        and "_row_norms" in _reads(node) | {name for _, name, _ in _imports(node)}
-    ]
+    readers = _top_level_readers("_row_norms")
     assert readers == ["modulus._shift_norms"], readers
+
+
+def test_chain_dp_has_two_readers():
+    """pvar1d._chain_dp is read by _pvar_lanes, which gives it each lane's
+    turning points at p > 1, and by vitali2d._chain_max, whose pair costs
+    are not a sequence's: no new caller bypasses the restriction.  The
+    import that brings it into vitali2d is not a reader; any definition
+    that reads it there is."""
+    readers = _top_level_readers("_chain_dp")
+    assert readers == ["pvar1d._pvar_lanes", "vitali2d._chain_max"], readers
 
 
 def _numpy_call(node: ast.AST, name: str) -> bool:

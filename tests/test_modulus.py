@@ -721,6 +721,25 @@ class TestTwoPassTables:
         assert max(counts[True]) < 0.02 * 63 * 63, counts
         assert max(counts[False]) < 0.02 * 64 * 64, counts
 
+    def test_a_large_mean_does_not_stop_the_pruning_at_p2(self):
+        """The "offset" field, 1e8 plus unit noise, lists fewer than 10 % of
+        its shifts to _shift_norms at p = 2: _l2_estimate centres the field,
+        so its width scales with the noise, not with the mean.  Without
+        the centring it lists every live shift, 288 plain and 255 mixed."""
+        counts = {}
+
+        def counted(a, p, mixed, rows, cols):
+            counts[mixed] = len(rows)
+            return shift_norms(a, p, mixed, rows, cols)
+
+        shift_norms = modulus._shift_norms
+        a = L2_FIELDS["offset"]
+        m, n = a.shape
+        with mock.patch.object(modulus, "_shift_norms", counted):
+            for mixed in (False, True):
+                _prefix_max_table(a, 2.0, mixed)
+        assert counts[False] < 0.1 * m * n and counts[True] < 0.1 * (m - 1) * (n - 1), counts
+
 
 class TestL2Bounds:
     """The p = 2 bounds of modulus._l2_bounds against every computed norm."""

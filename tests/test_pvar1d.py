@@ -29,6 +29,7 @@ from pvarlab.pvar1d import (
     _pvar_lanes,
     _pvar_rows,
     _sum_value,
+    _turning_points,
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -417,6 +418,119 @@ class TestBacktrack:
             _, chain = _closure_chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** p, na, n)
             want = [tuple(sorted((x + a) % n for x in chain(i))) for i, a in enumerate(anchors)]
             assert [idx for _, idx in _pvar_lanes(rows, Exponent(p))] == want
+
+
+def _unrestricted_lanes(a: np.ndarray, p: Exponent) -> list[tuple[float, tuple[int, ...]]]:
+    """Reference for _pvar_lanes: the anchored chain DP over every sample of
+    each lane, with no turning-point restriction.  The lanes run as one
+    block; a lane's result does not depend on its block."""
+    na, n = a.shape
+    anchors = a.argmax(axis=1)
+    rot = a[np.arange(na)[:, None], (anchors[:, None] + np.arange(n)) % n]
+    col = rot.T[:, :, None]
+    _, pred, last = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** p.p, na, n)
+    chains = _backtrack(pred, last, slice(None), anchors.tolist())
+    return [(_sum_value(row, idx, p.p), tuple(idx)) for row, idx in zip(a.tolist(), chains)]
+
+
+def _reference_lanes() -> dict[str, np.ndarray]:
+    """Lane blocks on which the turning-point DP must match the reference
+    bit for bit: Gaussian, random walks, tents and sines of several
+    frequencies (long monotone runs), and integer and {0, 1, 2}-valued
+    lanes (plateaus and exact ties)."""
+    rng = np.random.default_rng(29)
+    return {
+        "gaussian": rng.normal(size=(64, 33)),
+        "walk": np.cumsum(rng.normal(size=(8, 400)), axis=1),
+        "tent": np.array([gen_tent_scaled(k, 240).samples for k in (1, 2, 3, 5, 8, 24)]),
+        "sine": np.array([gen_sine(k, 240).samples for k in (1, 2, 3, 5, 12)]),
+        "integer": rng.integers(-3, 4, size=(200, 20)).astype(float),
+        "ternary": np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=7))),
+    }
+
+
+REFERENCE_LANES = _reference_lanes()
+
+
+class TestTurningPoints:
+    """At p > 1, _pvar_lanes runs its chain DP on each lane's turning points
+    only; at p = 1 on every sample."""
+
+    @pytest.mark.parametrize("p", (1.0, 1.1, 1.5, 2.0, 3.0))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_LANES))
+    def test_matches_unrestricted_dp(self, name, p):
+        rows, pe = REFERENCE_LANES[name], Exponent(p)
+        assert list(_pvar_lanes(rows, pe)) == _unrestricted_lanes(rows, pe)
+
+    @pytest.mark.parametrize("name", ("walk", "sine"))
+    def test_matches_unrestricted_dp_at_16384(self, name):
+        """One lane of 16,384 samples, where the reference takes about 1 s."""
+        n = 16384
+        walk = np.cumsum(np.random.default_rng(n).normal(size=n))
+        rows = (walk if name == "walk" else gen_sine(4, n).samples)[None, :]
+        assert list(_pvar_lanes(rows, Exponent(1.5))) == _unrestricted_lanes(rows, Exponent(1.5))
+
+    def test_never_below_on_rounded_difference_sections(self):
+        """Difference sections of 0.1-rounded fields, as
+        section_lipschitz_check forms them, hold steps of an ulp or so, so
+        chains through a monotone run tie with the run's ends within
+        rounding.  There the turning-point DP may pick another partition,
+        but its value is never below the reference's.  Some lanes come out
+        higher (31 of 22,992 on this corpus), so the corpus reaches such
+        ties."""
+        rng = np.random.default_rng(29)
+        fields = [np.round(rng.normal(size=(m, m)), 1) for m in (12, 16, 24, 32) for _ in range(3)]
+        raised = 0
+        for p in (1.1, 1.5, 2.0, 3.0):
+            pe = Exponent(p)
+            for a in fields:
+                i, j = np.triu_indices(len(a), 1)
+                for rows in (a[j] - a[i], a.T[j] - a.T[i]):
+                    got = np.array([v for v, _ in _pvar_lanes(rows, pe)])
+                    want = np.array([v for v, _ in _unrestricted_lanes(rows, pe)])
+                    assert (got >= want).all(), (p, rows[got < want])
+                    raised += int((got > want).sum())
+        assert raised > 0
+
+    @pytest.mark.parametrize("k", (1, 4, 32))
+    def test_chain_dp_sees_only_the_turning_points(self, k, monkeypatch):
+        """gen_tent_scaled(k, 4096) has 2k turning points: the DP takes 2k
+        positions at p = 1.5, and all 4096 at p = 1."""
+        sizes = []
+
+        def counted(cost, na, m):
+            sizes.append(m)
+            return chain_dp(cost, na, m)
+
+        chain_dp = pvar1d._chain_dp
+        monkeypatch.setattr(pvar1d, "_chain_dp", counted)
+        g = gen_tent_scaled(k, 4096)
+        pvar_cyclic(g, Exponent(1.5))
+        pvar_cyclic(g, Exponent(1.0))
+        assert sizes == [2 * k, 4096]
+
+    def test_small_blocks_drop_what_large_blocks_drop(self, monkeypatch):
+        """Blocks of at most _SMALL_BLOCK samples find their turning points
+        in Python, larger ones in numpy: both give the same lanes and pos
+        on Gaussian, 0.1-rounded and {0, 1, 2}-valued blocks."""
+        rng = np.random.default_rng(64)
+        blocks = [rng.normal(size=(na, n)) for na, n in ((1, 2), (1, 5), (1, 64), (4, 16), (3, 7))]
+        blocks += [np.round(rng.normal(size=(5, 9)), 1), rng.integers(0, 3, size=(8, 8)).astype(float)]
+        blocks += [rng.integers(0, 3, size=(1, n)).astype(float) for n in range(2, 12)]
+        for rot in blocks:
+            assert rot.size <= pvar1d._SMALL_BLOCK
+            small = _turning_points(rot)
+            with monkeypatch.context() as m:
+                m.setattr(pvar1d, "_SMALL_BLOCK", 0)
+                large = _turning_points(rot)
+            assert (small[1] is None) == (large[1] is None), rot
+            assert all(np.array_equal(x, y) for x, y in zip(small, large) if x is not None), rot
+
+    def test_the_rounding_tie_grid_keeps_every_sample(self):
+        """All six samples of the strict-xfail grid of TestAgainstOracle are
+        turning points, so its DP is the one it was and the xfail stays."""
+        rot = np.array([[-0.6, 0.5, -0.5, 0.1, -0.7, 0.0]])
+        assert _turning_points(rot)[1] is None
 
 
 def _mp_optimum(g: Grid1, p: float):
