@@ -215,22 +215,17 @@ def gen_trigpoly(a, b, c, d, M: int, N: int) -> tuple[Grid2, Grid2]:
     D = np.zeros((M, N))
     for j in range(deg_x + 1):
         cj, sj = np.cos(2 * np.pi * j * x), np.sin(2 * np.pi * j * x)
-        dcj, dsj = -2 * np.pi * j * sj, 2 * np.pi * j * cj
+        xs = (cj, sj), (-2 * np.pi * j * sj, 2 * np.pi * j * cj)  # (cos, sin), then derivatives
         for k in range(deg_y + 1):
             ck, sk = np.cos(2 * np.pi * k * y), np.sin(2 * np.pi * k * y)
-            dck, dsk = -2 * np.pi * k * sk, 2 * np.pi * k * ck
-            T += (
-                a[j, k] * np.outer(cj, ck)
-                + b[j, k] * np.outer(cj, sk)
-                + c[j, k] * np.outer(sj, ck)
-                + d[j, k] * np.outer(sj, sk)
-            )
-            D += (
-                a[j, k] * np.outer(dcj, dck)
-                + b[j, k] * np.outer(dcj, dsk)
-                + c[j, k] * np.outer(dsj, dck)
-                + d[j, k] * np.outer(dsj, dsk)
-            )
+            ys = (ck, sk), (-2 * np.pi * k * sk, 2 * np.pi * k * ck)
+            for out, (cx, sx), (cy, sy) in zip((T, D), xs, ys):
+                out += (
+                    a[j, k] * np.outer(cx, cy)
+                    + b[j, k] * np.outer(cx, sy)
+                    + c[j, k] * np.outer(sx, cy)
+                    + d[j, k] * np.outer(sx, sy)
+                )
     return Grid2(T), Grid2(D)
 
 

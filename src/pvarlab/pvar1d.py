@@ -4,11 +4,14 @@ pvar_cyclic computes it by one anchored chain DP, to within a rounding error
 where partitions tie.  At p > 1 the DP runs on the turning points only
 (_turning_points): no optimal partition holds a sample strictly inside a
 monotone run, so a tent of frequency k costs O(N + k^2), not O(N^2).
-pvar_oracle is the independent brute force over every index subset.  The
-oracle prices all subsets at once as naive sums of pair costs (_chain_sums,
-which vitali2d's oracle shares) and evaluates exactly only the subsets that
-_near_max cannot rule out (_first_max), so its value stays bit for bit the
-maximum of pvar_sum over all subsets.
+Every array power |d|^p of the package goes through _abs_pow, the one
+place where its bits and speed are set: the DP's step costs and
+omega_p_functional's here, the tables' in modulus and the ascent's in
+vitali2d.  pvar_oracle is the independent brute force over every index
+subset.  The oracle prices all subsets at once as naive sums of pair costs
+(_chain_sums, which vitali2d's oracle shares) and evaluates exactly only the
+subsets that _near_max cannot rule out (_first_max), so its value stays bit
+for bit the maximum of pvar_sum over all subsets.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ ORACLE_MAX_N = 18
 # more block; mixed tables add the row-doubled samples, a third (800 KB in
 # all at the cap), well inside a 2 MB L2.
 _BLOCK = 1 << 15
-
-# Lane blocks of at most this many samples find their turning points in
-# Python (_turning_points).
-_SMALL_BLOCK = 64
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64
 
@@ -179,42 +178,26 @@ def _backtrack(
     return out
 
 
-def _turning_points(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _turning_points(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each lane (row) of rot without its strictly monotone interior
     samples, for a chain DP at p > 1: (lanes, pos) with pos as _backtrack
-    reads it, or (rot, None) when no lane drops a sample.
+    reads it.
 
     A sample is dropped when it lies strictly between its two cyclic
     neighbours; plateau samples stay, and so does a lane's first sample,
     which _pvar_lanes makes a global maximum.  Each lane keeps its samples
     in order and is padded to the block's largest kept count with copies
-    of its first sample (pos 0, never read: see _pvar_lanes).  Blocks of
-    at most _SMALL_BLOCK samples compare in Python: there the dozen numpy
-    calls of the other branch cost more than the comparisons, and more
-    than the DP steps a drop saves on a lane of a few samples.  Both
-    branches drop the same samples.
+    of its first sample (pos 0, never read: see _pvar_lanes).  A block
+    that drops nothing comes back as a copy, with pos[lane] = 0..n-1.
     """
     na, n = rot.shape
-    if rot.size <= _SMALL_BLOCK:
-        kept = [
-            [i for i, (a, x, c) in enumerate(zip(r[-1:] + r, r, r[1:] + r))
-             if not (a < x < c or a > x > c)]
-            for r in rot.tolist()
-        ]
-        if sum(map(len, kept)) == rot.size:
-            return rot, None
-        t = max(map(len, kept))
-        pos = np.array([k + [0] * (t - len(k)) for k in kept])
-    else:
-        ext = np.concatenate((rot[:, -1:], rot, rot[:, :1]), axis=1)
-        up, down = ext[:, :-1] < ext[:, 1:], ext[:, :-1] > ext[:, 1:]
-        drop = up[:, :-1] & up[:, 1:] | down[:, :-1] & down[:, 1:]
-        if not drop.any():
-            return rot, None
-        count = n - np.add.reduce(drop, axis=1)
-        t = int(count.max())
-        pos = np.argsort(drop, axis=1, kind="stable")[:, :t]  # kept positions first, in order
-        pos[np.arange(t) >= count[:, None]] = 0
+    ext = np.concatenate((rot[:, -1:], rot, rot[:, :1]), axis=1)
+    up, down = ext[:, :-1] < ext[:, 1:], ext[:, :-1] > ext[:, 1:]
+    drop = up[:, :-1] & up[:, 1:] | down[:, :-1] & down[:, 1:]
+    count = n - np.add.reduce(drop, axis=1)
+    t = int(count.max())
+    pos = np.argsort(drop, axis=1, kind="stable")[:, :t]  # kept positions first, in order
+    pos[np.arange(t) >= count[:, None]] = 0
     return rot[np.arange(na)[:, None], pos], pos
 
 
@@ -223,11 +206,11 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
     indices) pairs in lane order.
 
     Every lane is rotated to its own first global-maximum sample and its
-    steps are priced with the same elementwise operations as a lone
-    sequence, so each lane gets exactly the value and partition it would get
-    alone.  Lanes run through _chain_dp in blocks of about _BLOCK samples and
-    are yielded one at a time, so the working memory does not grow with the
-    number of lanes.  Like Grid1, lanes need at least 2 samples, all finite;
+    steps are priced elementwise, |x_j - x_i|^p through _abs_pow, as for a
+    lone sequence, so each lane gets exactly the value and partition it
+    would get alone.  Lanes run through _chain_dp in blocks of about _BLOCK
+    samples and are yielded one at a time, so the working memory does not
+    grow with the number of lanes.  Like Grid1, lanes need at least 2 samples, all finite;
     unlike Grid1's, they may exceed 2^1021 (difference sections of grid
     samples reach 2^1022).
 
@@ -274,7 +257,7 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
         rot = blk[np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n]
         rot, pos = (rot, None) if pp == 1.0 else _turning_points(rot)
         col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
-        _, pred, last = _chain_dp(lambda j, k: np.abs(col[j] - rot[:, :k]) ** pp, *rot.shape)
+        _, pred, last = _chain_dp(lambda j, k: _abs_pow(col[j] - rot[:, :k], pp), *rot.shape)
         chains = _backtrack(pred, last, slice(None), anchors.tolist(), pos, n)
         for row, idx in zip(blk.tolist(), map(tuple, chains)):
             yield _sum_value(row, idx, pp), idx
@@ -428,5 +411,5 @@ def pvar_oracle(g: Grid1, p: Exponent) -> float:
 
 def omega_p_functional(g: Grid1, p: Exponent) -> float:
     """Averaged variation ((1/N^2) sum_{i,j} |g_i - g_j|^p)^(1/p)."""
-    d = np.abs(g.samples[None, :] - g.samples[:, None]) ** p.p
+    d = _abs_pow(g.samples[None, :] - g.samples[:, None], p.p)
     return _root(float(d.sum()) / (g.n * g.n), p.p)

@@ -437,9 +437,11 @@ def _reference_lanes() -> dict[str, np.ndarray]:
     """Lane blocks on which the turning-point DP must match the reference
     bit for bit: Gaussian, random walks, tents and sines of several
     frequencies (long monotone runs), and integer and {0, 1, 2}-valued
-    lanes (plateaus and exact ties)."""
+    lanes (plateaus and exact ties); and small blocks of at most 64
+    samples, of one lane of 2 to 64 samples or a few short lanes, where
+    few or no samples drop."""
     rng = np.random.default_rng(29)
-    return {
+    blocks = {
         "gaussian": rng.normal(size=(64, 33)),
         "walk": np.cumsum(rng.normal(size=(8, 400)), axis=1),
         "tent": np.array([gen_tent_scaled(k, 240).samples for k in (1, 2, 3, 5, 8, 24)]),
@@ -447,6 +449,14 @@ def _reference_lanes() -> dict[str, np.ndarray]:
         "integer": rng.integers(-3, 4, size=(200, 20)).astype(float),
         "ternary": np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=7))),
     }
+    small = np.random.default_rng(64)
+    for na, n in ((1, 2), (1, 5), (1, 64), (4, 16), (3, 7)):
+        blocks[f"small_gaussian_{na}x{n}"] = small.normal(size=(na, n))
+    blocks["small_rounded_5x9"] = np.round(small.normal(size=(5, 9)), 1)
+    blocks["small_ternary_8x8"] = small.integers(0, 3, size=(8, 8)).astype(float)
+    for n in range(2, 12):
+        blocks[f"small_ternary_1x{n}"] = small.integers(0, 3, size=(1, n)).astype(float)
+    return blocks
 
 
 REFERENCE_LANES = _reference_lanes()
@@ -509,28 +519,12 @@ class TestTurningPoints:
         pvar_cyclic(g, Exponent(1.0))
         assert sizes == [2 * k, 4096]
 
-    def test_small_blocks_drop_what_large_blocks_drop(self, monkeypatch):
-        """Blocks of at most _SMALL_BLOCK samples find their turning points
-        in Python, larger ones in numpy: both give the same lanes and pos
-        on Gaussian, 0.1-rounded and {0, 1, 2}-valued blocks."""
-        rng = np.random.default_rng(64)
-        blocks = [rng.normal(size=(na, n)) for na, n in ((1, 2), (1, 5), (1, 64), (4, 16), (3, 7))]
-        blocks += [np.round(rng.normal(size=(5, 9)), 1), rng.integers(0, 3, size=(8, 8)).astype(float)]
-        blocks += [rng.integers(0, 3, size=(1, n)).astype(float) for n in range(2, 12)]
-        for rot in blocks:
-            assert rot.size <= pvar1d._SMALL_BLOCK
-            small = _turning_points(rot)
-            with monkeypatch.context() as m:
-                m.setattr(pvar1d, "_SMALL_BLOCK", 0)
-                large = _turning_points(rot)
-            assert (small[1] is None) == (large[1] is None), rot
-            assert all(np.array_equal(x, y) for x, y in zip(small, large) if x is not None), rot
-
     def test_the_rounding_tie_grid_keeps_every_sample(self):
         """All six samples of the strict-xfail grid of TestAgainstOracle are
         turning points, so its DP is the one it was and the xfail stays."""
         rot = np.array([[-0.6, 0.5, -0.5, 0.1, -0.7, 0.0]])
-        assert _turning_points(rot)[1] is None
+        lanes, pos = _turning_points(rot)
+        assert (pos == np.arange(6)).all() and (lanes == rot).all()
 
 
 def _mp_optimum(g: Grid1, p: float):
