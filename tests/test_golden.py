@@ -87,10 +87,12 @@ def _first_differences(name: str, got: str, want: str, limit: int = 5) -> list[s
 def _mismatches(got: Path, want: Path) -> list[str]:
     out = []
     for path in sorted(want.iterdir()):
-        fresh = got / path.name
-        text = fresh.read_text() if fresh.exists() else ""
-        if text != path.read_text():
-            out.append(f"{path.name}: " + "; ".join(_first_differences(path.name, text, path.read_text())))
+        fresh, text = got / path.name, path.read_text()
+        if not fresh.exists():
+            out.append(f"{path.name}: not written")
+        elif fresh.read_text() != text:
+            diffs = _first_differences(path.name, fresh.read_text(), text)
+            out.append(f"{path.name}: " + "; ".join(diffs))
     return out
 
 
@@ -113,11 +115,16 @@ def test_outputs_match_the_golden_sets(tmp_path):
     own key.  Skips when a key has no committed set and nothing differs."""
     child = _without_avx512_power(tmp_path / "child")
     runs = {tmp_path / "host": _dispatch_key()}
-    _write_outputs(tmp_path / "host")
-    if child is not None:
-        out, err = child.communicate()
-        assert child.returncode == 0, err
-        runs[tmp_path / "child"] = out.strip()
+    try:
+        _write_outputs(tmp_path / "host")
+        if child is not None:
+            out, err = child.communicate(timeout=600)
+            assert child.returncode == 0, err
+            runs[tmp_path / "child"] = out.strip()
+    finally:
+        if child is not None and child.poll() is None:
+            child.kill()
+            child.communicate()
     mismatches, missing = [], []
     for got, key in runs.items():
         if (GOLDEN / key).is_dir():

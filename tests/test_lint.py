@@ -209,22 +209,19 @@ def test_array_powers_go_through_abs_pow(module):
     stay: `x**pp` over tolist() floats, `v**inv` and _root."""
     tree = MODULES[module]
     seam = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_abs_pow"]
-    stack, powers = [tree], []
-    while stack:
-        node = stack.pop()
-        if node in seam:
-            continue
-        if (
-            isinstance(node, ast.AugAssign)
-            and isinstance(node.op, ast.Pow)
-            or isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.Pow)
-            and _numpy_call(node.left, "abs")
-            or _numpy_call(node, "power")
-        ):
-            powers.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
-        stack.extend(ast.iter_child_nodes(node))
-    assert not powers, f"array powers outside _abs_pow: {sorted(powers)}"
+    powers = [
+        f"{module}:{node.lineno}: {ast.unparse(node)}"
+        for top in tree.body
+        if top not in seam
+        for node in ast.walk(top)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Pow)
+        or isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and _numpy_call(node.left, "abs")
+        or _numpy_call(node, "power")
+    ]
+    assert not powers, f"array powers outside _abs_pow: {powers}"
     if module in ABS_POW_READERS:
         assert "_abs_pow" in _reads(tree, *seam), f"{module} never calls _abs_pow"
 
