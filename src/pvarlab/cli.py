@@ -116,7 +116,7 @@ def cmd_pvar(args) -> int:
             "p": p.p,
             "value": value,
             "partition": list(part.indices),
-            "method": "exact-dp",
+            "method": "closed-form" if p.p == 1.0 else "exact-dp",
         }
     _emit(payload, args)
     return 0

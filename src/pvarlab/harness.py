@@ -63,6 +63,10 @@ __all__ = [
 
 TOL = 1e-9
 
+# The report's schema, in meta: raised whenever the bytes that a fixed seed
+# gives move on purpose (README lists what each value moved).
+SCHEMA = 1
+
 # The suite's fixed inputs: its exponents (all above 1), the corpus sizes
 # and the sizes of its oracle cross-checks.  _meta records the first three.
 P_GRID = (1.1, 1.5, 2.0, 3.0, 8.0)
@@ -264,9 +268,9 @@ def _sweep_row(f: Grid2, p: Exponent, family: str, n: int, m: int) -> dict:
     """One sweep row: the certified v_p^(2), omega(1,1), the K and I
     enclosures and the sharpness ratios of f.
 
-    The row's k_term is K.hi/p and its i_term is I.hi/p^2.  These are not
-    the terms of smoothness.EstimateBracket, which are K.hi/(p p') and
-    I.hi/(p p')^2; the sweep CSV keeps its own definitions.
+    The row's k_hi_over_p is K.hi/p and its i_hi_over_p2 is I.hi/p^2, not
+    smoothness.EstimateBracket's k_term and i_term, K.hi/(p p') and
+    I.hi/(p p')^2.
     """
     table = modulus_mixed(f, p)
     omega11 = float(table.values[-1, -1])
@@ -279,7 +283,7 @@ def _sweep_row(f: Grid2, p: Exponent, family: str, n: int, m: int) -> dict:
         values.update(
             k_lo=k.lo, k_hi=k.hi, i_lo=i.lo, i_hi=i.hi,
             ratio_smallp=v2 * pc**2 / i.hi if i.hi > 0 else None,
-            k_term=k.hi / p.p, i_term=i.hi / p.p**2,
+            k_hi_over_p=k.hi / p.p, i_hi_over_p2=i.hi / p.p**2,
         )
     norm = lp_norm(f, p)
     values["norm_p"] = norm
@@ -353,6 +357,7 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
 
 def _meta(seed: int) -> dict:
     return {
+        "schema": SCHEMA,
         "version": __version__,
         "seed": seed,
         "timestamp": "1970-01-01T00:00:00Z",

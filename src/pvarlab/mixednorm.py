@@ -60,8 +60,8 @@ def hardy_section_check(f: Grid2 | FieldContext, p: Exponent) -> list[dict]:
     The two-row cyclic net over {x0, x} carries each increment of the
     difference section twice, which gives v_p(f_x - f_{x0}) <= 2^(-1/p) v2;
     the section-Lipschitz bound then adds the factor 2.  v2 is
-    certified_vitali(f, p): the oracle on grids up to ORACLE_MAX_SIDE, the
-    exact finest-net value at p = 1, an ascent lower bound otherwise.  A
+    certified_vitali(f, p): the exact finest-net value at p = 1, the oracle
+    on grids up to ORACLE_MAX_SIDE, an ascent lower bound otherwise.  A
     lower bound only shrinks the right side, so a passing row is conclusive.
     The reference sections x0 and y0 are the ones of minimal variation.
     Rows come axis x first, then axis y, each in index order.

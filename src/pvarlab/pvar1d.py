@@ -1,7 +1,9 @@
 """Wiener p-variation of a sampled periodic function over cyclic partitions.
 
-pvar_cyclic computes it by one anchored chain DP, to within a rounding error
-where partitions tie.  At p > 1 the DP runs on the turning points only
+At p = 1 the p-variation is the total variation, attained by every
+partition through the strict extrema (_extrema): pvar_cyclic returns it
+exactly, in O(N), with no DP.  At p > 1 it runs one anchored chain DP, to
+within a rounding error where partitions tie, on the turning points only
 (_turning_points): no optimal partition holds a sample strictly inside a
 monotone run, so a tent of frequency k costs O(N + k^2), not O(N^2).
 Every array power |d|^p of the package goes through _abs_pow, the one
@@ -201,24 +203,60 @@ def _turning_points(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rot[np.arange(na)[:, None], pos], pos
 
 
+def _extrema(rot: np.ndarray) -> np.ndarray:
+    """The p = 1 partition of each lane (row) of rot as a mask: position 0,
+    which _pvar_lanes makes a global maximum, and the first sample of every
+    plateau (maximal run of equal samples) whose steps in and out, the
+    nearest nonzero x_(j+1) - x_j before and after it (x_n being x_0), have
+    opposite signs.  The samples after a lane's last nonzero step equal x_0:
+    position 0 stands for their plateau.  Comparisons only, so no
+    difference can overflow.
+    """
+    na, n = rot.shape
+    nxt = np.concatenate((rot[:, 1:], rot[:, :1]), axis=1)
+    step = (nxt > rot).view(np.int8) - (nxt < rot).view(np.int8)
+    at = np.flatnonzero(step)  # lane * n + j for every nonzero step
+    sign = step.ravel()[at]
+    turn = (sign[:-1] != sign[1:]) & (at[:-1] // n == at[1:] // n)
+    keep = np.zeros(na * n, dtype=bool)
+    keep[at[:-1][turn] + 1] = True
+    keep[::n] = True
+    return keep.reshape(na, n)
+
+
 def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, ...]]]:
     """pvar_cyclic of each row (lane) of the 2-D array a, as (value, partition
     indices) pairs in lane order.
 
-    Every lane is rotated to its own first global-maximum sample and its
-    steps are priced elementwise, |x_j - x_i|^p through _abs_pow, as for a
-    lone sequence, so each lane gets exactly the value and partition it
-    would get alone.  Lanes run through _chain_dp in blocks of about _BLOCK
-    samples and are yielded one at a time, so the working memory does not
-    grow with the number of lanes.  Like Grid1, lanes need at least 2 samples, all finite;
-    unlike Grid1's, they may exceed 2^1021 (difference sections of grid
-    samples reach 2^1022).
+    Every lane is rotated to its own first global-maximum sample, and each
+    lane gets exactly the value and partition it would get alone.  Lanes
+    run in blocks of about _BLOCK samples and are yielded one at a time, so
+    the working memory does not grow with the number of lanes.  Like Grid1,
+    lanes need at least 2 samples, all finite; unlike Grid1's, they may
+    exceed 2^1021 (difference sections of grid samples reach 2^1022).
 
-    At p > 1 the DP runs on each lane's turning points only
-    (_turning_points): no partition that holds a sample i strictly inside a
-    monotone run (x_(i-1) < x_i < x_(i+1), or the same with >) is optimal.
-    Let a and c be the values of i's neighbours in a partition of at least
-    two points (a one-point partition sums to 0).
+    At p = 1 no DP runs.  By the triangle inequality, refining a partition
+    never lowers its sum, so the finest partition attains the supremum, the
+    total variation sum |x_(i+1) - x_i| over the cycle.  In exact arithmetic
+    a partition attains it if and only if the samples between each two
+    cyclically consecutive points are monotone.  So it must hold a sample
+    of every plateau that is a strict extremum once plateaus are compressed
+    (the anchor's, a global maximum, included), and one sample of each is
+    enough.  _extrema takes the anchor and the first sample of each other
+    such plateau.  That is the partition with the fewest points, and among
+    those the one whose points come first: the one a DP returns that breaks
+    exact ties toward fewer points, then toward earlier predecessors and
+    the earliest last point.  _sum_value rounds the exact sum over its
+    points once, and that sum is the total variation, so the value is bit
+    for bit the sum over all N samples.
+
+    At p > 1 the lanes run through _chain_dp, with steps priced elementwise,
+    |x_j - x_i|^p through _abs_pow, as for a lone sequence.  The DP runs on
+    each lane's turning points only (_turning_points): no partition that
+    holds a sample i strictly inside a monotone run (x_(i-1) < x_i <
+    x_(i+1), or the same with >) is optimal.  Let a and c be the values of
+    i's neighbours in a partition of at least two points (a one-point
+    partition sums to 0).
 
     - If x_i lies strictly between a and c, dropping i is strictly better:
       with s = |a - x_i| > 0 and t = |x_i - c| > 0, |a - c|^p = (s + t)^p
@@ -232,10 +270,7 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
     The same argument holds for the DP's open chains from the anchor, which
     is never dropped, so in exact arithmetic the restricted DP finds the
     same best chains.  It compares naive float sums, so where chains tie
-    within rounding its choice can differ from the unrestricted DP's.  At
-    p = 1 every refinement of a monotone run ties exactly with the run's
-    ends; there the DP keeps every sample and returns the refinement its
-    tie rule picks.
+    within rounding its choice can differ from the unrestricted DP's.
 
     A lane padded with copies of its anchor sample x_0 gets the chain it
     gets unpadded.  The pads come after its last real position.  A step
@@ -254,32 +289,40 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
     for l0 in range(0, nl, width):
         blk = a[l0 : l0 + width]
         anchors = blk.argmax(axis=1)
-        rot = blk[np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n]
-        rot, pos = (rot, None) if pp == 1.0 else _turning_points(rot)
-        col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
-        _, pred, last = _chain_dp(lambda j, k: _abs_pow(col[j] - rot[:, :k], pp), *rot.shape)
-        chains = _backtrack(pred, last, slice(None), anchors.tolist(), pos, n)
+        lanes, at = np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n
+        rot = blk[lanes, at]
+        if pp == 1.0:
+            keep = np.zeros(blk.shape, dtype=bool)
+            keep[lanes, at] = _extrema(rot)
+            chains = [np.flatnonzero(k).tolist() for k in keep]
+        else:
+            rot, pos = _turning_points(rot)
+            col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
+            _, pred, last = _chain_dp(lambda j, k: _abs_pow(col[j] - rot[:, :k], pp), *rot.shape)
+            chains = _backtrack(pred, last, slice(None), anchors.tolist(), pos, n)
         for row, idx in zip(blk.tolist(), map(tuple, chains)):
             yield _sum_value(row, idx, pp), idx
 
 
 def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
-    """Discrete p-variation: pvar_sum of the cyclic partition one chain DP
-    picks.  The DP compares naive float sums of step costs, so the value is
-    the max of pvar_sum over all cyclic partitions unless partitions tie
-    within rounding; then it can fall a rounding error below pvar_oracle.
+    """Discrete p-variation: the max of pvar_sum over cyclic partitions,
+    and a partition attaining it.  At p = 1 it is exact, in O(N): the
+    total variation, correctly rounded, through the fewest-points
+    partition (see _pvar_lanes).
 
-    An optimal cyclic partition may be assumed to contain a global-maximum
-    sample (inserting a point with value >= both neighbours never decreases
-    the sum for p >= 1), so one chain DP anchored at the first such sample
-    suffices.  At p > 1 it runs on the T samples that are not strictly
-    inside a monotone run (the proof is at _pvar_lanes), at p = 1 on all N
-    (T = N): O(N + T^2) time, O(N) memory, step costs priced one position
-    at a time.  Ties in the naive step-cost sum go to the partition whose
-    last point before the wrap comes first, and each point's predecessor
-    is the earliest one attaining its best prefix sum (see _chain_dp).
-    The value returned is pvar_sum of that partition.  This is the
-    one-lane case of _pvar_lanes.
+    At p > 1 it is pvar_sum of the cyclic partition one chain DP picks.
+    The DP compares naive float sums of step costs, so the value is the
+    max unless partitions tie within rounding; then it can fall a rounding
+    error below pvar_oracle.  An optimal cyclic partition may be assumed
+    to contain a global-maximum sample (inserting a point with value >=
+    both neighbours never decreases the sum for p >= 1), so one chain DP
+    anchored at the first such sample suffices.  It runs on the T samples
+    that are not strictly inside a monotone run (the proof is at
+    _pvar_lanes): O(N + T^2) time, O(N) memory, step costs priced one
+    position at a time.  Ties in the naive step-cost sum go to the
+    partition whose last point before the wrap comes first, and each
+    point's predecessor is the earliest one attaining its best prefix sum
+    (see _chain_dp).  This is the one-lane case of _pvar_lanes.
     """
     value, idx = next(_pvar_lanes(g.samples[None, :], p))
     return value, CyclicPartition(idx)

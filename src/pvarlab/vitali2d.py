@@ -396,12 +396,16 @@ def vitali_ascent(f: Grid2, p: Exponent, seed: int = 0) -> AscentResult:
 def certified_vitali_method(f: Grid2, p: Exponent) -> str:
     """The evaluator that gives the best certified value of v_p^(2) on f.
 
-    "oracle" (exact) when both sides are at most ORACLE_MAX_SIDE, else
-    "finest" at p = 1 (exact there), else "ascent" (a certified lower bound).
+    "finest" at p = 1, at every size: exact there, bit for bit the
+    oracle's value (the suite's vitali_finest_p1_exact row checks it).  At
+    p > 1, "oracle" (exact) when both sides are at most ORACLE_MAX_SIDE,
+    else "ascent" (a certified lower bound).
     """
+    if p.p == 1.0:
+        return "finest"
     if f.m <= ORACLE_MAX_SIDE and f.n <= ORACLE_MAX_SIDE:
         return "oracle"
-    return "finest" if p.p == 1.0 else "ascent"
+    return "ascent"
 
 
 def certified_vitali(f: Grid2, p: Exponent) -> float:

@@ -33,6 +33,14 @@ class TestPvar:
         assert payload["value"] == pytest.approx(2.0 * np.sqrt(2.0))
         assert sorted(payload["partition"]) == [8, 24]
 
+    def test_method_labels(self, sine_csv, capsys):
+        """p = 1 is the total variation in closed form, through the sine's
+        two extrema; p > 1 is the chain DP."""
+        for p, method in (("1", "closed-form"), ("1.5", "exact-dp")):
+            assert main(["pvar", "--grid", sine_csv, "--p", p]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["method"] == method and payload["partition"] == [8, 24]
+
     def test_oracle_limit(self, sine_csv):
         assert main(["pvar", "--grid", sine_csv, "--oracle"]) == 2
 
@@ -61,14 +69,24 @@ class TestVitali:
         path = tmp_path / "small.csv"
         assert main(["gen", "--family", "staircase", "--N", "6", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert main(["vitali", "--grid", str(path), "--p", "1"]) == 0
+        assert main(["vitali", "--grid", str(path), "--p", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "oracle"
 
-    def test_auto_large_p1_uses_finest(self, stair_csv, capsys):
-        assert main(["vitali", "--grid", stair_csv, "--p", "1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "finest" and payload["exact"]
+    def test_auto_large_p1_uses_finest(self, stair_csv, tmp_path, capsys):
+        """At p = 1 auto takes the finest net at every size, small grids
+        included, and its value is the oracle's where the oracle runs."""
+        small = tmp_path / "small.csv"
+        assert main(["gen", "--family", "staircase", "--N", "6", "--out", str(small)]) == 0
+        capsys.readouterr()
+        values = []
+        for path in (str(small), stair_csv):
+            assert main(["vitali", "--grid", path, "--p", "1"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["method"] == "finest" and payload["exact"]
+            values.append(payload["value"])
+        assert main(["vitali", "--grid", str(small), "--p", "1", "--method", "oracle"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == values[0]
 
     def test_ascent_reports_net(self, stair_csv, capsys):
         assert main(["vitali", "--grid", stair_csv, "--p", "2", "--method", "ascent"]) == 0

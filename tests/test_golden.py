@@ -8,17 +8,19 @@ numpy version and the enabled AVX512_* and X86_V* CPU features; a host with
 no matching set skips.  On AVX-512 hosts the outputs are also recomputed in
 a subprocess with the AVX-512 power loops disabled, against a second set.
 
-To write the set of the running host (only with a deliberate report
-change):
+A report change on purpose raises harness.SCHEMA and rewrites every set
+the host can produce with one command:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and, on an AVX-512 host, once more with NPY_DISABLE_CPU_FEATURES set to
-the features of _AVX512_POWER, for the second set.
+On an AVX-512 host that writes both sets, the second from a subprocess
+without the AVX-512 power loops (_without_avx512_power).  Sets of other
+keys are left as they are.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -109,24 +111,30 @@ def _without_avx512_power(out: Path) -> subprocess.Popen | None:
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-def test_outputs_match_the_golden_sets(tmp_path):
-    """This process's outputs, and on AVX-512 hosts a subprocess's without
-    the AVX-512 power loops (run alongside), each against the set of its
-    own key.  Skips when a key has no committed set and nothing differs."""
-    child = _without_avx512_power(tmp_path / "child")
-    runs = {tmp_path / "host": _dispatch_key()}
+def _every_dispatch(out: Path) -> dict[Path, str]:
+    """The outputs of this process in out/host and, on AVX-512 hosts, of a
+    subprocess without the AVX-512 power loops in out/child (run
+    alongside), as {directory: key}."""
+    child = _without_avx512_power(out / "child")
+    runs = {out / "host": _dispatch_key()}
     try:
-        _write_outputs(tmp_path / "host")
+        _write_outputs(out / "host")
         if child is not None:
-            out, err = child.communicate(timeout=600)
+            stdout, err = child.communicate(timeout=600)
             assert child.returncode == 0, err
-            runs[tmp_path / "child"] = out.strip()
+            runs[out / "child"] = stdout.strip()
     finally:
         if child is not None and child.poll() is None:
             child.kill()
             child.communicate()
+    return runs
+
+
+def test_outputs_match_the_golden_sets(tmp_path):
+    """Every output of _every_dispatch against the set of its own key.
+    Skips when a key has no committed set and nothing differs."""
     mismatches, missing = [], []
-    for got, key in runs.items():
+    for got, key in _every_dispatch(tmp_path).items():
         if (GOLDEN / key).is_dir():
             mismatches += [f"{key}: {m}" for m in _mismatches(got, GOLDEN / key)]
         else:
@@ -138,8 +146,15 @@ def test_outputs_match_the_golden_sets(tmp_path):
 
 
 if __name__ == "__main__":
-    # With a directory: write the outputs there and print this process's
-    # key.  Without: write them into this process's golden set.
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN / _dispatch_key()
-    _write_outputs(target)
-    print(_dispatch_key())
+    # With a directory (the subprocess of _without_avx512_power): write the
+    # outputs there and print this process's key.  Without: rewrite every
+    # golden set this host can produce.
+    if len(sys.argv) > 1:
+        _write_outputs(Path(sys.argv[1]))
+        print(_dispatch_key())
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            for got, key in _every_dispatch(Path(tmp)).items():
+                shutil.rmtree(GOLDEN / key, ignore_errors=True)
+                shutil.copytree(got, GOLDEN / key)
+                print(f"wrote {GOLDEN / key}")

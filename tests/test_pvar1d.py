@@ -462,15 +462,33 @@ def _reference_lanes() -> dict[str, np.ndarray]:
 REFERENCE_LANES = _reference_lanes()
 
 
+def _rank_grid(row: np.ndarray) -> Grid1:
+    """The samples' ranks (equal samples share one) as a grid of small
+    integers.  At p = 1 the partitions that attain the total variation are
+    those whose arcs are monotone, which the order of the samples alone
+    decides; so _fewest_points_dp on the ranks, where every sum is exact,
+    returns the fewest-points partition of the samples without rounding."""
+    return Grid1(np.unique(row, return_inverse=True)[1].astype(float))
+
+
 class TestTurningPoints:
     """At p > 1, _pvar_lanes runs its chain DP on each lane's turning points
-    only; at p = 1 on every sample."""
+    only; at p = 1 it runs none."""
 
     @pytest.mark.parametrize("p", (1.0, 1.1, 1.5, 2.0, 3.0))
     @pytest.mark.parametrize("name", sorted(REFERENCE_LANES))
     def test_matches_unrestricted_dp(self, name, p):
+        """At p > 1, == the unrestricted DP.  At p = 1, where the DP's choice
+        among exactly tied partitions follows its rounding, the value is at
+        least the DP's and the partition is the fewest-points one."""
         rows, pe = REFERENCE_LANES[name], Exponent(p)
-        assert list(_pvar_lanes(rows, pe)) == _unrestricted_lanes(rows, pe)
+        got, want = list(_pvar_lanes(rows, pe)), _unrestricted_lanes(rows, pe)
+        if p > 1.0:
+            assert got == want
+            return
+        for row, (value, idx), (dp_value, _) in zip(rows, got, want):
+            assert value >= dp_value, row
+            assert CyclicPartition(idx) == _fewest_points_dp(_rank_grid(row), pe)[1], row
 
     @pytest.mark.parametrize("name", ("walk", "sine"))
     def test_matches_unrestricted_dp_at_16384(self, name):
@@ -505,7 +523,7 @@ class TestTurningPoints:
     @pytest.mark.parametrize("k", (1, 4, 32))
     def test_chain_dp_sees_only_the_turning_points(self, k, monkeypatch):
         """gen_tent_scaled(k, 4096) has 2k turning points: the DP takes 2k
-        positions at p = 1.5, and all 4096 at p = 1."""
+        positions at p = 1.5, and p = 1 calls no DP."""
         sizes = []
 
         def counted(cost, na, m):
@@ -517,7 +535,7 @@ class TestTurningPoints:
         g = gen_tent_scaled(k, 4096)
         pvar_cyclic(g, Exponent(1.5))
         pvar_cyclic(g, Exponent(1.0))
-        assert sizes == [2 * k, 4096]
+        assert sizes == [2 * k]
 
     def test_the_rounding_tie_grid_keeps_every_sample(self):
         """All six samples of the strict-xfail grid of TestAgainstOracle are
@@ -525,6 +543,52 @@ class TestTurningPoints:
         rot = np.array([[-0.6, 0.5, -0.5, 0.1, -0.7, 0.0]])
         lanes, pos = _turning_points(rot)
         assert (pos == np.arange(6)).all() and (lanes == rot).all()
+
+
+def _p1_corpus() -> list[np.ndarray]:
+    """20,160 lanes in blocks of 80, for N = 2..64: Gaussian, 0.1-rounded,
+    {0, 1, 2}-valued, and differences of two 0.1-rounded vectors (as
+    section_lipschitz_check forms difference sections), where steps of an
+    ulp or so put chains within rounding of a tie."""
+    rng = np.random.default_rng(14)
+    blocks = []
+    for n in range(2, 65):
+        blocks += [
+            rng.normal(size=(80, n)),
+            np.round(rng.normal(size=(80, n)), 1),
+            rng.integers(0, 3, size=(80, n)).astype(float),
+            np.round(rng.normal(size=(80, n)), 1) - np.round(rng.normal(size=(80, n)), 1),
+        ]
+    return blocks
+
+
+class TestClosedForm:
+    """At p = 1, _pvar_lanes returns the total variation in closed form."""
+
+    def test_equals_the_total_variation(self, monkeypatch):
+        """== the exactly rounded sum over every sample (_reference_sum_p1)
+        on every lane of _p1_corpus, with no _chain_dp call.  The
+        unrestricted DP falls below it on some lanes (21 of 20,160), so the
+        corpus reaches rounding ties."""
+        pe = Exponent(1.0)
+        below = 0
+        for rows in _p1_corpus():
+            want = [_reference_sum_p1(row) for row in rows.tolist()]
+            below += sum(v < w for (v, _), w in zip(_unrestricted_lanes(rows, pe), want))
+            with monkeypatch.context() as m:
+                m.setattr(pvar1d, "_chain_dp", None)
+                got = [value for value, _ in _pvar_lanes(rows, pe)]
+            assert got == want, rows
+        assert below > 0
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_oracle(self, n):
+        """== pvar_oracle on the oracle grids and the p = 1 grids
+        (subnormals, signed zeros, samples up to 10^299)."""
+        pe = Exponent(1.0)
+        for samples in _oracle_grids(n) + _p1_grids(n):
+            g = Grid1(samples)
+            assert pvar_cyclic(g, pe)[0] == pvar_oracle(g, pe), samples
 
 
 def _mp_optimum(g: Grid1, p: float):
