@@ -4,7 +4,8 @@ Moduli are prefix maxima of exact circular-shift norms; no interpolation
 between grid shifts, so every inequality check is exact at grid arguments.
 Every shift norm comes from one evaluator, _shift_norms, as one batched
 subtraction, and is bitwise equal to the per-shift reference norms
-`shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.  Its
+`shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.  It also
+takes a float32 array, whose norms only bound the float64 ones.  Its
 |D|^p, like every array power here, comes from pvar1d._abs_pow, which
 keeps the bits of np.abs(D) ** p and keeps the SIMD vectors that hold a
 zero difference, common on separable and tie-heavy fields, off numpy's
@@ -27,7 +28,7 @@ _shift_norm_table evaluates every partner and mirror.  The prefix-max
 tables behind modulus_1d, modulus_mixed and modulus_iso_2d evaluate only
 the shifts whose upper bound reaches the prefix max of the lower bounds,
 and keep the bits of the full table (see _prefix_max_table).  The bounds
-have two sources, chosen by p:
+have three sources, chosen by p and M*N:
 
 * p = 2: the squared norm of a shift difference is a sum of at most five
   autocorrelation values, ||D||^2 = 2c(0) - 2c(h) for plain shifts and
@@ -36,8 +37,13 @@ have two sources, chosen by p:
   (differences ignore the mean).  _l2_bounds widens that
   estimate by a derived bound on its error, so it filters; the values
   are still the evaluated norms.
-* Other p: the partners are evaluated, and each mirror is bounded by its
-  partner's norm (_partner_bounds).
+* p = 1, and other p below _F32_SIZE shifts: the partners are evaluated,
+  and each mirror is bounded by its partner's norm (_partner_bounds).
+* Other p from _F32_SIZE up: the partners that the p = 2 bounds keep are
+  evaluated, and the others are bounded by one _shift_norms pass over a
+  centred, scaled float32 copy of the field (_f32_bounds), which powers
+  at float32 speed and bounds each norm within a few parts in 10^6; each
+  mirror is bounded through its partner.
 """
 
 from __future__ import annotations
@@ -103,9 +109,10 @@ def lp_norm(f: Grid1 | Grid2, p: Exponent | float) -> float:
 
 
 def _view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
-    """A strided view of float64 buf, offset and steps in elements; np.ndarray
-    checks that it fits in buf."""
-    return np.ndarray(shape, float, buf, 8 * start, tuple(8 * k for k in steps))
+    """A strided view of buf, of buf's dtype, offset and steps in elements;
+    np.ndarray checks that it fits in buf."""
+    size = buf.itemsize
+    return np.ndarray(shape, buf.dtype, buf, size * start, tuple(size * k for k in steps))
 
 
 def _row_norms(d: np.ndarray, p: float):
@@ -116,11 +123,12 @@ def _row_norms(d: np.ndarray, p: float):
     separable, or constant along an axis, vanishes, and so does any
     difference of a tie-heavy field on its flat patches.  _abs_pow powers
     such a block without numpy's slow path for vectors holding a zero.
-    Each mean is np.add.reduce over one contiguous row, divided by M*N: the
-    operations of _norm on the same numbers in the same order.
+    Each mean is np.add.reduce over one contiguous row, divided by M*N: for
+    float64 d the operations of _norm on the same numbers in the same order.
+    A float32 d is powered in float32 and summed in float64.
     """
     _abs_pow(d, p)
-    means = np.add.reduce(d, axis=1) / d.shape[1]
+    means = np.add.reduce(d, axis=1, dtype=float) / d.shape[1]
     if p == 1.0:
         return means
     inv = 1.0 / p
@@ -186,7 +194,8 @@ def _shift_norms(
     is one basic slice of the windows, subtracted from the shared base (ds,
     or a) into a reused buffer, whose rows _row_norms finishes.  Every
     difference is the same subtraction of the same two floats as the
-    per-shift norm's, so every value equals it bit for bit.
+    per-shift norm's, so every value equals it bit for bit.  A float32 a
+    (_f32_bounds) gets float32 windows and buffers, and float64 norms.
     """
     m, n = a.shape
     mn = a.size
@@ -197,8 +206,8 @@ def _shift_norms(
     pos = pos[order]
     starts = np.flatnonzero(np.diff(pos, prepend=-2) != 1).tolist()
     width = max(1, min(_BLOCK // mn, len(pos)))
-    buf = np.empty((width, mn))
-    two = np.empty((m, 2 * n) if mixed else (2 * m, n))
+    buf = np.empty((width, mn), a.dtype)
+    two = np.empty((m, 2 * n) if mixed else (2 * m, n), a.dtype)
     if mixed:  # window t of ds: ds(., . + t), subtracted from ds
         windows, base = _view(two, 0, (n, m, n), (1, 2 * n, 1)), two[:, :n]
         src = np.concatenate((a, a))
@@ -250,8 +259,9 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     position it reaches.  The shift that sets a table entry is therefore
     never left out, and the table keeps the bits of the prefix max of
     _shift_norm_table.  At p = 2 the bounds come from one autocorrelation
-    (_l2_bounds), at other p from the partners, which _partner_bounds
-    evaluates into the table first.
+    (_l2_bounds), at other p from the partners (_partner_bounds), which
+    evaluates some of them into the table first and, on large grids,
+    bounds the rest with a float32 pass (_f32_bounds).
     """
     m, n = a.shape
     raw = np.zeros((m + 1, n + 1))
@@ -261,11 +271,23 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     return _prefix_max(_wrapped(_fill(raw, a, p, mixed, todo)))
 
 
+# The M*N from which the tables at p other than 1 and 2 bound most of their
+# partners with a float32 pass instead of evaluating them: below it that
+# pass and the autocorrelation cost more than they save on some fields
+# (CHANGES.md has the crossover), and at p = 1 the float64 pass has no
+# power to save.
+_F32_SIZE = 56 * 56
+
+
 def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
-    """(lo, hi) on the (M, N) core once _shift_norms has evaluated the
-    partners into raw: lo is raw's core, exact at the partners and zero
-    elsewhere, and hi bounds each mirror through its partner and is -inf
-    at every other shift.
+    """(lo, hi) on the (M, N) core at p != 2.  Some partners are evaluated
+    into raw by _shift_norms: all of them at p = 1 or below _F32_SIZE, and
+    otherwise those that the p = 2 bounds of _l2_bounds keep, the likely
+    maxima, so that they skip the float32 pass.  lo is raw's core, exact
+    there, with the lower bounds of _f32_bounds at the other partners and
+    zero elsewhere.  hi is -inf at the evaluated partners and at the mixed
+    row and column 0, _f32_bounds' upper bound at the other partners, and
+    bounds each mirror through its partner's upper bound.
 
     A mirror's |D|^p terms are its partner's terms in another order, so its
     norm r' lies within a factor 1 + w of its partner's r.  The width, with
@@ -284,7 +306,7 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
     - grow = fl(1/(1 - (2k + 6)u)), whose divisor is exact, and the
       product fl(r grow) each lose at most a factor 1 - u, so fl(r grow) >=
       r (1 - 2u)/(1 - (2k + 6)u) >= r/(1 - (2k + 4)u) >= r'.  So w =
-      gamma_(2k+6).
+      gamma_(2k+6), and any upper bound on r, grown, bounds r'.
 
     Outside the normal range the bound changes.  A mean below 2^-1022 on
     either side keeps r' below 2^(-1020/p)(1 + 2u), so under floor =
@@ -295,16 +317,120 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
     """
     m, n = a.shape
     ps, pt, partner, mirror = _mirrors(m, n, mixed)
-    _fill(raw, a, p, mixed, partner)
+    rest = np.zeros_like(partner)
+    if p != 1.0 and a.size >= _F32_SIZE:
+        lo, hi = _l2_bounds(a, mixed)
+        rest = partner & (hi < _prefix_max(lo))
+        del lo, hi  # the transforms' arrays, freed before any evaluation
+    _fill(raw, a, p, mixed, partner & ~rest)
+    lo, upper = raw[:m, :n].copy(), raw[:m, :n].copy()
+    if rest.any():
+        lo[rest], upper[rest] = _f32_bounds(a, p, mixed, *np.nonzero(rest))
     grow = 1.0 / (1.0 - (2 * m * n + 6) * _U)
     floor = 2.0 ** (-1000.0 / p) * (1.0 + 8.0 * _U)
-    hi = raw[ps, pt]  # each entry's partner
+    hi = upper[ps, pt]  # each entry's partner
     over = hi >= _ceil(m * n, p)
     hi *= grow
     np.maximum(hi, floor, out=hi)
     hi[over] = math.inf
     hi[~mirror] = -math.inf
-    return raw[:m, :n], hi
+    hi[rest] = upper[rest]
+    return lo, hi
+
+
+_V = 2.0**-24  # unit roundoff of IEEE binary32
+_POW32 = 2.0**-21  # relative error of numpy's float32 power: 4 ulps, assumed
+_TAU = 2.0**-120  # the smallest term |d|^p that _f32_bounds bounds relatively
+
+
+def _term_error(p: float) -> float:
+    """The relative error of the float32 power of a float32 |d| < 1 as a
+    bound on |d|^p, where |d|^p >= _TAU: (1 + rho)(1 + _POW32) - 1, rho
+    covering the rounding of p (see _f32_bounds)."""
+    rho = math.expm1(abs(float(np.float32(p)) - p) * -math.log(_TAU) / p)
+    return rho + _POW32 + rho * _POW32
+
+
+def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np.ndarray):
+    """(lo, hi) on the norm r that _shift_norms computes for each listed
+    shift of the (M, N) array a, at p other than 1 and 2, from one
+    _shift_norms pass over a centred, scaled float32 copy b of a.
+
+    b = fl32(2^(e0 - e) c), c = 2^-e0 a - z computed in float64, with e0
+    the exponent of max|a| (numpy.frexp, as in _l2_estimate) and z the
+    computed mean of 2^-e0 a, which no difference sees.  e - e0 is the
+    exponent of max|c| plus 2 (plain) or 3 (mixed), so top = 2^(e0 - e)
+    max|c| lies below 1/4 or 1/8, and every difference of b, of 2 or 4
+    entries, below 1/2 in magnitude.  Write B = 2^-e (a - 2^e0 z), real,
+    so that the exact difference D of B is 2^-e times that of a, and with
+    u = 2^-53, v = 2^-24 and k = M*N, measure norms as L^p means over the
+    k entries.  The float32 pass computes r32 = root(fl(S/k)) from the
+    float32 differences D32 of b, S the float64 sum of their float32
+    powers.  The width covers:
+
+    - b.  Each entry is B's within (v + 2u) max|B| + 2^-149, and max|B|
+      <= (1 + 2u) top: c rounds within u, its scalings are exact save
+      float64 underflow (at most 2^-1075), and the float32 rounding adds v
+      relative, or 2^-150 below 2^-126.
+    - D32.  A plain float32 difference rounds within v relative, a
+      subnormal one not at all.  By Minkowski, shifts being permutations,
+      ||D32 - D|| <= v||D|| + A with A = 2((v + 2u) max|B| + 2^-149)(1 + v)
+      <= 3v top + 2^-146.  A mixed one subtracts two rounded differences
+      ds of one row shift, ||ds|| <= 2 max|b|, and its four entries of b
+      each carry the error above, so A <= 8v(1 + 2^-20) top + 2^-146.5.
+      The float64 mixed difference that r is computed from moves by
+      u||ds|| per ds in the same way, at most 4.001u top in all, so mixed
+      A = 9v top + 2^-146 covers both (width in the code).  So ||D|| lies
+      in [(||D32|| - A)/(1 + v), (||D32|| + A)/(1 - v)].
+    - The power.  numpy's float32 power at p32 = fl32(p), the weak Python
+      p in pvar1d._abs_pow, is within _POW32 relative of x^p32 when the
+      result is normal, an assumption tests/test_modulus.py checks under
+      both SIMD dispatches (it measured below 1 ulp).  As |D32| < 1,
+      x^p32 = x^p x^(p32 - p), and a term x^p >= tau = 2^-120 has |ln x|
+      <= 120 ln 2/p, so the rounding of p moves it by a factor within 1 +-
+      rho, rho = expm1(|p32 - p| 120 ln 2/p): zero at p = 1.5, 3 and 8,
+      1.8e-6 (30 v) at p = 1.1.  So such a term is within _term_error(p)
+      relative of x^p.  A term below tau, subnormal and flushed ones among
+      them, has x^p and its computed power within 1.01 tau of 0.
+    - The sums and the means.  Each float32 term is exact in float64, so
+      S and the division by k add a factor within gamma_(k+1) (ch. 4).
+      The mean is read back from r32 as r32^p (pvar1d._abs_pow), which the
+      root within 2u and the power within 2u move by at most (2p + 2)u.
+      So ||D32||^p lies within eps = 1.1 (_term_error(p) + (k + 2p +
+      16)u) relative and 2 tau absolute of that mean, and its root is
+      taken in float64 within 2u.
+    - r.  Its differences round within u relative (and a mixed one by the
+      absolute part in A), its powers within 2u (below one ulp, assumed
+      as in _partner_bounds), its sum, mean and root within gamma_(k+1)
+      and 2u: a factor within 1 +- 1.01(k + 6)u of 2^e ||D||.  With the
+      factors 1/(1 -+ v) and the dozen roundings made here, all of it lies
+      within g = 2v + 1.01(k + 40)u.
+    - The ends of the float range.  Float64 underflow moves a mean of r by
+      at most 2^-1072, its root by at most 2^(-1072/p), inside floor =
+      2^(-1000/p), added to hi and taken from lo; an r whose sum can
+      overflow lies above _ceil(k, p) and so its hi, which is inf there.
+      b cannot overflow: its differences lie below 1/2, so every power
+      lies below 1 and every sum below k.
+    """
+    e0 = int(np.frexp(max(a.max(), -a.min()))[1])
+    c = np.ldexp(a, -e0)
+    c -= c.mean()
+    top = float(np.abs(c).max())
+    e = int(np.frexp(top)[1]) + (3 if mixed else 2)
+    b = np.ldexp(c, -e).astype(np.float32)
+    top, e = math.ldexp(top, -e), e + e0
+    means = _abs_pow(_shift_norms(b, p, mixed, rows, cols), p)
+    k = a.size
+    eps = 1.1 * (_term_error(p) + (k + 2.0 * p + 16.0) * _U)
+    width = (9.0 if mixed else 3.0) * _V * top + 2.0**-146
+    g = 2.0 * _V + 1.01 * (k + 40.0) * _U
+    floor = 2.0 ** (-1000.0 / p)
+    hi = _abs_pow(means * (1.0 + eps) + 2.0 * _TAU, 1.0 / p)
+    hi = np.ldexp((hi + width) * (1.0 + g), e) + floor
+    hi[hi >= _ceil(k, p)] = math.inf
+    lo = _abs_pow(np.maximum(means * (1.0 - eps) - 2.0 * _TAU, 0.0), 1.0 / p)
+    lo = np.ldexp((lo - width) * (1.0 - g), e) - floor
+    return np.maximum(lo, 0.0), hi
 
 
 def _ceil(k: int, p: float) -> float:

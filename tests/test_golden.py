@@ -64,17 +64,44 @@ def _write_outputs(out: Path) -> None:
             assert cli.main(argv) == 0, argv
 
 
+def _differing_keys(got: dict, want: dict) -> list[str]:
+    """The keys whose values differ, or that only one side has, in want's
+    order and then got's; a dict on both sides is compared key by key, its
+    keys named as key.subkey."""
+    out = []
+    for k in dict.fromkeys([*want, *got]):
+        g, w = got.get(k), want.get(k)
+        if isinstance(g, dict) and isinstance(w, dict):
+            out += [f"{k}.{sub}" for sub in _differing_keys(g, w)]
+        elif k not in got or k not in want or g != w:
+            out.append(k)
+    return out
+
+
 def _first_differences(name: str, got: str, want: str, limit: int = 5) -> list[str]:
-    """The first differing check ids (reports) or lines (everything else)."""
+    """The first differing check ids, meta keys and sweep rows with their
+    keys (reports), or lines (everything else)."""
     if name.startswith("verify_"):
         g, w = json.loads(got), json.loads(want)
         g_checks = {c["id"]: c for c in g["checks"]}
         w_checks = {c["id"]: c for c in w["checks"]}
         ids = [i for i in dict.fromkeys([*w_checks, *g_checks]) if g_checks.get(i) != w_checks.get(i)]
-        keys = [k for k in ("meta", "sweeps") if g.get(k) != w.get(k)]
+        out = [f"{len(ids)} checks differ: {ids[:limit]}"] * bool(ids)
         if [c["id"] for c in g["checks"]] != [c["id"] for c in w["checks"]]:
-            keys.append("check order")
-        return [f"{len(ids)} checks differ: {ids[:limit]}"] * bool(ids) + [f"{k} differs" for k in keys]
+            out.append("check order differs")
+        meta = _differing_keys(g.get("meta", {}), w.get("meta", {}))
+        out += [f"meta keys differ: {meta}"] * bool(meta)
+        g_rows, w_rows = g.get("sweeps", []), w.get("sweeps", [])
+        rows = []
+        for i, (a, b) in enumerate(zip(g_rows, w_rows)):
+            if a != b:
+                name = " ".join(f"{k}={v}" for k, v in b.items() if not isinstance(v, dict))
+                rows.append(f"row {i} ({name}): {_differing_keys(a, b)}")
+        if rows:
+            out.append(f"{len(rows)} sweep rows differ: " + "; ".join(rows[:limit]))
+        if len(g_rows) != len(w_rows):
+            out.append(f"{len(g_rows)} sweep rows, want {len(w_rows)}")
+        return out
     g_lines, w_lines = got.splitlines(), want.splitlines()
     diffs = [
         f"line {i + 1}: got {a!r}, want {b!r}"
@@ -128,6 +155,33 @@ def _every_dispatch(out: Path) -> dict[Path, str]:
             child.kill()
             child.communicate()
     return runs
+
+
+def test_first_differences_name_meta_keys_and_sweep_rows():
+    """A report whose meta and sweeps moved, as a schema bump moves them, is
+    reported by key and by row, not as "meta differs"."""
+    want = {
+        "meta": {"schema": 1, "seed": 7},
+        "checks": [{"id": "a", "pass": True}],
+        "sweeps": [
+            {"family": "t1xt1", "p": 1.5, "values": {"k_lo": 1.0, "k_term": 2.0}},
+            {"family": "t1xt1", "p": 2.0, "values": {"k_lo": 1.0, "k_term": 3.0}},
+        ],
+    }
+    got = json.loads(json.dumps(want))
+    got["meta"]["schema"] = 2
+    got["meta"]["host"] = "x"
+    got["sweeps"][1]["values"] = {"k_lo": 1.5, "k_hi_over_p": 3.0}
+    diffs = _first_differences("verify_seed7.json", json.dumps(got), json.dumps(want))
+    assert diffs == [
+        "meta keys differ: ['schema', 'host']",
+        "1 sweep rows differ: row 1 (family=t1xt1 p=2.0): "
+        "['values.k_lo', 'values.k_term', 'values.k_hi_over_p']",
+    ]
+    got["sweeps"].pop()
+    assert _first_differences("verify_seed7.json", json.dumps(got), json.dumps(want))[-1] == (
+        "1 sweep rows, want 2"
+    )
 
 
 def test_outputs_match_the_golden_sets(tmp_path):

@@ -32,6 +32,10 @@ from pvarlab import (
 from pvarlab import modulus
 from pvarlab.modulus import (
     _BLOCK,
+    _POW32,
+    _TAU,
+    _abs_pow,
+    _f32_bounds,
     _l2_bounds,
     _l2_estimate,
     _norm,
@@ -459,8 +463,9 @@ class TestKernelBitwise:
     def test_modulus_1d(self, n, p):
         """The (N, 1) column the 1-D callers pass and the (1, N) row both give
         the per-shift norms, and modulus_1d, which evaluates only the mirrors
-        whose bound reaches the running max, gives their prefix max.  On a
-        Gaussian, a {0, 1, 2}-valued, a 0.1-rounded and a constant input."""
+        whose bound reaches the running max, gives their prefix max, also
+        through the float32 pass (_table_paths).  On a Gaussian, a {0, 1,
+        2}-valued, a 0.1-rounded and a constant input."""
         normal, ties = (x[0] for x in self._fields(1, n))
         pe = Exponent(p)
         for samples in (normal, ties, np.round(normal, 1), np.full(n, 0.5)):
@@ -469,8 +474,10 @@ class TestKernelBitwise:
             assert np.array_equal(_bits(_shift_norm_table(samples[None, :], p)[0]), _bits(norms))
             assert np.array_equal(_bits(_shift_norm_table(samples[:, None], p)[:, 0]), _bits(norms))
             want = np.maximum.accumulate(norms)
-            table = modulus_1d(g, pe)
-            assert np.array_equal(_bits(table.values), _bits(want))
+            for path, patches in _table_paths(p).items():
+                with mock.patch.multiple(modulus, **patches):
+                    table = modulus_1d(g, pe)
+                assert np.array_equal(_bits(table.values), _bits(want)), path
             if p > 1.0:  # np.dot in the enclosure sums a strided table in another order
                 assert integral_J(table) == integral_J(ModulusTable1D(want, pe, 1.0 / n))
 
@@ -536,18 +543,63 @@ def _l2_fields() -> dict:
 
 L2_FIELDS = _l2_fields()
 RANGE_END_FIELDS = _range_end_fields()  # with the constant field
+# The p at which tables from modulus._F32_SIZE shifts up take the float32 pass.
+P_F32 = tuple(p for p in TestKernelBitwise.P_KERNEL if p not in (1.0, 2.0))
+
+
+def _keep_no_shift(a: np.ndarray, mixed: bool):
+    """In place of _l2_bounds: bounds that keep no shift, so that every
+    partner goes through the float32 pass."""
+    return np.zeros(a.shape), np.full(a.shape, -math.inf)
+
+
+# The ways a table at a p of P_F32 is built: as the grid's size selects,
+# through the float32 pass at every size (the size constant patched, as
+# _BLOCK is), and with every partner through that pass.
+F32_PATHS = {
+    "by-size": {"_F32_SIZE": modulus._F32_SIZE},
+    "f32": {"_F32_SIZE": 0},
+    "f32-every-partner": {"_F32_SIZE": 0, "_l2_bounds": _keep_no_shift},
+}
+
+
+def _table_paths(p: float) -> dict:
+    """F32_PATHS at the p of P_F32; elsewhere the one path, by size."""
+    return F32_PATHS if p in P_F32 else {"by-size": F32_PATHS["by-size"]}
+
+
+def _other_dispatch(*args: str) -> subprocess.CompletedProcess:
+    """pytest with args, on this file's tests, in a fresh process with numpy's
+    AVX-512 loops disabled (ROADMAP item 12)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+
+
+_NO_AVX512 = not any(
+    getattr(np._core._multiarray_umath, "__cpu_features__", {}).get(name)
+    for name in ("AVX512_ICL", "AVX512_SPR", "X86_V4")
+)
 
 
 class TestTwoPassTables:
     """modulus_mixed and modulus_iso_2d against the prefix max of the per-shift
     norms, compared with == on bits.
 
-    The tables are built from the evaluated shifts: at p != 2 the partners
-    and only the mirrors that can set a maximum, at p = 2 only the shifts
-    that the autocorrelation bounds keep.  Ties between a mirror and its
-    partner need the exact mirror: the {0, 1, 2}-valued, {0, 1}-valued and
-    0.1-rounded fields tie often, and a 0.1-rounded 5x9 mixed table at p = 1
-    needs the bound's width (see _partner_bounds) to keep its bits.
+    The tables are built from the evaluated shifts: at p = 2 only the
+    shifts that the autocorrelation bounds keep; at p = 1, and at other p
+    below modulus._F32_SIZE shifts, the partners and only the mirrors that
+    can set a maximum; at other p from _F32_SIZE up, the partners that the
+    p = 2 bounds keep and then only the shifts whose float32 bounds can set
+    a maximum.  _check builds every table at p other than 1 and 2 through
+    each of F32_PATHS (_table_paths), so the float32 pass is checked on
+    these small grids too.  Ties between a mirror and its partner need the exact mirror: the
+    {0, 1, 2}-valued, {0, 1}-valued and 0.1-rounded fields tie often, and a
+    0.1-rounded 5x9 mixed table at p = 1 needs the bound's width (see
+    _partner_bounds) to keep its bits.
     """
 
     @staticmethod
@@ -555,13 +607,15 @@ class TestTwoPassTables:
         f, pe = Grid2(a), Exponent(p)
         mixed = _prefix_max(_per_shift_table(a, p, mixed=True))
         plain = _prefix_max(_per_shift_table(a, p, mixed=False))
-        assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed))
-        full = _prefix_max_table(a, p, mixed=False)
-        assert np.array_equal(_bits(full), _bits(plain))
         K = max(f.m, f.n)
         ks = np.arange(K + 1)
         iso = plain[ks * f.m // K, ks * f.n // K]
-        assert np.array_equal(_bits(modulus_iso_2d(f, pe).values), _bits(iso))
+        for path, patches in _table_paths(p).items():
+            with mock.patch.multiple(modulus, **patches):
+                assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed)), path
+                full = _prefix_max_table(a, p, mixed=False)
+                assert np.array_equal(_bits(full), _bits(plain)), path
+                assert np.array_equal(_bits(modulus_iso_2d(f, pe).values), _bits(iso)), path
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
@@ -583,6 +637,14 @@ class TestTwoPassTables:
         m, n = shape
         rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
         self._check(np.round(rng.normal(size=shape), 1), 1.0)
+
+    @pytest.mark.parametrize("shape, seed", [((5, 9), 26), ((10, 6), 10), ((7, 6), 31)])
+    @pytest.mark.parametrize("p", P_F32)
+    def test_matches_on_the_mirror_rounding_fields_through_the_f32_pass(self, shape, seed, p):
+        """The fields above at the p of P_F32, through each of F32_PATHS."""
+        m, n = shape
+        rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
+        self._check(np.round(rng.normal(size=shape), 1), p)
 
     @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (33, 8)])
     @pytest.mark.parametrize("windows", [1, 3, None])
@@ -618,6 +680,17 @@ class TestTwoPassTables:
         for a in _range_end_fields().values():
             self._check(a, p)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", [p for p in P_F32 if p != 1.5])
+    def test_matches_at_the_ends_of_the_float_range_through_the_f32_pass(self, p):
+        """The _range_end_fields at the other p of P_F32 (p = 1.5 is in the
+        test above), through each of F32_PATHS: sums that overflow, means
+        below 2^-1022, subnormal steps and a constant field.  Their bounds
+        keep every partner, so only the path with every partner through the
+        float32 pass bounds any."""
+        for a in _range_end_fields().values():
+            self._check(a, p)
+
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
     def test_few_mirrors_are_re_evaluated(self, p):
         """Fewer than 1 % of the mirrored entries are re-evaluated on Gaussian
@@ -626,9 +699,11 @@ class TestTwoPassTables:
         Tie-heavy fields cost more: on the 32^2 staircase 240 of the 705
         mirrored mixed entries are re-evaluated.
 
-        A table lists its partners too, in a call of their own at p != 2 and
+        A table lists its partners too, in calls of their own at p != 2 and
         with the mirrors that its bounds keep at p = 2; only the mirrors
-        among the listed shifts are counted.
+        among the listed shifts are counted.  At p != 2 these 64^2 tables
+        bound most of their partners with the float32 pass, whose call
+        lists partners only.
         """
         counts = {True: [], False: []}
 
@@ -682,23 +757,12 @@ class TestTwoPassTables:
         else:
             self._check(a, 2.0)
 
-    @pytest.mark.skipif(
-        not any(
-            getattr(np._core._multiarray_umath, "__cpu_features__", {}).get(name)
-            for name in ("AVX512_ICL", "AVX512_SPR", "X86_V4")
-        ),
-        reason="the host has none of the SIMD features to disable",
-    )
+    @pytest.mark.skipif(_NO_AVX512, reason="the host has none of the SIMD features to disable")
     def test_matches_at_p2_under_the_other_simd_dispatch(self):
         """The bit comparison above, once more in a fresh process with numpy's
         AVX-512 loops disabled (ROADMAP item 12)."""
-        root = Path(__file__).resolve().parents[1]
-        node = f"{Path(__file__).name}::TestTwoPassTables::test_matches_per_shift_prefix_max_at_p2"
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/{node}"],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
+        run = _other_dispatch(f"tests/{Path(__file__).name}::TestTwoPassTables::"
+                              "test_matches_per_shift_prefix_max_at_p2")
         assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
     def test_few_shifts_are_evaluated_at_p2(self):
@@ -767,3 +831,99 @@ class TestL2Bounds:
                 est, width, e = _l2_estimate(a, mixed)
                 miss = np.abs(est - np.ldexp(norms, -e) ** 2)[live]
                 assert miss.max() < width / 1000, (mixed, miss.max() / width)
+
+
+def _gaussian_128() -> np.ndarray:
+    return np.random.default_rng(128).normal(size=(128, 128))
+
+
+class TestF32Bounds:
+    """The float32 bounds of modulus._f32_bounds against every computed norm."""
+
+    @staticmethod
+    def _norms_and_bounds(a: np.ndarray, p: float, mixed: bool):
+        """The computed norm and the (lo, hi) of _f32_bounds of every live shift."""
+        m, n = a.shape
+        live = np.ones((m, n), bool)
+        if mixed:
+            live[0] = live[:, 0] = False
+        norms = _shift_norm_table(a, p, mixed)[:m, :n][live]
+        return norms, *_f32_bounds(a, p, mixed, *np.nonzero(live))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS) + ["normal-128"])
+    @pytest.mark.parametrize("p", P_F32)
+    def test_bounds_hold(self, name, p):
+        """lo <= the computed norm <= hi at every live shift, on the L2_FIELDS,
+        at the ends of the float range and on a 128^2 Gaussian field, where
+        the bounds are also tight: hi - lo is below 1e-5 of the norm (there
+        it is 6e-6 to 7.4e-6 at p = 1.1, where the rounding of p dominates,
+        and 0.9e-6 to 3.3e-6 at p = 1.5, 3 and 8)."""
+        if name == "normal-128":
+            a = _gaussian_128()
+        else:
+            a = L2_FIELDS[name] if name in L2_FIELDS else RANGE_END_FIELDS[name]
+        for mixed in (False, True):
+            norms, lo, hi = self._norms_and_bounds(a, p, mixed)
+            assert (lo <= norms).all() and (norms <= hi).all(), mixed
+            if name == "normal-128":
+                pos = norms > 0.0  # all but the plain shift 0
+                assert ((hi - lo)[pos] / norms[pos]).max() < 1e-5, mixed
+
+    @pytest.mark.parametrize("p", P_F32 + (1.01, 1.25, 2.5, 5.0, 13.7))
+    def test_float32_power_is_within_the_assumed_error(self, p):
+        """numpy's float32 power, through pvar1d._abs_pow as the float32 pass
+        calls it, lies within modulus._POW32 (4 ulps) of x^p32, p32 the
+        float32 p, at every normal result, and within _term_error(p) of x^p
+        at every result of at least _TAU: on 2^16 values log-uniform over
+        the x whose power is normal and 2^16 uniform ones below 1/2.  The
+        references are float64 powers of the same x, whose errors are far
+        below a float32 ulp.  At p = 1.1 the second needs the rounding of p:
+        with _POW32 alone it fails."""
+        rng = np.random.default_rng(int(p * 1000))
+        p32 = float(np.float32(p))
+        low = np.log(2.0 ** (-126.0 / p32))
+        x = np.concatenate([np.exp(rng.uniform(low, 0.0, 2**16)), rng.uniform(0.0, 0.5, 2**16)])
+        x = x.astype(np.float32)
+        got = _abs_pow(x.copy(), p).astype(float)
+        for q, smallest, bound in ((p32, 2.0**-126, _POW32), (p, _TAU, modulus._term_error(p))):
+            want = x.astype(float) ** q
+            kept = want >= smallest
+            assert kept.mean() > 0.9
+            err = np.abs(got - want)[kept] / want[kept]
+            assert err.max() <= bound, (q, err.max() / 2.0**-23)
+
+    def test_few_shifts_reach_float64(self):
+        """At p = 1.5 the 128^2 Gaussian tables list fewer than 1 % of their
+        live shifts to the float64 evaluation: the partners that the p = 2
+        bounds keep and the shifts whose float32 bounds reach the prefix max.
+        The float32 pass bounds all the other partners."""
+        listed = {True: [0, 0], False: [0, 0]}  # float64, float32
+
+        def counted(a, p, mixed, rows, cols):
+            listed[mixed][a.dtype == np.float32] += len(rows)
+            return shift_norms(a, p, mixed, rows, cols)
+
+        shift_norms = modulus._shift_norms
+        f = Grid2(_gaussian_128())
+        with mock.patch.object(modulus, "_shift_norms", counted):
+            modulus_mixed(f, Exponent(1.5))
+            modulus_iso_2d(f, Exponent(1.5))
+        live = {True: 127 * 127, False: 128 * 128}
+        partners = {True: 64 * 64, False: 64 * 128 + 2}
+        for mixed, (f64, f32) in listed.items():
+            assert f64 < 0.01 * live[mixed], (mixed, listed)
+            assert f64 + f32 >= partners[mixed], (mixed, listed)
+
+    @pytest.mark.skipif(_NO_AVX512, reason="the host has none of the SIMD features to disable")
+    def test_hold_under_the_other_simd_dispatch(self):
+        """test_bounds_hold and the power test, once more in a fresh process
+        with numpy's AVX-512 loops disabled, where float32 power takes
+        another loop (measured within 0.5 ulp there, against 1 ulp with
+        AVX-512).  The 128^2 field is left out: float64 power runs about 5x
+        slower there."""
+        node = f"tests/{Path(__file__).name}::TestF32Bounds"
+        run = _other_dispatch(f"{node}::test_bounds_hold",
+                              f"{node}::test_float32_power_is_within_the_assumed_error",
+                              "-k", "not normal-128")
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
