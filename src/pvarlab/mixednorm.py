@@ -1,5 +1,6 @@
-"""Section-variation profiles, the mixed-norm functional W_p and the section
-checks; each reads v_p(f_x) and v_p(f_y) from one FieldContext's .sections."""
+"""Section-variation profiles, the mixed-norm functional W_p and the
+section-Lipschitz check; each reads v_p(f_x) and v_p(f_y) from one
+FieldContext's .sections."""
 
 from __future__ import annotations
 
@@ -8,14 +9,12 @@ import numpy as np
 from .grid import Exponent, Grid2
 from .pvar1d import _pvar_rows
 from .smoothness import FieldContext, estimate_bracket
-from .vitali2d import certified_vitali
 
 __all__ = [
     "phi_profile",
     "psi_profile",
     "w_p",
     "section_lipschitz_check",
-    "hardy_section_check",
     "w_p_estimate_check",
 ]
 
@@ -52,30 +51,6 @@ def section_lipschitz_check(f: Grid2 | FieldContext, p: Exponent) -> dict:
     margins = bounds - np.abs(rows_var[j] - rows_var[i])
     k = int(np.argmin(margins))
     return {"pair": (int(i[k]), int(j[k])), "margin": float(margins[k]), "bound": float(bounds[k])}
-
-
-def hardy_section_check(f: Grid2 | FieldContext, p: Exponent) -> list[dict]:
-    """Section bound v_p(f_x) <= v_p(f_{x0}) + 2^(1-1/p) v2 for every section.
-
-    The two-row cyclic net over {x0, x} carries each increment of the
-    difference section twice, which gives v_p(f_x - f_{x0}) <= 2^(-1/p) v2;
-    the section-Lipschitz bound then adds the factor 2.  v2 is
-    certified_vitali(f, p): the exact finest-net value at p = 1, the oracle
-    on grids up to ORACLE_MAX_SIDE, an ascent lower bound otherwise.  A
-    lower bound only shrinks the right side, so a passing row is conclusive.
-    The reference sections x0 and y0 are the ones of minimal variation.
-    Rows come axis x first, then axis y, each in index order.
-    """
-    ctx = FieldContext.of(f)
-    v2 = certified_vitali(ctx.field, p)
-    coeff = 2.0 ** (1.0 - 1.0 / p.p)
-    out = []
-    for axis, name in enumerate("xy"):
-        var = ctx.sections(p, axis).tolist()
-        bound = coeff * v2 + min(var)
-        out.extend({"axis": name, "index": k, "lhs": v, "rhs": bound, "margin": bound - v}
-                   for k, v in enumerate(var))
-    return out
 
 
 def w_p_estimate_check(f: Grid2 | FieldContext, p: Exponent) -> dict:

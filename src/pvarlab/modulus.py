@@ -351,14 +351,24 @@ def _term_error(p: float) -> float:
     return rho + _POW32 + rho * _POW32
 
 
+def _centred(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e a - z, e), the centring of _f32_bounds and _l2_estimate: e the
+    exponent of max|a| (numpy.frexp), so max|2^-e a| lies in [1/2, 1), and
+    z the computed mean of 2^-e a, which no difference sees."""
+    e = int(np.frexp(max(a.max(), -a.min()))[1])
+    c = np.ldexp(a, -e)
+    c -= c.mean()
+    return c, e
+
+
 def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np.ndarray):
     """(lo, hi) on the norm r that _shift_norms computes for each listed
     shift of the (M, N) array a, at p other than 1 and 2, from one
     _shift_norms pass over a centred, scaled float32 copy b of a.
 
-    b = fl32(2^(e0 - e) c), c = 2^-e0 a - z computed in float64, with e0
-    the exponent of max|a| (numpy.frexp, as in _l2_estimate) and z the
-    computed mean of 2^-e0 a, which no difference sees.  e - e0 is the
+    b = fl32(2^(e0 - e) c), c = 2^-e0 a - z computed in float64 by
+    _centred, with e0 the exponent of max|a| and z the computed mean of
+    2^-e0 a, which no difference sees.  e - e0 is the
     exponent of max|c| plus 2 (plain) or 3 (mixed), so top = 2^(e0 - e)
     max|c| lies below 1/4 or 1/8, and every difference of b, of 2 or 4
     entries, below 1/2 in magnitude.  Write B = 2^-e (a - 2^e0 z), real,
@@ -412,9 +422,7 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
       b cannot overflow: its differences lie below 1/2, so every power
       lies below 1 and every sum below k.
     """
-    e0 = int(np.frexp(max(a.max(), -a.min()))[1])
-    c = np.ldexp(a, -e0)
-    c -= c.mean()
+    c, e0 = _centred(a)
     top = float(np.abs(c).max())
     e = int(np.frexp(top)[1]) + (3 if mixed else 2)
     b = np.ldexp(c, -e).astype(np.float32)
@@ -446,8 +454,8 @@ def _l2_estimate(a: np.ndarray, mixed: bool):
     """(est, width, e): est[s, t] estimates 4^-e times the square of the
     p = 2 norm that _shift_norms computes for shift (s, t) of the (M, N)
     array a, within width save underflow and overflow (see _l2_bounds),
-    from the autocorrelation of b = 2^-e a - z, z the computed mean of
-    2^-e a.  Differences do not see z, so the width scales with the
+    from the autocorrelation of b = 2^-e a - z (_centred), z the computed
+    mean of 2^-e a.  Differences do not see z, so the width scales with the
     centred mean square: a large mean does not widen it.
 
     e is the exponent of max|a| (numpy.frexp), so max|2^-e a| lies in
@@ -503,9 +511,7 @@ def _l2_estimate(a: np.ndarray, mixed: bool):
     """
     m, n = a.shape
     k = a.size
-    e = int(np.frexp(max(a.max(), -a.min()))[1])
-    b = np.ldexp(a, -e)
-    b -= b.mean()
+    b, e = _centred(a)
     spec = np.fft.rfft2(b)
     parts = _abs_pow(spec.view(float), 2.0)  # re^2 and im^2, interleaved
     parts[:, 0::2] += parts[:, 1::2]

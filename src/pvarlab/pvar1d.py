@@ -3,9 +3,9 @@
 At p = 1 the p-variation is the total variation, attained by every
 partition through the strict extrema (_extrema): pvar_cyclic returns it
 exactly, in O(N), with no DP.  At p > 1 it runs one anchored chain DP, to
-within a rounding error where partitions tie, on the turning points only
-(_turning_points): no optimal partition holds a sample strictly inside a
-monotone run, so a tent of frequency k costs O(N + k^2), not O(N^2).
+within a rounding error where partitions tie, on the same points: some
+optimal partition holds only strict extrema, so a tent of frequency k
+costs O(N + k^2), not O(N^2).
 Every array power |d|^p of the package goes through _abs_pow, the one
 place where its bits and speed are set: the DP's step costs and
 omega_p_functional's here, the tables' in modulus and the ascent's in
@@ -158,8 +158,9 @@ def _backtrack(
 
     By default a position is its own lane position and n = m, the number
     of positions.  A lane whose positions stand for a subset of its n
-    positions (_turning_points) passes pos, with pos[lane, x] the lane
-    position that position x stands for, increasing in x along the chain.
+    positions (its _extrema points, in _pvar_lanes) passes pos, with
+    pos[lane, x] the lane position that position x stands for, increasing
+    in x along the chain.
     Positions rise from 0, so the indices of positions x >= n - anchor
     wrap below the anchor: splitting the chain there and putting that part
     first orders the indices without a sort.
@@ -180,37 +181,15 @@ def _backtrack(
     return out
 
 
-def _turning_points(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each lane (row) of rot without its strictly monotone interior
-    samples, for a chain DP at p > 1: (lanes, pos) with pos as _backtrack
-    reads it.
-
-    A sample is dropped when it lies strictly between its two cyclic
-    neighbours; plateau samples stay, and so does a lane's first sample,
-    which _pvar_lanes makes a global maximum.  Each lane keeps its samples
-    in order and is padded to the block's largest kept count with copies
-    of its first sample (pos 0, never read: see _pvar_lanes).  A block
-    that drops nothing comes back as a copy, with pos[lane] = 0..n-1.
-    """
-    na, n = rot.shape
-    ext = np.concatenate((rot[:, -1:], rot, rot[:, :1]), axis=1)
-    up, down = ext[:, :-1] < ext[:, 1:], ext[:, :-1] > ext[:, 1:]
-    drop = up[:, :-1] & up[:, 1:] | down[:, :-1] & down[:, 1:]
-    count = n - np.add.reduce(drop, axis=1)
-    t = int(count.max())
-    pos = np.argsort(drop, axis=1, kind="stable")[:, :t]  # kept positions first, in order
-    pos[np.arange(t) >= count[:, None]] = 0
-    return rot[np.arange(na)[:, None], pos], pos
-
-
 def _extrema(rot: np.ndarray) -> np.ndarray:
-    """The p = 1 partition of each lane (row) of rot as a mask: position 0,
-    which _pvar_lanes makes a global maximum, and the first sample of every
-    plateau (maximal run of equal samples) whose steps in and out, the
+    """The points of each lane (row) of rot as a mask, at every p: position
+    0, which _pvar_lanes makes a global maximum, and the first sample of
+    every plateau (maximal run of equal samples) whose steps in and out, the
     nearest nonzero x_(j+1) - x_j before and after it (x_n being x_0), have
     opposite signs.  The samples after a lane's last nonzero step equal x_0:
-    position 0 stands for their plateau.  Comparisons only, so no
-    difference can overflow.
+    position 0 stands for their plateau.  At p = 1 the points are the
+    partition, at p > 1 the chain DP's positions (see _pvar_lanes).
+    Comparisons only, so no difference can overflow.
     """
     na, n = rot.shape
     nxt = np.concatenate((rot[:, 1:], rot[:, :1]), axis=1)
@@ -252,25 +231,43 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
 
     At p > 1 the lanes run through _chain_dp, with steps priced elementwise,
     |x_j - x_i|^p through _abs_pow, as for a lone sequence.  The DP runs on
-    each lane's turning points only (_turning_points): no partition that
-    holds a sample i strictly inside a monotone run (x_(i-1) < x_i <
-    x_(i+1), or the same with >) is optimal.  Let a and c be the values of
-    i's neighbours in a partition of at least two points (a one-point
-    partition sums to 0).
+    each lane's _extrema points only, compressed in order.  Call a plateau
+    extremal when its steps in and out have opposite signs, and monotone
+    otherwise; a sample strictly inside a monotone run is a one-sample
+    monotone plateau.  Some optimal partition holds only the points of
+    _extrema.  Take an optimal partition of at least two points (a
+    one-point partition sums to 0), a point i of it with value v, and the
+    values a and c of its two partition neighbours.
 
-    - If x_i lies strictly between a and c, dropping i is strictly better:
-      with s = |a - x_i| > 0 and t = |x_i - c| > 0, |a - c|^p = (s + t)^p
-      > s^p + t^p at p > 1.
-    - Otherwise x_i >= a, c or x_i <= a, c.  Moving i one step along its
-      run, to the neighbour with the larger (or smaller) value, makes both
-      increments strictly larger.  That neighbour is neither of i's
-      partition neighbours, whose values it strictly exceeds (or undercuts),
-      so the points keep their cyclic order.
+    - If a partition neighbour h of i lies on i's plateau, dropping i (or
+      h, if i is the anchor) gives an exact tie: the steps a -> i -> h
+      cost |a - v|^p + 0, and the step a -> h costs |a - v|^p.
+    - Otherwise, if i's plateau is monotone and v lies strictly between a
+      and c, dropping i is strictly better: with s = |a - v| > 0 and
+      t = |v - c| > 0, |a - c|^p = (s + t)^p > s^p + t^p at p > 1.
+    - Otherwise, if i's plateau is monotone, v >= a, c or v <= a, c.
+      Moving i past its plateau along its run, to the adjacent sample with
+      the larger (or smaller) value, makes both increments strictly
+      larger.  That sample is neither of i's partition neighbours, whose
+      values it strictly exceeds (or undercuts), and both of those lie off
+      the plateau, so the points keep their cyclic order.
+    - Otherwise i's plateau is extremal and holds no other point (the
+      points between two points of a plateau lie on it), and i can be
+      swapped for the plateau's first sample: the values are equal, so
+      every step keeps its exact cost, and the cyclic order is kept.
 
-    The same argument holds for the DP's open chains from the anchor, which
-    is never dropped, so in exact arithmetic the restricted DP finds the
-    same best chains.  It compares naive float sums, so where chains tie
-    within rounding its choice can differ from the unrestricted DP's.
+    The two strict gains cannot occur in an optimal partition.  So dropping
+    plateau repeats, then swapping, turns it into an optimal partition of
+    _extrema points.  The anchor's plateau is extremal (a global maximum
+    of a non-constant lane) and position 0 stands for it; each other point
+    on it has a neighbour on it (its predecessor if it comes right after
+    position 0, its successor if it comes before the wrap), so the anchor
+    is never dropped or moved.  The same argument holds for
+    the DP's open chains from the anchor, so in exact arithmetic the
+    restricted DP finds the same best value.  It compares naive float
+    sums, and the unrestricted DP breaks the exact ties of plateau repeats
+    by its own rule, so the two can pick different partitions of equal or
+    near-equal value.
 
     A lane padded with copies of its anchor sample x_0 gets the chain it
     gets unpadded.  The pads come after its last real position.  A step
@@ -291,12 +288,14 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
         anchors = blk.argmax(axis=1)
         lanes, at = np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n
         rot = blk[lanes, at]
+        keep = _extrema(rot)
         if pp == 1.0:
-            keep = np.zeros(blk.shape, dtype=bool)
-            keep[lanes, at] = _extrema(rot)
-            chains = [np.flatnonzero(k).tolist() for k in keep]
+            chains = [sorted(x[k].tolist()) for x, k in zip(at, keep)]
         else:
-            rot, pos = _turning_points(rot)
+            count = np.add.reduce(keep, axis=1)
+            pos = np.argsort(~keep, axis=1, kind="stable")[:, : int(count.max())]  # kept first
+            pos[np.arange(pos.shape[1]) >= count[:, None]] = 0  # pads: anchor copies
+            rot = rot[lanes, pos]
             col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
             _, pred, last = _chain_dp(lambda j, k: _abs_pow(col[j] - rot[:, :k], pp), *rot.shape)
             chains = _backtrack(pred, last, slice(None), anchors.tolist(), pos, n)
@@ -316,9 +315,9 @@ def pvar_cyclic(g: Grid1, p: Exponent) -> tuple[float, CyclicPartition]:
     error below pvar_oracle.  An optimal cyclic partition may be assumed
     to contain a global-maximum sample (inserting a point with value >=
     both neighbours never decreases the sum for p >= 1), so one chain DP
-    anchored at the first such sample suffices.  It runs on the T samples
-    that are not strictly inside a monotone run (the proof is at
-    _pvar_lanes): O(N + T^2) time, O(N) memory, step costs priced one
+    anchored at the first such sample suffices.  It runs on the T points
+    of _extrema, the anchor and the first sample of every strict-extremum
+    plateau (the proof is at _pvar_lanes): O(N + T^2) time, O(N) memory, step costs priced one
     position at a time.  Ties in the naive step-cost sum go to the
     partition whose last point before the wrap comes first, and each
     point's predecessor is the earliest one attaining its best prefix sum

@@ -22,8 +22,6 @@ PERFBENCH = [ast.parse(path.read_text(), str(path)) for path in sorted(ROOT.glob
 
 # The modules that read the package through its public API only.
 FRONT_ENDS = ("harness", "cli")
-# Public functions and classes kept without a reader outside the tests, with why.
-UNREAD_PUBLIC = {"mixednorm.hardy_section_check": "ROADMAP item 1"}
 
 
 def _is_all(node: ast.AST) -> bool:
@@ -131,7 +129,7 @@ def test_every_public_definition_has_a_reader():
                 or node.name in _reads(tree, node, exports)
                 or node.name in bench
             )
-            if not read and f"{module}.{node.name}" not in UNREAD_PUBLIC:
+            if not read:
                 unread.append(f"{module}.{node.name}")
     assert not unread, f"public definitions that only tests read: {unread}"
 
@@ -179,7 +177,7 @@ def test_row_norms_has_one_reader():
 
 def test_chain_dp_has_two_readers():
     """pvar1d._chain_dp is read by _pvar_lanes, which gives it each lane's
-    turning points at p > 1, and by vitali2d._chain_max, whose pair costs
+    _extrema points at p > 1, and by vitali2d._chain_max, whose pair costs
     are not a sequence's: no new caller bypasses the restriction.  The
     import that brings it into vitali2d is not a reader; any definition
     that reads it there is."""

@@ -2,7 +2,8 @@
 
 Fields and samples are small integers and p is an integer, so every cell,
 difference, power and partial sum is an integer below 2^53 and exact in
-floats: each relation holds with ==, with no tolerance.
+floats: each relation holds with == (or <= for refinement), with no
+tolerance.
 """
 
 import numpy as np
@@ -68,3 +69,23 @@ def test_pvar_relations(samples_images, p):
         base = value(Grid1(g), pe)
         for name, image in images.items():
             assert value(Grid1(image), pe) == base, name
+
+
+@st.composite
+def _samples_and_refinement(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Integer samples g, N = 2-64, |x| <= 4, and 2N integer samples h
+    with h[::2] == g."""
+    g = draw(st.integers(2, 64).flatmap(lambda n: _ints(n, 4)))
+    h = np.empty(2 * len(g))
+    h[::2], h[1::2] = g, draw(_ints(len(g), 4))
+    return g, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples_and_refinement(), st.sampled_from(P_INT))
+def test_pvar_cyclic_refinement(samples, p):
+    """A partition of g is one of h through the even indices, with the same
+    sum, so the p-variation of g is at most that of h."""
+    g, h = samples
+    pe = Exponent(p)
+    assert pvar_cyclic(Grid1(g), pe)[0] <= pvar_cyclic(Grid1(h), pe)[0]

@@ -11,7 +11,6 @@ from pvarlab import (
     Exponent,
     Grid1,
     Grid2,
-    hardy_section_check,
     gen_product,
     gen_series_f,
     gen_sine,
@@ -145,7 +144,6 @@ class TestSectionsBitwise:
             assert phi_profile(ctx, pe).tolist() == phi
             assert psi_profile(ctx, pe).tolist() == psi
             assert w_p(ctx, pe) == w_p(f, pe)
-            assert hardy_section_check(ctx, pe) == hardy_section_check(f, pe)
 
 
 class TestContextSections:
@@ -166,7 +164,6 @@ class TestContextSections:
             psi_profile(ctx, pe)
             w_p(ctx, pe)
             section_lipschitz_check(ctx, pe)
-            hardy_section_check(ctx, pe)
         assert shapes == [(5, 7), (7, 5)]
 
     def test_sections_read_only_and_axis_checked(self):

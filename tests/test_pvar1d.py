@@ -21,15 +21,16 @@ from pvarlab import (
     pvar_sum,
 )
 from pvarlab import pvar1d
+from pvarlab.harness import random_corpus_2d
 from pvarlab.pvar1d import (
     ORACLE_MAX_N,
     _abs_pow,
     _backtrack,
     _chain_dp,
+    _extrema,
     _pvar_lanes,
     _pvar_rows,
     _sum_value,
-    _turning_points,
 )
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -422,7 +423,7 @@ class TestBacktrack:
 
 def _unrestricted_lanes(a: np.ndarray, p: Exponent) -> list[tuple[float, tuple[int, ...]]]:
     """Reference for _pvar_lanes: the anchored chain DP over every sample of
-    each lane, with no turning-point restriction.  The lanes run as one
+    each lane, with no restriction to its extrema.  The lanes run as one
     block; a lane's result does not depend on its block."""
     na, n = a.shape
     anchors = a.argmax(axis=1)
@@ -434,7 +435,7 @@ def _unrestricted_lanes(a: np.ndarray, p: Exponent) -> list[tuple[float, tuple[i
 
 
 def _reference_lanes() -> dict[str, np.ndarray]:
-    """Lane blocks on which the turning-point DP must match the reference
+    """Lane blocks on which the DP on the extrema must match the reference
     bit for bit: Gaussian, random walks, tents and sines of several
     frequencies (long monotone runs), and integer and {0, 1, 2}-valued
     lanes (plateaus and exact ties); and small blocks of at most 64
@@ -471,9 +472,18 @@ def _rank_grid(row: np.ndarray) -> Grid1:
     return Grid1(np.unique(row, return_inverse=True)[1].astype(float))
 
 
+def _on_extrema(rows: np.ndarray, parts) -> np.ndarray:
+    """Whether every point of each lane's partition is an _extrema point of
+    the lane rotated to its first maximum."""
+    na, n = rows.shape
+    anchors = rows.argmax(axis=1)
+    keep = _extrema(rows[np.arange(na)[:, None], (anchors[:, None] + np.arange(n)) % n])
+    return np.array([k[(np.array(idx) - a) % n].all() for k, idx, a in zip(keep, parts, anchors)])
+
+
 class TestTurningPoints:
-    """At p > 1, _pvar_lanes runs its chain DP on each lane's turning points
-    only; at p = 1 it runs none."""
+    """At p > 1, _pvar_lanes runs its chain DP on each lane's _extrema
+    points only; at p = 1 it runs none."""
 
     @pytest.mark.parametrize("p", (1.0, 1.1, 1.5, 2.0, 3.0))
     @pytest.mark.parametrize("name", sorted(REFERENCE_LANES))
@@ -499,30 +509,49 @@ class TestTurningPoints:
         assert list(_pvar_lanes(rows, Exponent(1.5))) == _unrestricted_lanes(rows, Exponent(1.5))
 
     def test_never_below_on_rounded_difference_sections(self):
-        """Difference sections of 0.1-rounded fields, as
-        section_lipschitz_check forms them, hold steps of an ulp or so, so
-        chains through a monotone run tie with the run's ends within
-        rounding.  There the turning-point DP may pick another partition,
-        but its value is never below the reference's.  Some lanes come out
-        higher (31 of 22,992 on this corpus), so the corpus reaches such
-        ties."""
+        """Difference sections, as section_lipschitz_check forms them, of
+        0.1-rounded fields and of random_corpus_2d fields at 12^2, 16^2 and
+        32^2.  The first hold steps of an ulp or so, so chains through a
+        monotone run tie with the run's ends within rounding; the second
+        are piecewise constant, so they hold plateaus inside monotone runs
+        whose values differ by an ulp or so.  There the DP on the extrema
+        may pick another partition than the reference, but its value is
+        never below the reference's, and every point of its partition is
+        an _extrema point of the rotated lane.  Some lanes come out higher,
+        so the corpus reaches such ties."""
         rng = np.random.default_rng(29)
         fields = [np.round(rng.normal(size=(m, m)), 1) for m in (12, 16, 24, 32) for _ in range(3)]
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            fields += [g.samples for m in (12, 16, 32) for _, g in random_corpus_2d(rng, m, m, 4)]
         raised = 0
         for p in (1.1, 1.5, 2.0, 3.0):
             pe = Exponent(p)
             for a in fields:
                 i, j = np.triu_indices(len(a), 1)
                 for rows in (a[j] - a[i], a.T[j] - a.T[i]):
-                    got = np.array([v for v, _ in _pvar_lanes(rows, pe)])
+                    got = list(_pvar_lanes(rows, pe))
+                    assert _on_extrema(rows, [idx for _, idx in got]).all(), p
+                    got = np.array([v for v, _ in got])
                     want = np.array([v for v, _ in _unrestricted_lanes(rows, pe)])
                     assert (got >= want).all(), (p, rows[got < want])
                     raised += int((got > want).sum())
         assert raised > 0
 
+    def test_a_plateau_inside_a_monotone_run_is_skipped(self):
+        """A difference section with two plateaus an ulp apart on its way
+        down from 0: the DP on every sample starts the partition at the
+        upper one, inside the run, and the DP on the extrema at the lower
+        one, with the same value."""
+        lane = [0.0] * 2 + [-0.17615544388284568] * 3 + [-0.1761554438828457] * 4
+        lane += [1.7903864484598284] * 3 + [-0.1761554438828457] * 3 + [0.0] * 17
+        rows, pe = np.array([lane]), Exponent(1.1)
+        assert _unrestricted_lanes(rows, pe) == [(3.928414732068349, (2, 9, 12, 15))]
+        assert list(_pvar_lanes(rows, pe)) == [(3.928414732068349, (5, 9, 12, 15))]
+
     @pytest.mark.parametrize("k", (1, 4, 32))
     def test_chain_dp_sees_only_the_turning_points(self, k, monkeypatch):
-        """gen_tent_scaled(k, 4096) has 2k turning points: the DP takes 2k
+        """gen_tent_scaled(k, 4096) has 2k extrema: the DP takes 2k
         positions at p = 1.5, and p = 1 calls no DP."""
         sizes = []
 
@@ -539,10 +568,9 @@ class TestTurningPoints:
 
     def test_the_rounding_tie_grid_keeps_every_sample(self):
         """All six samples of the strict-xfail grid of TestAgainstOracle are
-        turning points, so its DP is the one it was and the xfail stays."""
-        rot = np.array([[-0.6, 0.5, -0.5, 0.1, -0.7, 0.0]])
-        lanes, pos = _turning_points(rot)
-        assert (pos == np.arange(6)).all() and (lanes == rot).all()
+        extrema, so its DP is the one it was and the xfail stays."""
+        rot = np.array([[0.5, -0.5, 0.1, -0.7, 0.0, -0.6]])  # rotated to its maximum
+        assert _extrema(rot).all()
 
 
 def _p1_corpus() -> list[np.ndarray]:

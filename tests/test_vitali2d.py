@@ -21,7 +21,6 @@ from pvarlab import (
     gen_sine,
     gen_staircase,
     gen_tent_scaled,
-    hardy_section_check,
     pvar_cyclic,
     staircase_net_bound,
     vitali_ascent,
@@ -835,12 +834,3 @@ class TestCertifiedVitali:
     def test_ascent_at_p_gt_1_past_oracle_sizes(self):
         f, p = self._field(9, 10), Exponent(2.0)
         assert certified_vitali(f, p) == vitali_ascent(f, p).value
-
-
-class TestSectionBound:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10**6), st.sampled_from(P_VALUES))
-    def test_all_sections_within_bound(self, seed, p):
-        f = _random_field(seed)
-        rows = hardy_section_check(f, Exponent(p))
-        assert min(r["margin"] for r in rows) >= -1e-12
