@@ -368,10 +368,10 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
 
     b = fl32(2^(e0 - e) c), c = 2^-e0 a - z computed in float64 by
     _centred, with e0 the exponent of max|a| and z the computed mean of
-    2^-e0 a, which no difference sees.  e - e0 is the
-    exponent of max|c| plus 2 (plain) or 3 (mixed), so top = 2^(e0 - e)
-    max|c| lies below 1/4 or 1/8, and every difference of b, of 2 or 4
-    entries, below 1/2 in magnitude.  Write B = 2^-e (a - 2^e0 z), real,
+    2^-e0 a, which no difference sees.  e - e0 is the exponent of max|c|
+    plus 2 (plain) or 3 (mixed), so top = 2^(e0 - e) max|c| lies below 1/4
+    or 1/8, and every difference of b, of 2 or 4 entries, below 1/2 in
+    magnitude.  Write B = 2^-e (a - 2^e0 z), real,
     so that the exact difference D of B is 2^-e times that of a, and with
     u = 2^-53, v = 2^-24 and k = M*N, measure norms as L^p means over the
     k entries.  The float32 pass computes r32 = root(fl(S/k)) from the
