@@ -7,9 +7,9 @@ subtraction, and is bitwise equal to the per-shift reference norms
 `shift_norm_1d` and `mixed_diff_norm` of tests/test_modulus.py.  It also
 takes a float32 array, whose norms only bound the float64 ones.  Its
 |D|^p, like every array power here, comes from pvar1d._abs_pow, which
-keeps the bits of np.abs(D) ** p and keeps the SIMD vectors that hold a
-zero difference, common on separable and tie-heavy fields, off numpy's
-slow power path.
+keeps the bits of np.abs(D) ** p on float64 D and keeps the SIMD vectors
+that hold a zero difference, common on separable and tie-heavy fields,
+off numpy's slow power path.
 
 The shifts come in mirror pairs whose differences are exact negatives of
 each other, rotated.  IEEE subtraction is antisymmetric, x - y = -(y - x)
@@ -37,13 +37,15 @@ have three sources, chosen by p and M*N:
   (differences ignore the mean).  _l2_bounds widens that
   estimate by a derived bound on its error, so it filters; the values
   are still the evaluated norms.
-* p = 1, and other p below _F32_SIZE shifts: the partners are evaluated,
-  and each mirror is bounded by its partner's norm (_partner_bounds).
-* Other p from _F32_SIZE up: the partners that the p = 2 bounds keep are
-  evaluated, and the others are bounded by one _shift_norms pass over a
-  centred, scaled float32 copy of the field (_f32_bounds), which powers
-  at float32 speed and bounds each norm within a few parts in 10^6; each
-  mirror is bounded through its partner.
+* Other p below _F32_SIZE shifts, and plain tables at p = 1: the partners
+  are evaluated, and each mirror is bounded by its partner's norm
+  (_partner_bounds).
+* Other p from _F32_SIZE up, and mixed tables at p = 1: the partners that
+  the p = 2 bounds keep are evaluated, and the others are bounded by one
+  _shift_norms pass over a centred, scaled float32 copy of the field
+  (_f32_bounds), which powers with a few float32 operations, subtracts
+  mixed windows as flat slices like the plain ones, and bounds each norm
+  within a few parts in 10^6; each mirror is bounded through its partner.
 """
 
 from __future__ import annotations
@@ -125,7 +127,10 @@ def _row_norms(d: np.ndarray, p: float):
     such a block without numpy's slow path for vectors holding a zero.
     Each mean is np.add.reduce over one contiguous row, divided by M*N: for
     float64 d the operations of _norm on the same numbers in the same order.
-    A float32 d is powered in float32 and summed in float64.
+    A float32 d is powered in float32, by square root and products at the
+    p of pvar1d._pow32_roundings, and summed in float64; a mixed one holds
+    its differences transposed (_shift_norms), so they are summed in
+    another order, which _f32_bounds' width allows.
     """
     _abs_pow(d, p)
     means = np.add.reduce(d, axis=1, dtype=float) / d.shape[1]
@@ -195,7 +200,11 @@ def _shift_norms(
     or a) into a reused buffer, whose rows _row_norms finishes.  Every
     difference is the same subtraction of the same two floats as the
     per-shift norm's, so every value equals it bit for bit.  A float32 a
-    (_f32_bounds) gets float32 windows and buffers, and float64 norms.
+    (_f32_bounds) gets float32 windows and buffers, and float64 norms.  Its
+    mixed group stores ds transposed with rows doubled, (2N, M), so that
+    window t, ds(., . + t) transposed, is one flat slice of M*N values, as
+    a plain window is: the same differences, in another order.  A float64
+    a keeps the row layout, whose order sets the bits.
     """
     m, n = a.shape
     mn = a.size
@@ -207,12 +216,18 @@ def _shift_norms(
     starts = np.flatnonzero(np.diff(pos, prepend=-2) != 1).tolist()
     width = max(1, min(_BLOCK // mn, len(pos)))
     buf = np.empty((width, mn), a.dtype)
-    two = np.empty((m, 2 * n) if mixed else (2 * m, n), a.dtype)
-    if mixed:  # window t of ds: ds(., . + t), subtracted from ds
+    flat = not mixed or a.dtype == np.float32  # windows that are flat slices
+    if not mixed:  # window s of a(., . + t): a(. + s, . + t), subtracted from a
+        two = np.empty((2 * m, n), a.dtype)
+        windows, base = _view(two, 0, (m, mn), (n, 1)), a.ravel()
+    elif flat:  # window t of ds transposed: ds(., . + t), subtracted from ds
+        two = np.empty((2 * n, m), a.dtype)
+        windows, base = _view(two, 0, (n, mn), (m, 1)), two[:n].reshape(mn)
+        src = np.concatenate((a.T, a.T), axis=1)
+    else:  # window t of ds: ds(., . + t), subtracted from ds
+        two = np.empty((m, 2 * n), a.dtype)
         windows, base = _view(two, 0, (n, m, n), (1, 2 * n, 1)), two[:, :n]
         src = np.concatenate((a, a))
-    else:  # window s of a(., . + t): a(. + s, . + t), subtracted from a
-        windows, base = _view(two, 0, (m, mn), (n, 1)), a.ravel()
     blocks = buf.reshape((width,) + windows.shape[1:])
     vals = np.empty(len(pos))
     group = None
@@ -220,7 +235,10 @@ def _shift_norms(
         g, w0 = divmod(int(pos[i0]), span)
         if g != group:
             group = g
-            if mixed:
+            if mixed and flat:
+                np.subtract(src[:, g : g + m], src[:, :m], out=two[:n])
+                two[n:] = two[:n]
+            elif mixed:
                 np.subtract(src[g : g + m], a, out=base)
                 two[:, n:] = base
             else:
@@ -271,23 +289,30 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     return _prefix_max(_wrapped(_fill(raw, a, p, mixed, todo)))
 
 
-# The M*N from which the tables at p other than 1 and 2 bound most of their
-# partners with a float32 pass instead of evaluating them: below it that
-# pass and the autocorrelation cost more than they save on some fields
-# (CHANGES.md has the crossover), and at p = 1 the float64 pass has no
-# power to save.
+# The M*N from which the tables at p other than 2, save plain ones at p = 1,
+# bound most of their partners with a float32 pass instead of evaluating
+# them: below it that pass and the autocorrelation cost more than they save
+# on some fields (CHANGES.md has the crossover).
 _F32_SIZE = 56 * 56
 
 
 def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
     """(lo, hi) on the (M, N) core at p != 2.  Some partners are evaluated
-    into raw by _shift_norms: all of them at p = 1 or below _F32_SIZE, and
-    otherwise those that the p = 2 bounds of _l2_bounds keep, the likely
-    maxima, so that they skip the float32 pass.  lo is raw's core, exact
-    there, with the lower bounds of _f32_bounds at the other partners and
-    zero elsewhere.  hi is -inf at the evaluated partners and at the mixed
-    row and column 0, _f32_bounds' upper bound at the other partners, and
-    bounds each mirror through its partner's upper bound.
+    into raw by _shift_norms: all of them below _F32_SIZE and in plain
+    tables at p = 1, and otherwise those that the p = 2 bounds of _l2_bounds
+    keep, the likely maxima, so that they skip the float32 pass.  lo is
+    raw's core, exact there, with the lower bounds of _f32_bounds at the
+    other partners and zero elsewhere.  hi is -inf at the evaluated partners
+    and at the mixed row and column 0, _f32_bounds' upper bound at the other
+    partners, and bounds each mirror through its partner's upper bound.
+
+    At p = 1 there is no power to save, only the float64 pass's mixed
+    windows, which are strided where the float32 pass's are flat.  So mixed
+    tables gain from the float32 pass (about 0.7 of the partner pass's time
+    on Gaussian fields from 64^2 up), and plain ones, whose windows are flat
+    in both, do not: on Gaussian and smooth fields from 48^2 to 128^2 they
+    took 0.90 to 1.09 of the partner pass's time, and 1.23 on the 128^2
+    sine product (CHANGES.md).
 
     A mirror's |D|^p terms are its partner's terms in another order, so its
     norm r' lies within a factor 1 + w of its partner's r.  The width, with
@@ -318,7 +343,7 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
     m, n = a.shape
     ps, pt, partner, mirror = _mirrors(m, n, mixed)
     rest = np.zeros_like(partner)
-    if p != 1.0 and a.size >= _F32_SIZE:
+    if a.size >= _F32_SIZE and (mixed or p != 1.0):
         lo, hi = _l2_bounds(a, mixed)
         rest = partner & (hi < _prefix_max(lo))
         del lo, hi  # the transforms' arrays, freed before any evaluation
@@ -339,7 +364,10 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
 
 
 _V = 2.0**-24  # unit roundoff of IEEE binary32
-_POW32 = 2.0**-21  # relative error of numpy's float32 power: 4 ulps, assumed
+# The relative error of a normal float32 |d|^p of pvar1d._abs_pow, 4 ulps:
+# derived at the p of pvar1d._pow32_roundings, whose square root and products
+# stay within (1 + v)^7 - 1 < 2^-21, and assumed of numpy's power elsewhere.
+_POW32 = 2.0**-21
 _TAU = 2.0**-120  # the smallest term |d|^p that _f32_bounds bounds relatively
 
 
@@ -363,8 +391,8 @@ def _centred(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np.ndarray):
     """(lo, hi) on the norm r that _shift_norms computes for each listed
-    shift of the (M, N) array a, at p other than 1 and 2, from one
-    _shift_norms pass over a centred, scaled float32 copy b of a.
+    shift of the (M, N) array a, at p other than 2, from one _shift_norms
+    pass over a centred, scaled float32 copy b of a.
 
     b = fl32(2^(e0 - e) c), c = 2^-e0 a - z computed in float64 by
     _centred, with e0 the exponent of max|a| and z the computed mean of
@@ -392,18 +420,23 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
       u||ds|| per ds in the same way, at most 4.001u top in all, so mixed
       A = 9v top + 2^-146 covers both (width in the code).  So ||D|| lies
       in [(||D32|| - A)/(1 + v), (||D32|| + A)/(1 - v)].
-    - The power.  numpy's float32 power at p32 = fl32(p), the weak Python
-      p in pvar1d._abs_pow, is within _POW32 relative of x^p32 when the
-      result is normal, an assumption tests/test_modulus.py checks under
-      both SIMD dispatches (it measured below 1 ulp).  As |D32| < 1,
-      x^p32 = x^p x^(p32 - p), and a term x^p >= tau = 2^-120 has |ln x|
-      <= 120 ln 2/p, so the rounding of p moves it by a factor within 1 +-
-      rho, rho = expm1(|p32 - p| 120 ln 2/p): zero at p = 1.5, 3 and 8,
-      1.8e-6 (30 v) at p = 1.1.  So such a term is within _term_error(p)
-      relative of x^p.  A term below tau, subnormal and flushed ones among
-      them, has x^p and its computed power within 1.01 tau of 0.
+    - The power.  pvar1d._abs_pow's float32 power is within _POW32
+      relative of x^p32, p32 = fl32(p), when the result is normal.  At p =
+      1 it is |x|, exact.  At the p of pvar1d._pow32_roundings (1.5, 3 and
+      8 among them, where p32 = p) it is a square root and products, each
+      correctly rounded, so this is derived: within (1 + v)^n - 1, n <= 7.
+      Elsewhere it is numpy's float32 power at the weak Python p, and this
+      is an assumption (it measured below 1 ulp).  tests/test_modulus.py
+      checks both under both SIMD dispatches.  As |D32| < 1, x^p32 = x^p
+      x^(p32 - p), and a term x^p >= tau = 2^-120 has |ln x| <= 120 ln
+      2/p, so the rounding of p moves it by a factor within 1 +- rho, rho =
+      expm1(|p32 - p| 120 ln 2/p): zero at p = 1, 1.5, 3 and 8, 1.8e-6 (30
+      v) at p = 1.1.  So such a term is within _term_error(p) relative of
+      x^p.  A term below tau, subnormal and flushed ones among them, has
+      x^p and its computed power within 1.01 tau of 0.
     - The sums and the means.  Each float32 term is exact in float64, so
-      S and the division by k add a factor within gamma_(k+1) (ch. 4).
+      S and the division by k add a factor within gamma_(k+1) (ch. 4), in
+      any order of the terms, the transposed one of mixed windows too.
       The mean is read back from r32 as r32^p (pvar1d._abs_pow), which the
       root within 2u and the power within 2u move by at most (2p + 2)u.
       So ||D32||^p lies within eps = 1.1 (_term_error(p) + (k + 2p +

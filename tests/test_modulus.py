@@ -46,6 +46,7 @@ from pvarlab.modulus import (
     diff_modulus_bound_check,
     omega_sandwich_check,
 )
+from pvarlab.pvar1d import _pow32_roundings
 from pvarlab.vitali2d import vitali_finest
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -543,8 +544,15 @@ def _l2_fields() -> dict:
 
 L2_FIELDS = _l2_fields()
 RANGE_END_FIELDS = _range_end_fields()  # with the constant field
-# The p at which tables from modulus._F32_SIZE shifts up take the float32 pass.
-P_F32 = tuple(p for p in TestKernelBitwise.P_KERNEL if p not in (1.0, 2.0))
+# The p at which tables from modulus._F32_SIZE shifts up take the float32
+# pass, at p = 1 mixed tables only.
+P_F32 = tuple(p for p in TestKernelBitwise.P_KERNEL if p != 2.0)
+# Non-square fields, on which a float32 mixed window that swapped M and N
+# would read the wrong differences.
+NON_SQUARE_FIELDS = {
+    f"normal-{m}x{n}": np.random.default_rng(m * 100 + n).normal(size=(m, n))
+    for m, n in ((5, 7), (7, 5), (40, 56), (56, 40))
+}
 
 
 def _keep_no_shift(a: np.ndarray, mixed: bool):
@@ -590,13 +598,14 @@ class TestTwoPassTables:
     norms, compared with == on bits.
 
     The tables are built from the evaluated shifts: at p = 2 only the
-    shifts that the autocorrelation bounds keep; at p = 1, and at other p
-    below modulus._F32_SIZE shifts, the partners and only the mirrors that
-    can set a maximum; at other p from _F32_SIZE up, the partners that the
-    p = 2 bounds keep and then only the shifts whose float32 bounds can set
-    a maximum.  _check builds every table at p other than 1 and 2 through
-    each of F32_PATHS (_table_paths), so the float32 pass is checked on
-    these small grids too.  Ties between a mirror and its partner need the exact mirror: the
+    shifts that the autocorrelation bounds keep; at other p below
+    modulus._F32_SIZE shifts, and in plain tables at p = 1, the partners
+    and only the mirrors that can set a maximum; at other p from _F32_SIZE
+    up, and in mixed tables at p = 1, the partners that the p = 2 bounds
+    keep and then only the shifts whose float32 bounds can set a maximum.
+    _check builds every table at p other than 2 through each of F32_PATHS
+    (_table_paths), so the float32 pass is checked on these small grids
+    too.  Ties between a mirror and its partner need the exact mirror: the
     {0, 1, 2}-valued, {0, 1}-valued and 0.1-rounded fields tie often, and a
     0.1-rounded 5x9 mixed table at p = 1 needs the bound's width (see
     _partner_bounds) to keep its bits.
@@ -646,6 +655,15 @@ class TestTwoPassTables:
         rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
         self._check(np.round(rng.normal(size=shape), 1), p)
 
+    @pytest.mark.parametrize("name", NON_SQUARE_FIELDS)
+    @pytest.mark.parametrize("p", P_F32)
+    def test_matches_on_non_square_fields_through_the_f32_pass(self, name, p):
+        """The NON_SQUARE_FIELDS at the p of P_F32, through each of
+        F32_PATHS.  With every partner through the float32 pass, each mixed
+        partner is bounded from the transposed float32 windows of
+        modulus._shift_norms, so windows that swapped M and N fail here."""
+        self._check(NON_SQUARE_FIELDS[name], p)
+
     @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (33, 8)])
     @pytest.mark.parametrize("windows", [1, 3, None])
     @pytest.mark.parametrize("mixed", [False, True])
@@ -681,10 +699,10 @@ class TestTwoPassTables:
             self._check(a, p)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("p", [p for p in P_F32 if p != 1.5])
+    @pytest.mark.parametrize("p", [p for p in P_F32 if p not in (1.0, 1.5)])
     def test_matches_at_the_ends_of_the_float_range_through_the_f32_pass(self, p):
-        """The _range_end_fields at the other p of P_F32 (p = 1.5 is in the
-        test above), through each of F32_PATHS: sums that overflow, means
+        """The _range_end_fields at the other p of P_F32 (p = 1 and 1.5 are
+        in the test above), through each of F32_PATHS: sums that overflow, means
         below 2^-1022, subnormal steps and a constant field.  Their bounds
         keep every partner, so only the path with every partner through the
         float32 pass bounds any."""
@@ -851,18 +869,22 @@ class TestF32Bounds:
         return norms, *_f32_bounds(a, p, mixed, *np.nonzero(live))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS) + ["normal-128"])
+    @pytest.mark.parametrize(
+        "name",
+        list(L2_FIELDS) + list(RANGE_END_FIELDS) + list(NON_SQUARE_FIELDS) + ["normal-128"],
+    )
     @pytest.mark.parametrize("p", P_F32)
     def test_bounds_hold(self, name, p):
         """lo <= the computed norm <= hi at every live shift, on the L2_FIELDS,
-        at the ends of the float range and on a 128^2 Gaussian field, where
-        the bounds are also tight: hi - lo is below 1e-5 of the norm (there
-        it is 6e-6 to 7.4e-6 at p = 1.1, where the rounding of p dominates,
-        and 0.9e-6 to 3.3e-6 at p = 1.5, 3 and 8)."""
+        at the ends of the float range, on the NON_SQUARE_FIELDS and on a
+        128^2 Gaussian field, where the bounds are also tight: hi - lo is
+        below 1e-5 of the norm (there it is 6e-6 to 7.4e-6 at p = 1.1, where
+        the rounding of p dominates, and 0.9e-6 to 3.9e-6 at p = 1, 1.5, 3
+        and 8)."""
         if name == "normal-128":
             a = _gaussian_128()
         else:
-            a = L2_FIELDS[name] if name in L2_FIELDS else RANGE_END_FIELDS[name]
+            a = {**L2_FIELDS, **RANGE_END_FIELDS, **NON_SQUARE_FIELDS}[name]
         for mixed in (False, True):
             norms, lo, hi = self._norms_and_bounds(a, p, mixed)
             assert (lo <= norms).all() and (norms <= hi).all(), mixed
@@ -870,54 +892,85 @@ class TestF32Bounds:
                 pos = norms > 0.0  # all but the plain shift 0
                 assert ((hi - lo)[pos] / norms[pos]).max() < 1e-5, mixed
 
-    @pytest.mark.parametrize("p", P_F32 + (1.01, 1.25, 2.5, 5.0, 13.7))
-    def test_float32_power_is_within_the_assumed_error(self, p):
-        """numpy's float32 power, through pvar1d._abs_pow as the float32 pass
-        calls it, lies within modulus._POW32 (4 ulps) of x^p32, p32 the
-        float32 p, at every normal result, and within _term_error(p) of x^p
-        at every result of at least _TAU: on 2^16 values log-uniform over
-        the x whose power is normal and 2^16 uniform ones below 1/2.  The
-        references are float64 powers of the same x, whose errors are far
-        below a float32 ulp.  At p = 1.1 the second needs the rounding of p:
-        with _POW32 alone it fails."""
+    # The p of the power tests: those of the table tests and five more, two
+    # of them (2.5, 5) with a sqrt-and-multiply power.
+    P_POWER = (1.1, 1.5, 3.0, 8.0, 1.01, 1.25, 2.5, 5.0, 13.7)
+
+    @staticmethod
+    def _power_errors(p: float) -> tuple[float, float]:
+        """The largest relative errors of the float32 power of pvar1d._abs_pow,
+        as the float32 pass calls it, against x^p32, p32 the float32 p, at
+        every normal result, and against x^p at every result of at least
+        _TAU: on 2^16 values log-uniform over the x whose power is normal
+        and 2^16 uniform ones below 1/2.  The references are float64 powers
+        of the same x, whose errors are far below a float32 ulp."""
         rng = np.random.default_rng(int(p * 1000))
         p32 = float(np.float32(p))
         low = np.log(2.0 ** (-126.0 / p32))
         x = np.concatenate([np.exp(rng.uniform(low, 0.0, 2**16)), rng.uniform(0.0, 0.5, 2**16)])
         x = x.astype(np.float32)
         got = _abs_pow(x.copy(), p).astype(float)
-        for q, smallest, bound in ((p32, 2.0**-126, _POW32), (p, _TAU, modulus._term_error(p))):
+        errors = []
+        for q, smallest in ((p32, 2.0**-126), (p, _TAU)):
             want = x.astype(float) ** q
             kept = want >= smallest
             assert kept.mean() > 0.9
-            err = np.abs(got - want)[kept] / want[kept]
-            assert err.max() <= bound, (q, err.max() / 2.0**-23)
+            errors.append(float((np.abs(got - want)[kept] / want[kept]).max()))
+        return errors[0], errors[1]
+
+    @pytest.mark.parametrize("p", P_POWER)
+    def test_float32_power_is_within_the_assumed_error(self, p):
+        """The float32 power lies within modulus._POW32 (4 ulps) of x^p32 at
+        every normal result, and within _term_error(p) of x^p at every
+        result of at least _TAU, the errors that _f32_bounds' width takes.
+        Where numpy's float32 power computes it this is an assumption; at
+        the p of _pow32_roundings the test below derives a tighter bound.
+        At p = 1.1 the second needs the rounding of p: with _POW32 alone it
+        fails."""
+        to_p32, to_p = self._power_errors(p)
+        assert to_p32 <= _POW32, to_p32 / 2.0**-23
+        assert to_p <= modulus._term_error(p), to_p / 2.0**-23
+
+    @pytest.mark.parametrize("p", [p for p in (1.0,) + P_POWER if _pow32_roundings(p) is not None])
+    def test_sqrt_and_multiply_power_is_within_the_derived_error(self, p):
+        """At the p of pvar1d._pow32_roundings, where p32 = p, the float32
+        power lies within (1 + v)^n - 1 of x^p at every normal result, n
+        its correctly rounded square root and products: 2v at p = 1.5 and 3,
+        where it measured about 1.97v, and 7v at p = 8 (about 6.7v); 0 at
+        p = 1, where it is |x|.  A kernel without the square root, or with a
+        product too few, fails."""
+        assert float(np.float32(p)) == p
+        to_p32, to_p = self._power_errors(p)
+        bound = math.expm1(_pow32_roundings(p) * math.log1p(2.0**-24))
+        assert max(to_p32, to_p) <= bound, (to_p32 / 2.0**-24, bound / 2.0**-24)
 
     def test_few_shifts_reach_float64(self):
-        """At p = 1.5 the 128^2 Gaussian tables list fewer than 1 % of their
-        live shifts to the float64 evaluation: the partners that the p = 2
-        bounds keep and the shifts whose float32 bounds reach the prefix max.
-        The float32 pass bounds all the other partners."""
-        listed = {True: [0, 0], False: [0, 0]}  # float64, float32
-
-        def counted(a, p, mixed, rows, cols):
-            listed[mixed][a.dtype == np.float32] += len(rows)
-            return shift_norms(a, p, mixed, rows, cols)
-
-        shift_norms = modulus._shift_norms
+        """At p = 1.5 the 128^2 Gaussian tables, and at p = 1 its mixed
+        table, list fewer than 1 % of their live shifts to the float64
+        evaluation: the partners that the p = 2 bounds keep and the shifts
+        whose float32 bounds reach the prefix max.  The float32 pass bounds
+        all the other partners."""
         f = Grid2(_gaussian_128())
-        with mock.patch.object(modulus, "_shift_norms", counted):
-            modulus_mixed(f, Exponent(1.5))
-            modulus_iso_2d(f, Exponent(1.5))
         live = {True: 127 * 127, False: 128 * 128}
         partners = {True: 64 * 64, False: 64 * 128 + 2}
-        for mixed, (f64, f32) in listed.items():
-            assert f64 < 0.01 * live[mixed], (mixed, listed)
-            assert f64 + f32 >= partners[mixed], (mixed, listed)
+        shift_norms = modulus._shift_norms
+        for p, table, mixed in ((1.5, modulus_mixed, True), (1.5, modulus_iso_2d, False),
+                                (1.0, modulus_mixed, True)):
+            listed = [0, 0]  # float64, float32
+
+            def counted(a, p, mixed, rows, cols):
+                listed[a.dtype == np.float32] += len(rows)
+                return shift_norms(a, p, mixed, rows, cols)
+
+            with mock.patch.object(modulus, "_shift_norms", counted):
+                table(f, Exponent(p))
+            f64, f32 = listed
+            assert f64 < 0.01 * live[mixed], (p, mixed, listed)
+            assert f64 + f32 >= partners[mixed], (p, mixed, listed)
 
     @pytest.mark.skipif(_NO_AVX512, reason="the host has none of the SIMD features to disable")
     def test_hold_under_the_other_simd_dispatch(self):
-        """test_bounds_hold and the power test, once more in a fresh process
+        """test_bounds_hold and the power tests, once more in a fresh process
         with numpy's AVX-512 loops disabled, where float32 power takes
         another loop (measured within 0.5 ulp there, against 1 ulp with
         AVX-512).  The 128^2 field is left out: float64 power runs about 5x
@@ -925,5 +978,6 @@ class TestF32Bounds:
         node = f"tests/{Path(__file__).name}::TestF32Bounds"
         run = _other_dispatch(f"{node}::test_bounds_hold",
                               f"{node}::test_float32_power_is_within_the_assumed_error",
+                              f"{node}::test_sqrt_and_multiply_power_is_within_the_derived_error",
                               "-k", "not normal-128")
         assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
