@@ -308,10 +308,12 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
 
     At p = 1 there is no power to save, only the float64 pass's mixed
     windows, which are strided where the float32 pass's are flat.  So mixed
-    tables gain from the float32 pass (about 0.7 of the partner pass's time
-    on Gaussian fields from 64^2 up), and plain ones, whose windows are flat
-    in both, do not: on Gaussian and smooth fields from 48^2 to 128^2 they
-    took 0.90 to 1.09 of the partner pass's time, and 1.23 on the 128^2
+    tables take the float32 pass: it took 0.56 to 0.82 of the partner
+    pass's time on Gaussian fields from 56^2 up, and 0.87 to 1.17 on smooth
+    fields and sine products, most of whose partners set their own entry.
+    Plain tables, whose windows are flat in both passes, do not: on
+    Gaussian and smooth fields from 48^2 to 128^2 the float32 pass took
+    0.90 to 1.15 of the partner pass's time, and 1.23 to 1.32 on the 128^2
     sine product (CHANGES.md).
 
     A mirror's |D|^p terms are its partner's terms in another order, so its

@@ -122,7 +122,7 @@ def _abs_pow(d: np.ndarray, p: float) -> np.ndarray:
     if d.dtype == np.float32 and _pow32_roundings(p) is not None:
         q, half = divmod(int(2.0 * p), 2)
         root = np.sqrt(d) if half else None
-        x = d.copy() if q & (q - 1) else None  # q has two set bits: x is read again
+        x = d.copy() if q & (q - 1) else None  # q is no power of two: x is read again
         for bit in bin(q)[3:]:  # left to right, after the leading one
             np.multiply(d, d, out=d)
             if bit == "1":
