@@ -44,8 +44,10 @@ have three sources, chosen by p and M*N:
   the p = 2 bounds keep are evaluated, and the others are bounded by one
   _shift_norms pass over a centred, scaled float32 copy of the field
   (_f32_bounds), which powers with a few float32 operations, subtracts
-  mixed windows as flat slices like the plain ones, and bounds each norm
-  within a few parts in 10^6; each mirror is bounded through its partner.
+  mixed windows as flat slices like the plain ones, sums each row's terms
+  in float32 partials of _STACK terms before float64, and bounds each
+  norm within a few parts in 10^6; each mirror is bounded through its
+  partner.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ def _view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray
     return np.ndarray(shape, buf.dtype, buf, size * start, tuple(size * k for k in steps))
 
 
+# The number of float32 terms in each float32 partial sum of _row_norms,
+# whose rounding _f32_bounds' width covers.
+_STACK = 16
+
+
 def _row_norms(d: np.ndarray, p: float):
     """The L^p norm of each row of a (k, M*N) block of differences d, which
     becomes |d|^p in place (pvar1d._abs_pow, as in _norm).
@@ -128,12 +135,25 @@ def _row_norms(d: np.ndarray, p: float):
     Each mean is np.add.reduce over one contiguous row, divided by M*N: for
     float64 d the operations of _norm on the same numbers in the same order.
     A float32 d is powered in float32, by square root and products at the
-    p of pvar1d._pow32_roundings, and summed in float64; a mixed one holds
-    its differences transposed (_shift_norms), so they are summed in
-    another order, which _f32_bounds' width allows.
+    p of pvar1d._pow32_roundings.  Its row of M*N terms is cut into _STACK
+    slices of q = M*N // _STACK terms and a tail of the rest; the slices
+    are added in float32, elementwise, into q partials of _STACK terms
+    each (one array of 1/_STACK of the block), and the partials and the
+    tail are summed in float64.  A mixed d holds its differences
+    transposed (_shift_norms), so they are summed in another order; both
+    orders are within _f32_bounds' width.
     """
     _abs_pow(d, p)
-    means = np.add.reduce(d, axis=1, dtype=float) / d.shape[1]
+    if d.dtype == np.float32:
+        rows, k = d.shape
+        q = k // _STACK
+        partials = np.add.reduce(d[:, : _STACK * q].reshape(rows, _STACK, q), axis=1)
+        sums = np.add.reduce(partials, axis=1, dtype=float)
+        if k > _STACK * q:
+            sums += np.add.reduce(d[:, _STACK * q :], axis=1, dtype=float)
+        means = sums / k
+    else:
+        means = np.add.reduce(d, axis=1, dtype=float) / d.shape[1]
     if p == 1.0:
         return means
     inv = 1.0 / p
@@ -307,14 +327,14 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
     partners, and bounds each mirror through its partner's upper bound.
 
     At p = 1 there is no power to save, only the float64 pass's mixed
-    windows, which are strided where the float32 pass's are flat.  So mixed
-    tables take the float32 pass: it took 0.56 to 0.82 of the partner
-    pass's time on Gaussian fields from 56^2 up, and 0.87 to 1.17 on smooth
-    fields and sine products, most of whose partners set their own entry.
-    Plain tables, whose windows are flat in both passes, do not: on
-    Gaussian and smooth fields from 48^2 to 128^2 the float32 pass took
-    0.90 to 1.15 of the partner pass's time, and 1.23 to 1.32 on the 128^2
-    sine product (CHANGES.md).
+    windows, which are strided where the float32 pass's are flat, and its
+    float64 sums.  So mixed tables take the float32 pass: from 56^2 to
+    256^2 it took 0.37 to 0.72 of the partner pass's time on Gaussian
+    fields and 0.70 to 1.00 on smooth ones, but 0.92 to 1.21 on sine
+    products, most of whose partners set their own entry.  Plain tables,
+    whose windows are flat in both passes, do not: the pass took 0.56 to
+    1.06 of the partner pass's time on those fields, and 1.02 to 1.08 on
+    1-D random walks of 4096 and 16384 samples (CHANGES.md).
 
     A mirror's |D|^p terms are its partner's terms in another order, so its
     norm r' lies within a factor 1 + w of its partner's r.  The width, with
@@ -405,8 +425,8 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
     so that the exact difference D of B is 2^-e times that of a, and with
     u = 2^-53, v = 2^-24 and k = M*N, measure norms as L^p means over the
     k entries.  The float32 pass computes r32 = root(fl(S/k)) from the
-    float32 differences D32 of b, S the float64 sum of their float32
-    powers.  The width covers:
+    float32 differences D32 of b, S the sum of their float32 powers that
+    _row_norms forms, first in float32, then in float64.  The width covers:
 
     - b.  Each entry is B's within (v + 2u) max|B| + 2^-149, and max|B|
       <= (1 + 2u) top: c rounds within u, its scalings are exact save
@@ -436,14 +456,22 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
       v) at p = 1.1.  So such a term is within _term_error(p) relative of
       x^p.  A term below tau, subnormal and flushed ones among them, has
       x^p and its computed power within 1.01 tau of 0.
-    - The sums and the means.  Each float32 term is exact in float64, so
-      S and the division by k add a factor within gamma_(k+1) (ch. 4), in
-      any order of the terms, the transposed one of mixed windows too.
-      The mean is read back from r32 as r32^p (pvar1d._abs_pow), which the
-      root within 2u and the power within 2u move by at most (2p + 2)u.
-      So ||D32||^p lies within eps = 1.1 (_term_error(p) + (k + 2p +
-      16)u) relative and 2 tau absolute of that mean, and its root is
-      taken in float64 within 2u.
+    - The sums and the means.  _row_norms adds the terms in float32
+      partials of _STACK = 16 terms each, and sums the partials and the
+      other terms in float64.  The terms are nonnegative, and a float32
+      sum whose result is subnormal is exact, so each float32 addition
+      is within v relative of the real sum of its operands, and a partial
+      within gamma32 = 15v/(1 - 15v) of the real sum of its 16 terms, in
+      any order (ch. 4).  The terms are below 1, so a partial stays below
+      16 and cannot overflow.  Each partial, and each float32 term, is
+      exact in float64, so S, a float64 sum of at most k of them, and the
+      division by k add a factor within gamma_(k+1), in any order of the
+      terms, the transposed one of mixed windows too.  The mean is read
+      back from r32 as r32^p (pvar1d._abs_pow), which the root within 2u
+      and the power within 2u move by at most (2p + 2)u.  So ||D32||^p
+      lies within eps = 1.1 (_term_error(p) + gamma32 + (k + 2p + 16)u)
+      relative and 2 tau absolute of that mean, and its root is taken in
+      float64 within 2u.
     - r.  Its differences round within u relative (and a mixed one by the
       absolute part in A), its powers within 2u (below one ulp, assumed
       as in _partner_bounds), its sum, mean and root within gamma_(k+1)
@@ -464,7 +492,8 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
     top, e = math.ldexp(top, -e), e + e0
     means = _abs_pow(_shift_norms(b, p, mixed, rows, cols), p)
     k = a.size
-    eps = 1.1 * (_term_error(p) + (k + 2.0 * p + 16.0) * _U)
+    stack = (_STACK - 1) * _V / (1.0 - (_STACK - 1) * _V)  # gamma32
+    eps = 1.1 * (_term_error(p) + stack + (k + 2.0 * p + 16.0) * _U)
     width = (9.0 if mixed else 3.0) * _V * top + 2.0**-146
     g = 2.0 * _V + 1.01 * (k + 40.0) * _U
     floor = 2.0 ** (-1000.0 / p)

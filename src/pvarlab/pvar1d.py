@@ -46,7 +46,9 @@ ORACLE_MAX_N = 18
 # evaluator holds one block of 256 KB, |D|^p, with its zero mask (one byte
 # per value, 32 KB) while _abs_pow powers it, and its doubled windows, one
 # more block; mixed tables add the row-doubled samples, a third (800 KB in
-# all at the cap), well inside a 2 MB L2.
+# all at the cap), well inside a 2 MB L2.  In the float32 pass, whose blocks
+# take half the bytes, _row_norms adds one array of float32 partial sums,
+# 1/16 of its block.
 _BLOCK = 1 << 15
 
 _U = 2.0**-53  # unit roundoff of IEEE binary64
@@ -218,26 +220,40 @@ def _backtrack(
     return out
 
 
-def _extrema(rot: np.ndarray) -> np.ndarray:
-    """The points of each lane (row) of rot as a mask, at every p: position
-    0, which _pvar_lanes makes a global maximum, and the first sample of
-    every plateau (maximal run of equal samples) whose steps in and out, the
+def _extrema(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of each lane (row) of rot, at every p: position 0, which
+    _pvar_lanes makes a global maximum, and the first sample of every
+    plateau (maximal run of equal samples) whose steps in and out, the
     nearest nonzero x_(j+1) - x_j before and after it (x_n being x_0), have
     opposite signs.  The samples after a lane's last nonzero step equal x_0:
     position 0 stands for their plateau.  At p = 1 the points are the
     partition, at p > 1 the chain DP's positions (see _pvar_lanes).
     Comparisons only, so no difference can overflow.
+
+    Returns (pos, count): pos[lane, :count[lane]] holds the lane's points
+    in increasing order, and the rest of its row, up to the longest lane's
+    count, holds 0, copies of the anchor.  They come straight from the flat
+    indices lane * n + j of the nonzero steps: a plateau starts after a
+    step j whose next nonzero step in its lane turns, so j < n - 1 and the
+    start lies in its step's lane, after position 0, in flat order.
     """
     na, n = rot.shape
     nxt = np.concatenate((rot[:, 1:], rot[:, :1]), axis=1)
     step = (nxt > rot).view(np.int8) - (nxt < rot).view(np.int8)
     at = np.flatnonzero(step)  # lane * n + j for every nonzero step
     sign = step.ravel()[at]
-    turn = (sign[:-1] != sign[1:]) & (at[:-1] // n == at[1:] // n)
-    keep = np.zeros(na * n, dtype=bool)
-    keep[at[:-1][turn] + 1] = True
-    keep[::n] = True
-    return keep.reshape(na, n)
+    lane = at // n
+    turn = np.flatnonzero((sign[:-1] != sign[1:]) & (lane[:-1] == lane[1:]))
+    start = at[turn] + 1
+    if na == 1:  # pvar_cyclic's lone lane: no ranks to find
+        return np.concatenate(([0], start))[None], np.array([len(start) + 1])
+    lane = lane[turn]
+    start -= lane * n
+    bounds = np.searchsorted(lane, np.arange(na + 1))  # each lane's run of starts
+    count = np.diff(bounds) + 1
+    pos = np.zeros((na, int(count.max())), dtype=np.intp)
+    pos[lane, np.arange(1, len(lane) + 1) - bounds[lane]] = start
+    return pos, count
 
 
 def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, ...]]]:
@@ -325,13 +341,10 @@ def _pvar_lanes(a: np.ndarray, p: Exponent) -> Iterator[tuple[float, tuple[int, 
         anchors = blk.argmax(axis=1)
         lanes, at = np.arange(len(blk))[:, None], (anchors[:, None] + np.arange(n)) % n
         rot = blk[lanes, at]
-        keep = _extrema(rot)
+        pos, count = _extrema(rot)
         if pp == 1.0:
-            chains = [sorted(x[k].tolist()) for x, k in zip(at, keep)]
+            chains = [sorted(x[k[:c]].tolist()) for x, k, c in zip(at, pos, count.tolist())]
         else:
-            count = np.add.reduce(keep, axis=1)
-            pos = np.argsort(~keep, axis=1, kind="stable")[:, : int(count.max())]  # kept first
-            pos[np.arange(pos.shape[1]) >= count[:, None]] = 0  # pads: anchor copies
             rot = rot[lanes, pos]
             col = rot.T[:, :, None]  # col[j]: each lane's sample j as an (L, 1) column
             _, pred, last = _chain_dp(lambda j, k: _abs_pow(col[j] - rot[:, :k], pp), *rot.shape)

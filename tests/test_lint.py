@@ -175,6 +175,15 @@ def test_row_norms_has_one_reader():
     assert readers == ["modulus._shift_norms"], readers
 
 
+def test_stack_has_two_readers():
+    """modulus._STACK, the number of float32 terms in a partial of the
+    float32 pass, is read by _row_norms, which sums in partials of that
+    many terms, and by _f32_bounds, whose width covers their rounding: the
+    sum and the width cannot drift apart."""
+    readers = _top_level_readers("_STACK")
+    assert readers == ["modulus._row_norms", "modulus._f32_bounds"], readers
+
+
 def test_chain_dp_has_two_readers():
     """pvar1d._chain_dp is read by _pvar_lanes, which gives it each lane's
     _extrema points at p > 1, and by vitali2d._chain_max, whose pair costs

@@ -34,6 +34,7 @@ from pvarlab.modulus import (
     _BLOCK,
     _POW32,
     _TAU,
+    _V,
     _abs_pow,
     _f32_bounds,
     _l2_bounds,
@@ -46,7 +47,7 @@ from pvarlab.modulus import (
     diff_modulus_bound_check,
     omega_sandwich_check,
 )
-from pvarlab.pvar1d import _pow32_roundings
+from pvarlab.pvar1d import _U, _pow32_roundings
 from pvarlab.vitali2d import vitali_finest
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -664,6 +665,20 @@ class TestTwoPassTables:
         modulus._shift_norms, so windows that swapped M and N fail here."""
         self._check(NON_SQUARE_FIELDS[name], p)
 
+    @pytest.mark.parametrize("p, mixed", [(1.5, False), (1.5, True), (1.0, True)])
+    def test_matches_with_a_tail_through_the_f32_pass(self, p, mixed):
+        """A 57x59 Gaussian field, M*N = 3363 >= modulus._F32_SIZE and not a
+        multiple of modulus._STACK, so every float32 row of _row_norms has
+        a tail of 3 terms: the plain and mixed tables at p = 1.5 and the
+        mixed table at p = 1, through each of F32_PATHS, against the prefix
+        max of _shift_norm_table, bit for bit."""
+        a = np.random.default_rng(5759).normal(size=(57, 59))
+        assert a.size >= modulus._F32_SIZE and a.size % modulus._STACK == 3
+        want = _prefix_max(_shift_norm_table(a, p, mixed))
+        for path, patches in F32_PATHS.items():
+            with mock.patch.multiple(modulus, **patches):
+                assert np.array_equal(_bits(_prefix_max_table(a, p, mixed)), _bits(want)), path
+
     @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (33, 8)])
     @pytest.mark.parametrize("windows", [1, 3, None])
     @pytest.mark.parametrize("mixed", [False, True])
@@ -878,9 +893,10 @@ class TestF32Bounds:
         """lo <= the computed norm <= hi at every live shift, on the L2_FIELDS,
         at the ends of the float range, on the NON_SQUARE_FIELDS and on a
         128^2 Gaussian field, where the bounds are also tight: hi - lo is
-        below 1e-5 of the norm (there it is 6e-6 to 7.4e-6 at p = 1.1, where
-        the rounding of p dominates, and 0.9e-6 to 3.9e-6 at p = 1, 1.5, 3
-        and 8)."""
+        below 1e-5 of the norm (there it is 7.7e-6 to 9.1e-6 at p = 1.1,
+        where the rounding of p dominates, and 1.1e-6 to 5.9e-6 at p = 1,
+        1.5, 3 and 8; about 2e-6/p of it is the float32 partials' term
+        gamma32)."""
         if name == "normal-128":
             a = _gaussian_128()
         else:
@@ -891,6 +907,23 @@ class TestF32Bounds:
             if name == "normal-128":
                 pos = norms > 0.0  # all but the plain shift 0
                 assert ((hi - lo)[pos] / norms[pos]).max() < 1e-5, mixed
+
+    def test_stack_term_is_needed_and_sufficient(self):
+        """Float32 rows whose every stack column holds 1.0 and then 15 terms
+        of v = 2^-24, with a tail of 7 more v: in float32 1 + v rounds to 1,
+        so each partial of modulus._row_norms loses 15v, about 15v of the
+        mean.  At p = 1 that mean lies within the eps of _f32_bounds of the
+        exact mean (math.fsum of the float32 terms, exact in float64), and
+        outside the eps without its gamma32 = 15v/(1 - 15v) term."""
+        q, k = 1024, modulus._STACK * 1024 + 7
+        d = np.full((2, k), _V, np.float32)
+        d[:, :q] = 1.0
+        exact = math.fsum(d[0].tolist()) / k
+        miss = float(np.abs(modulus._row_norms(d, 1.0) - exact).max()) / exact
+        j = modulus._STACK - 1
+        without = 1.1 * (modulus._term_error(1.0) + (k + 2.0 + 16.0) * _U)
+        eps = without + 1.1 * j * _V / (1.0 - j * _V)
+        assert without < miss <= eps, (miss / _V, without / _V, eps / _V)
 
     # The p of the power tests: those of the table tests and five more, two
     # of them (2.5, 5) with a sqrt-and-multiply power.
