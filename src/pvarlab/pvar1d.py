@@ -245,8 +245,6 @@ def _extrema(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lane = at // n
     turn = np.flatnonzero((sign[:-1] != sign[1:]) & (lane[:-1] == lane[1:]))
     start = at[turn] + 1
-    if na == 1:  # pvar_cyclic's lone lane: no ranks to find
-        return np.concatenate(([0], start))[None], np.array([len(start) + 1])
     lane = lane[turn]
     start -= lane * n
     bounds = np.searchsorted(lane, np.arange(na + 1))  # each lane's run of starts

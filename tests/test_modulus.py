@@ -549,10 +549,12 @@ RANGE_END_FIELDS = _range_end_fields()  # with the constant field
 # pass, at p = 1 mixed tables only.
 P_F32 = tuple(p for p in TestKernelBitwise.P_KERNEL if p != 2.0)
 # Non-square fields, on which a float32 mixed window that swapped M and N
-# would read the wrong differences.
+# would read the wrong differences.  57x59 reaches the float32 pass by its
+# size, M*N = 3363 >= modulus._F32_SIZE, with a tail of 3 terms past the
+# stacks of modulus._row_norms, as 5x7 and 7x5 have on the patched paths.
 NON_SQUARE_FIELDS = {
     f"normal-{m}x{n}": np.random.default_rng(m * 100 + n).normal(size=(m, n))
-    for m, n in ((5, 7), (7, 5), (40, 56), (56, 40))
+    for m, n in ((5, 7), (7, 5), (40, 56), (56, 40), (57, 59))
 }
 
 
@@ -664,20 +666,6 @@ class TestTwoPassTables:
         partner is bounded from the transposed float32 windows of
         modulus._shift_norms, so windows that swapped M and N fail here."""
         self._check(NON_SQUARE_FIELDS[name], p)
-
-    @pytest.mark.parametrize("p, mixed", [(1.5, False), (1.5, True), (1.0, True)])
-    def test_matches_with_a_tail_through_the_f32_pass(self, p, mixed):
-        """A 57x59 Gaussian field, M*N = 3363 >= modulus._F32_SIZE and not a
-        multiple of modulus._STACK, so every float32 row of _row_norms has
-        a tail of 3 terms: the plain and mixed tables at p = 1.5 and the
-        mixed table at p = 1, through each of F32_PATHS, against the prefix
-        max of _shift_norm_table, bit for bit."""
-        a = np.random.default_rng(5759).normal(size=(57, 59))
-        assert a.size >= modulus._F32_SIZE and a.size % modulus._STACK == 3
-        want = _prefix_max(_shift_norm_table(a, p, mixed))
-        for path, patches in F32_PATHS.items():
-            with mock.patch.multiple(modulus, **patches):
-                assert np.array_equal(_bits(_prefix_max_table(a, p, mixed)), _bits(want)), path
 
     @pytest.mark.parametrize("shape", [(5, 7), (6, 8), (33, 8)])
     @pytest.mark.parametrize("windows", [1, 3, None])
