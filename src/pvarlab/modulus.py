@@ -28,26 +28,18 @@ _shift_norm_table evaluates every partner and mirror.  The prefix-max
 tables behind modulus_1d, modulus_mixed and modulus_iso_2d evaluate only
 the shifts whose upper bound reaches the prefix max of the lower bounds,
 and keep the bits of the full table (see _prefix_max_table).  The bounds
-have three sources, chosen by p and M*N:
-
-* p = 2: the squared norm of a shift difference is a sum of at most five
-  autocorrelation values, ||D||^2 = 2c(0) - 2c(h) for plain shifts and
-  4c(0, 0) - 4c(s, 0) - 4c(0, t) + 2c(s, t) + 2c(s, -t) for mixed ones,
-  and one rfft2/irfft2 pair of the field less its mean gives every c(h)
-  (differences ignore the mean).  _l2_bounds widens that
-  estimate by a derived bound on its error, so it filters; the values
-  are still the evaluated norms.
-* Other p below _F32_SIZE shifts, and plain tables at p = 1: the partners
-  are evaluated, and each mirror is bounded by its partner's norm
-  (_partner_bounds).
-* Other p from _F32_SIZE up, and mixed tables at p = 1: the partners that
-  the p = 2 bounds keep are evaluated, and the others are bounded by one
-  _shift_norms pass over a centred, scaled float32 copy of the field
-  (_f32_bounds), which powers with a few float32 operations, subtracts
-  mixed windows as flat slices like the plain ones, sums each row's terms
-  in float32 partials of _STACK terms before float64, and bounds each
-  norm within a few parts in 10^6; each mirror is bounded through its
-  partner.
+come from one pipeline at every p.  The squared p = 2 norm of a shift
+difference is a sum of at most five autocorrelation values, ||D||^2 =
+2c(0) - 2c(h) for plain shifts and 4c(0, 0) - 4c(s, 0) - 4c(0, t) +
+2c(s, t) + 2c(s, -t) for mixed ones, and one rfft2/irfft2 pair of the
+field less its mean gives every c(h) (differences ignore the mean);
+_l2_bounds widens that estimate by a derived bound on its error.  At
+p = 2 these bounds pick the shifts to evaluate.  At other p they only
+pick the partners to evaluate first, the likely maxima, and no
+certificate rests on them: one _shift_norms pass over a centred, scaled
+float32 copy of the field bounds the other partners within a few parts
+in 10^6 (_f32_bounds), and each mirror is bounded through its partner
+(_partner_bounds).
 """
 
 from __future__ import annotations
@@ -296,45 +288,31 @@ def _prefix_max_table(a: np.ndarray, p: float, mixed: bool) -> np.ndarray:
     which a shift in its rectangle reaches, so below the table at every
     position it reaches.  The shift that sets a table entry is therefore
     never left out, and the table keeps the bits of the prefix max of
-    _shift_norm_table.  At p = 2 the bounds come from one autocorrelation
-    (_l2_bounds), at other p from the partners (_partner_bounds), which
-    evaluates some of them into the table first and, on large grids,
-    bounds the rest with a float32 pass (_f32_bounds).
+    _shift_norm_table.  At p = 2 the bounds are those of _l2_bounds.  At
+    other p the shifts that these keep are only the likely maxima, and the
+    bounds are those of _partner_bounds, which evaluates the partners
+    among them first.
     """
     m, n = a.shape
     raw = np.zeros((m + 1, n + 1))
-    lo, hi = _l2_bounds(a, mixed) if p == 2.0 else _partner_bounds(raw, a, p, mixed)
-    todo = hi >= _prefix_max(lo)
-    del lo, hi  # freed before the evaluation, whose buffers set the peak
-    return _prefix_max(_wrapped(_fill(raw, a, p, mixed, todo)))
+    lo, hi = _l2_bounds(a, mixed)
+    kept = hi >= _prefix_max(lo)
+    del lo, hi  # freed before any evaluation, whose buffers set the peak
+    if p != 2.0:
+        lo, hi = _partner_bounds(raw, a, p, mixed, kept)
+        kept = hi >= _prefix_max(lo)
+        del lo, hi
+    return _prefix_max(_wrapped(_fill(raw, a, p, mixed, kept)))
 
 
-# The M*N from which the tables at p other than 2, save plain ones at p = 1,
-# bound most of their partners with a float32 pass instead of evaluating
-# them: below it that pass and the autocorrelation cost more than they save
-# on some fields (CHANGES.md has the crossover).
-_F32_SIZE = 56 * 56
-
-
-def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
-    """(lo, hi) on the (M, N) core at p != 2.  Some partners are evaluated
-    into raw by _shift_norms: all of them below _F32_SIZE and in plain
-    tables at p = 1, and otherwise those that the p = 2 bounds of _l2_bounds
-    keep, the likely maxima, so that they skip the float32 pass.  lo is
-    raw's core, exact there, with the lower bounds of _f32_bounds at the
-    other partners and zero elsewhere.  hi is -inf at the evaluated partners
-    and at the mixed row and column 0, _f32_bounds' upper bound at the other
-    partners, and bounds each mirror through its partner's upper bound.
-
-    At p = 1 there is no power to save, only the float64 pass's mixed
-    windows, which are strided where the float32 pass's are flat, and its
-    float64 sums.  So mixed tables take the float32 pass: from 56^2 to
-    256^2 it took 0.37 to 0.72 of the partner pass's time on Gaussian
-    fields and 0.70 to 1.00 on smooth ones, but 0.92 to 1.21 on sine
-    products, most of whose partners set their own entry.  Plain tables,
-    whose windows are flat in both passes, do not: the pass took 0.56 to
-    1.06 of the partner pass's time on those fields, and 1.02 to 1.08 on
-    1-D random walks of 4096 and 16384 samples (CHANGES.md).
+def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool, kept: np.ndarray):
+    """(lo, hi) on the (M, N) core at p != 2.  The partners marked in kept,
+    the likely maxima, are evaluated into raw by _shift_norms, so that they
+    skip the float32 pass.  lo is raw's core, exact there, with the lower
+    bounds of _f32_bounds at the other partners and zero elsewhere.  hi is
+    -inf at the evaluated partners and at the mixed row and column 0,
+    _f32_bounds' upper bound at the other partners, and bounds each mirror
+    through its partner's upper bound.
 
     A mirror's |D|^p terms are its partner's terms in another order, so its
     norm r' lies within a factor 1 + w of its partner's r.  The width, with
@@ -364,12 +342,8 @@ def _partner_bounds(raw: np.ndarray, a: np.ndarray, p: float, mixed: bool):
     """
     m, n = a.shape
     ps, pt, partner, mirror = _mirrors(m, n, mixed)
-    rest = np.zeros_like(partner)
-    if a.size >= _F32_SIZE and (mixed or p != 1.0):
-        lo, hi = _l2_bounds(a, mixed)
-        rest = partner & (hi < _prefix_max(lo))
-        del lo, hi  # the transforms' arrays, freed before any evaluation
-    _fill(raw, a, p, mixed, partner & ~rest)
+    rest = partner & ~kept
+    _fill(raw, a, p, mixed, partner & kept)
     lo, upper = raw[:m, :n].copy(), raw[:m, :n].copy()
     if rest.any():
         lo[rest], upper[rest] = _f32_bounds(a, p, mixed, *np.nonzero(rest))

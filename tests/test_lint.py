@@ -3,14 +3,16 @@
 Every imported name is read in its module, every module-level private
 function, class or constant has a reader in the package besides its own
 definition, every public function or class has a reader outside the
-tests, and the front ends (harness, cli) import only public names from the
-other modules.
+tests, the front ends (harness, cli) import only public names from the
+other modules, and every private name in prose names code that exists.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -235,7 +237,7 @@ def test_array_powers_go_through_abs_pow(module):
 
 def test_numpy_fft_stays_unloaded_and_in_modulus():
     """Importing pvarlab leaves numpy.fft unloaded: its first load costs
-    about 2 ms and 0.7 MB, which only a p = 2 modulus table should pay, in
+    about 2 ms and 0.7 MB, which only a modulus table should pay, in
     modulus, the one module that reads np.fft."""
     code = "import sys, pvarlab; print('numpy.fft' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -248,3 +250,30 @@ def test_numpy_fft_stays_unloaded_and_in_modulus():
         or any("fft" in f"{src}.{name}" for src, name, _ in _imports(tree))
     ]
     assert readers == ["modulus"], readers
+
+
+# A private name in prose, _x and one more character at least.
+PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z]\w+")
+
+
+def test_private_names_in_prose_exist():
+    """Every private name in a docstring or comment of src/pvarlab is a
+    name, attribute, definition, argument or import of its code, and every
+    backticked `module._name` in README.md a private definition of that
+    module: a deleted or renamed name leaves no stale prose behind."""
+    fields = ("id", "attr", "name", "arg", "asname")
+    known = {getattr(node, field, None) for tree in MODULES.values()
+             for node in ast.walk(tree) for field in fields}
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        prose = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(MODULES[path.stem])
+                 if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))]
+        with path.open() as f:
+            prose += [tok.string for tok in tokenize.generate_tokens(f.readline)
+                      if tok.type == tokenize.COMMENT]
+        stale += [f"{path.stem}: {name}" for text in prose for name in PRIVATE_NAME.findall(text)
+                  if name not in known]
+    readme = (ROOT / "README.md").read_text()
+    stale += [f"README.md: {module}.{name}" for module, name in re.findall(r"`(\w+)\.(_\w+)", readme)
+              if module in MODULES and name not in dict(_private_defs(MODULES[module]))]
+    assert not stale, f"private names in prose that the code does not have: {stale}"

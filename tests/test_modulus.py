@@ -464,10 +464,10 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("p", P_VALUES)
     def test_modulus_1d(self, n, p):
         """The (N, 1) column the 1-D callers pass and the (1, N) row both give
-        the per-shift norms, and modulus_1d, which evaluates only the mirrors
+        the per-shift norms, and modulus_1d, which evaluates only the shifts
         whose bound reaches the running max, gives their prefix max, also
-        through the float32 pass (_table_paths).  On a Gaussian, a {0, 1,
-        2}-valued, a 0.1-rounded and a constant input."""
+        with every partner through the float32 pass (_table_paths).  On a
+        Gaussian, a {0, 1, 2}-valued, a 0.1-rounded and a constant input."""
         normal, ties = (x[0] for x in self._fields(1, n))
         pe = Exponent(p)
         for samples in (normal, ties, np.round(normal, 1), np.full(n, 0.5)):
@@ -545,38 +545,36 @@ def _l2_fields() -> dict:
 
 L2_FIELDS = _l2_fields()
 RANGE_END_FIELDS = _range_end_fields()  # with the constant field
-# The p at which tables from modulus._F32_SIZE shifts up take the float32
-# pass, at p = 1 mixed tables only.
+# The p at which the tables bound the partners that the p = 2 bounds leave
+# out with the float32 pass.
 P_F32 = tuple(p for p in TestKernelBitwise.P_KERNEL if p != 2.0)
 # Non-square fields, on which a float32 mixed window that swapped M and N
-# would read the wrong differences.  57x59 reaches the float32 pass by its
-# size, M*N = 3363 >= modulus._F32_SIZE, with a tail of 3 terms past the
-# stacks of modulus._row_norms, as 5x7 and 7x5 have on the patched paths.
+# would read the wrong differences.  57x59, M*N = 3363, has a tail of 3
+# terms past the stacks of modulus._row_norms, as 5x7 and 7x5 have.
 NON_SQUARE_FIELDS = {
     f"normal-{m}x{n}": np.random.default_rng(m * 100 + n).normal(size=(m, n))
     for m, n in ((5, 7), (7, 5), (40, 56), (56, 40), (57, 59))
 }
 
 
-def _keep_no_shift(a: np.ndarray, mixed: bool):
-    """In place of _l2_bounds: bounds that keep no shift, so that every
-    partner goes through the float32 pass."""
-    return np.zeros(a.shape), np.full(a.shape, -math.inf)
+def _keeping(hi: float):
+    """A stand-in for _l2_bounds that keeps every shift (hi = inf) or, at
+    p != 2, none (hi = -inf): every partner to the float32 pass."""
+    return lambda a, mixed: (np.zeros(a.shape), np.full(a.shape, hi))
 
 
-# The ways a table at a p of P_F32 is built: as the grid's size selects,
-# through the float32 pass at every size (the size constant patched, as
-# _BLOCK is), and with every partner through that pass.
+# The ways a table at a p of P_F32 is built: as built (a no-op patch, as
+# mock.patch.multiple takes no empty set), and every partner through the
+# float32 pass.
 F32_PATHS = {
-    "by-size": {"_F32_SIZE": modulus._F32_SIZE},
-    "f32": {"_F32_SIZE": 0},
-    "f32-every-partner": {"_F32_SIZE": 0, "_l2_bounds": _keep_no_shift},
+    "as-built": {"_BLOCK": modulus._BLOCK},
+    "f32-every-partner": {"_l2_bounds": _keeping(-math.inf)},
 }
 
 
 def _table_paths(p: float) -> dict:
-    """F32_PATHS at the p of P_F32; elsewhere the one path, by size."""
-    return F32_PATHS if p in P_F32 else {"by-size": F32_PATHS["by-size"]}
+    """F32_PATHS at the p of P_F32; at p = 2 the table as built."""
+    return F32_PATHS if p in P_F32 else {"as-built": F32_PATHS["as-built"]}
 
 
 def _other_dispatch(*args: str) -> subprocess.CompletedProcess:
@@ -601,17 +599,13 @@ class TestTwoPassTables:
     norms, compared with == on bits.
 
     The tables are built from the evaluated shifts: at p = 2 only the
-    shifts that the autocorrelation bounds keep; at other p below
-    modulus._F32_SIZE shifts, and in plain tables at p = 1, the partners
-    and only the mirrors that can set a maximum; at other p from _F32_SIZE
-    up, and in mixed tables at p = 1, the partners that the p = 2 bounds
-    keep and then only the shifts whose float32 bounds can set a maximum.
-    _check builds every table at p other than 2 through each of F32_PATHS
-    (_table_paths), so the float32 pass is checked on these small grids
-    too.  Ties between a mirror and its partner need the exact mirror: the
-    {0, 1, 2}-valued, {0, 1}-valued and 0.1-rounded fields tie often, and a
-    0.1-rounded 5x9 mixed table at p = 1 needs the bound's width (see
-    _partner_bounds) to keep its bits.
+    shifts that the autocorrelation bounds keep; at other p the partners
+    that those bounds keep and then only the shifts whose float32 or
+    mirror bounds can set a maximum.  _check builds each table at p != 2
+    both ways of F32_PATHS.  Ties between a mirror and its partner need the
+    exact mirror: the {0, 1, 2}-valued, {0, 1}-valued and 0.1-rounded
+    fields tie often, and a 0.1-rounded 5x9 mixed table at p = 1 needs the
+    bound's width (see _partner_bounds) to keep its bits.
     """
 
     @staticmethod
@@ -642,21 +636,19 @@ class TestTwoPassTables:
         self._check(gen_staircase(32).samples, p)
 
     @pytest.mark.parametrize("shape, seed", [((5, 9), 26), ((10, 6), 10), ((7, 6), 31)])
-    def test_matches_where_a_mirror_rounds_above_its_partner(self, shape, seed):
-        """0.1-rounded fields at p = 1 (mixed, plain, mixed table) on which a
-        bound without its width, w = 0, leaves out a mirror that sets a
-        maximum: 11 of about 87,000 tables of sides 2-12 were such."""
+    @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
+    def test_matches_where_a_mirror_rounds_above_its_partner(self, shape, seed, p):
+        """0.1-rounded fields (mixed, plain, mixed table) on which, at p = 1,
+        a bound without its width, w = 0, leaves out a mirror that sets a
+        maximum when its partner is evaluated in float64: 11 of about
+        87,000 tables of sides 2-12 were such.  The p = 2 bounds keep too
+        few partners here, so the tables are also built keeping them all."""
         m, n = shape
         rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
-        self._check(np.round(rng.normal(size=shape), 1), 1.0)
-
-    @pytest.mark.parametrize("shape, seed", [((5, 9), 26), ((10, 6), 10), ((7, 6), 31)])
-    @pytest.mark.parametrize("p", P_F32)
-    def test_matches_on_the_mirror_rounding_fields_through_the_f32_pass(self, shape, seed, p):
-        """The fields above at the p of P_F32, through each of F32_PATHS."""
-        m, n = shape
-        rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
-        self._check(np.round(rng.normal(size=shape), 1), p)
+        a = np.round(rng.normal(size=shape), 1)
+        self._check(a, p)
+        with mock.patch.object(modulus, "_l2_bounds", _keeping(math.inf)):
+            self._check(a, p)
 
     @pytest.mark.parametrize("name", NON_SQUARE_FIELDS)
     @pytest.mark.parametrize("p", P_F32)
@@ -694,21 +686,12 @@ class TestTwoPassTables:
                     assert np.array_equal(_bits(got), _bits(want[flat]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0))
+    @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
     def test_matches_at_the_ends_of_the_float_range(self, p):
-        """The _range_end_fields: sums that overflow, means below 2^-1022
-        and a constant field."""
-        for a in _range_end_fields().values():
-            self._check(a, p)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("p", [p for p in P_F32 if p not in (1.0, 1.5)])
-    def test_matches_at_the_ends_of_the_float_range_through_the_f32_pass(self, p):
-        """The _range_end_fields at the other p of P_F32 (p = 1 and 1.5 are
-        in the test above), through each of F32_PATHS: sums that overflow, means
-        below 2^-1022, subnormal steps and a constant field.  Their bounds
-        keep every partner, so only the path with every partner through the
-        float32 pass bounds any."""
+        """The _range_end_fields: sums that overflow, means below 2^-1022,
+        subnormal steps and a constant field.  Their p = 2 bounds keep
+        every partner, so at p != 2 only the path with every partner
+        through the float32 pass bounds any."""
         for a in _range_end_fields().values():
             self._check(a, p)
 
@@ -722,9 +705,9 @@ class TestTwoPassTables:
 
         A table lists its partners too, in calls of their own at p != 2 and
         with the mirrors that its bounds keep at p = 2; only the mirrors
-        among the listed shifts are counted.  At p != 2 these 64^2 tables
-        bound most of their partners with the float32 pass, whose call
-        lists partners only.
+        among the listed shifts are counted.  At p != 2 a table bounds the
+        partners that the p = 2 bounds leave out, most of them on these
+        fields, with the float32 pass, whose call lists partners only.
         """
         counts = {True: [], False: []}
 
@@ -965,18 +948,35 @@ class TestF32Bounds:
         bound = math.expm1(_pow32_roundings(p) * math.log1p(2.0**-24))
         assert max(to_p32, to_p) <= bound, (to_p32 / 2.0**-24, bound / 2.0**-24)
 
+    def test_float64_power_is_within_one_ulp(self):
+        """numpy's float64 power (pvar1d._abs_pow) and CPython's pow lie within
+        one ulp of x^p, against 120-bit mpmath, on 2,000 x log-uniform in
+        [1e-8, 10]: assumed by the grow of _partner_bounds, the widths of
+        _f32_bounds and pvar1d._near_max, and measured at most 0.65 ulp
+        with numpy's AVX-512 loops, 0.50 ulp without them and for pow."""
+        mpmath = pytest.importorskip("mpmath")
+        x = np.exp(np.random.default_rng(53).uniform(math.log(1e-8), math.log(10.0), 2000))
+        worst = {}
+        with mpmath.workprec(120):
+            for p in (1.1, 1.5, 3.0, 8.0, 1 / 1.1, 1 / 1.5, -1 / 1.1):
+                exact = [mpmath.mpf(v) ** p for v in x.tolist()]
+                ulps = [mpmath.ldexp(1, mpmath.frexp(e)[1] - 53) for e in exact]
+                for name, got in (("numpy", _abs_pow(x.copy(), p).tolist()),
+                                  ("pow", [v**p for v in x.tolist()])):
+                    worst[name, p] = max(abs(g - e) / u for g, e, u in zip(got, exact, ulps))
+        assert max(worst.values()) < 1.0, {k: float(v) for k, v in worst.items()}
+
     def test_few_shifts_reach_float64(self):
-        """At p = 1.5 the 128^2 Gaussian tables, and at p = 1 its mixed
-        table, list fewer than 1 % of their live shifts to the float64
-        evaluation: the partners that the p = 2 bounds keep and the shifts
-        whose float32 bounds reach the prefix max.  The float32 pass bounds
-        all the other partners."""
+        """At p = 1.5 and p = 1 the 128^2 Gaussian tables list fewer than 1 %
+        of their live shifts to the float64 evaluation: the partners that
+        the p = 2 bounds keep and the shifts whose float32 bounds reach the
+        prefix max.  The float32 pass bounds all the other partners."""
         f = Grid2(_gaussian_128())
         live = {True: 127 * 127, False: 128 * 128}
         partners = {True: 64 * 64, False: 64 * 128 + 2}
         shift_norms = modulus._shift_norms
         for p, table, mixed in ((1.5, modulus_mixed, True), (1.5, modulus_iso_2d, False),
-                                (1.0, modulus_mixed, True)):
+                                (1.0, modulus_mixed, True), (1.0, modulus_iso_2d, False)):
             listed = [0, 0]  # float64, float32
 
             def counted(a, p, mixed, rows, cols):
@@ -1000,5 +1000,6 @@ class TestF32Bounds:
         run = _other_dispatch(f"{node}::test_bounds_hold",
                               f"{node}::test_float32_power_is_within_the_assumed_error",
                               f"{node}::test_sqrt_and_multiply_power_is_within_the_derived_error",
+                              f"{node}::test_float64_power_is_within_one_ulp",
                               "-k", "not normal-128")
         assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
