@@ -19,7 +19,6 @@ keys are left as they are.
 """
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -30,11 +29,10 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
+from helpers import AVX512_ON, other_dispatch_env
 from pvarlab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# The AVX-512 features whose loops numpy 2.x dispatches float64 power to.
-_AVX512_POWER = ("AVX512_ICL", "AVX512_SPR", "X86_V4")
 
 SWEEPS = ("t1xt1", "tnxt1", "tnxtn", "trigpoly")
 SINE_P = ("1", "1.5", "2")
@@ -129,11 +127,9 @@ def _without_avx512_power(out: Path) -> subprocess.Popen | None:
     """On an AVX-512 host, a subprocess that writes the outputs into out
     with numpy's power on its non-AVX-512 loops (other bits at p other
     than 1 and 2) and prints its key; None elsewhere."""
-    off = [f for f in _AVX512_POWER if __cpu_features__.get(f)]
-    if not off:
+    if not AVX512_ON:
         return None
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env = other_dispatch_env(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     return subprocess.Popen([sys.executable, __file__, str(out)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 

@@ -1,7 +1,7 @@
 """L^p moduli of continuity: tables, invariants and the difference lemmas."""
 
+import contextlib
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import needs_avx512, other_dispatch_env
 from pvarlab import (
     Exponent,
     Grid1,
@@ -357,10 +358,9 @@ class TestKernelBitwise:
     """The batched kernel against the per-shift np.roll norms, compared with ==.
 
     Every KERNEL_SHAPES shape is checked on a Gaussian and on a {0, 1, 2}-valued field; the
-    latter has many exactly tied differences.  Shapes 0-5 keep their indices.
-    Even and odd M and N hit the self-mirrored shifts s = M/2 and t = N/2 or
-    miss them; 1 x N and M x 1 leave one axis without shifts; 40x48 spans
-    many windows per block.
+    latter has many exactly tied differences.  Even and odd M and N hit the
+    self-mirrored shifts s = M/2 and t = N/2 or miss them; 1 x N and M x 1 leave
+    one axis without shifts; 40x48 spans many windows per block.
     """
 
     P_KERNEL = (1.0, 1.1, 1.5, 2.0, 3.0, 8.0)
@@ -466,7 +466,7 @@ class TestKernelBitwise:
         """The (N, 1) column the 1-D callers pass and the (1, N) row both give
         the per-shift norms, and modulus_1d, which evaluates only the shifts
         whose bound reaches the running max, gives their prefix max, also
-        with every partner through the float32 pass (_table_paths).  On a
+        with every partner through the float32 pass (_built).  On a
         Gaussian, a {0, 1, 2}-valued, a 0.1-rounded and a constant input."""
         normal, ties = (x[0] for x in self._fields(1, n))
         pe = Exponent(p)
@@ -476,8 +476,8 @@ class TestKernelBitwise:
             assert np.array_equal(_bits(_shift_norm_table(samples[None, :], p)[0]), _bits(norms))
             assert np.array_equal(_bits(_shift_norm_table(samples[:, None], p)[:, 0]), _bits(norms))
             want = np.maximum.accumulate(norms)
-            for path, patches in _table_paths(p).items():
-                with mock.patch.multiple(modulus, **patches):
+            for path, patch in _built(p):
+                with patch:
                     table = modulus_1d(g, pe)
                 assert np.array_equal(_bits(table.values), _bits(want)), path
             if p > 1.0:  # np.dot in the enclosure sums a strided table in another order
@@ -558,40 +558,31 @@ NON_SQUARE_FIELDS = {
 
 
 def _keeping(hi: float):
-    """A stand-in for _l2_bounds that keeps every shift (hi = inf) or, at
-    p != 2, none (hi = -inf): every partner to the float32 pass."""
+    """A stand-in for _l2_bounds that gives every shift the upper bound hi."""
     return lambda a, mixed: (np.zeros(a.shape), np.full(a.shape, hi))
 
 
-# The ways a table at a p of P_F32 is built: as built (a no-op patch, as
-# mock.patch.multiple takes no empty set), and every partner through the
-# float32 pass.
-F32_PATHS = {
-    "as-built": {"_BLOCK": modulus._BLOCK},
-    "f32-every-partner": {"_l2_bounds": _keeping(-math.inf)},
+# The ways a table is built, each by the stand-in for _l2_bounds that it
+# patches in: as built (None); every partner through the float32 pass, the
+# first filter keeping no shift, which at p = 2 would leave the table empty;
+# and every shift kept by the first filter.
+TABLE_PATHS = {
+    "as-built": None,
+    "f32-every-partner": _keeping(-math.inf),
+    "keep-every-shift": _keeping(math.inf),
 }
+DEFAULT_PATHS = ("as-built", "f32-every-partner")
 
 
-def _table_paths(p: float) -> dict:
-    """F32_PATHS at the p of P_F32; at p = 2 the table as built."""
-    return F32_PATHS if p in P_F32 else {"as-built": F32_PATHS["as-built"]}
-
-
-def _other_dispatch(*args: str) -> subprocess.CompletedProcess:
-    """pytest with args, on this file's tests, in a fresh process with numpy's
-    AVX-512 loops disabled (ROADMAP item 12)."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
-
-
-_NO_AVX512 = not any(
-    getattr(np._core._multiarray_umath, "__cpu_features__", {}).get(name)
-    for name in ("AVX512_ICL", "AVX512_SPR", "X86_V4")
-)
+def _built(p: float, paths=DEFAULT_PATHS):
+    """(name, context) of each of the named TABLE_PATHS that applies at p:
+    the tables built in that context take that path."""
+    for path in paths:
+        stand_in = TABLE_PATHS[path]
+        if stand_in is None:
+            yield path, contextlib.nullcontext()
+        elif p != 2.0 or path != "f32-every-partner":
+            yield path, mock.patch.object(modulus, "_l2_bounds", stand_in)
 
 
 class TestTwoPassTables:
@@ -601,23 +592,23 @@ class TestTwoPassTables:
     The tables are built from the evaluated shifts: at p = 2 only the
     shifts that the autocorrelation bounds keep; at other p the partners
     that those bounds keep and then only the shifts whose float32 or
-    mirror bounds can set a maximum.  _check builds each table at p != 2
-    both ways of F32_PATHS.  Ties between a mirror and its partner need the
-    exact mirror: the {0, 1, 2}-valued, {0, 1}-valued and 0.1-rounded
-    fields tie often, and a 0.1-rounded 5x9 mixed table at p = 1 needs the
-    bound's width (see _partner_bounds) to keep its bits.
+    mirror bounds can set a maximum.  _check computes the references once and
+    builds each table once by each of the paths it is given (_built).  Ties
+    between a mirror and its partner need the exact mirror: the {0, 1, 2}-valued,
+    {0, 1}-valued and 0.1-rounded fields tie often, and a 0.1-rounded 5x9 mixed
+    table at p = 1 needs the bound's width (see _partner_bounds) to keep its bits.
     """
 
     @staticmethod
-    def _check(a: np.ndarray, p: float) -> None:
+    def _check(a: np.ndarray, p: float, paths=DEFAULT_PATHS) -> None:
         f, pe = Grid2(a), Exponent(p)
         mixed = _prefix_max(_per_shift_table(a, p, mixed=True))
         plain = _prefix_max(_per_shift_table(a, p, mixed=False))
         K = max(f.m, f.n)
         ks = np.arange(K + 1)
         iso = plain[ks * f.m // K, ks * f.n // K]
-        for path, patches in _table_paths(p).items():
-            with mock.patch.multiple(modulus, **patches):
+        for path, patch in _built(p, paths):
+            with patch:
                 assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed)), path
                 full = _prefix_max_table(a, p, mixed=False)
                 assert np.array_equal(_bits(full), _bits(plain)), path
@@ -629,10 +620,10 @@ class TestTwoPassTables:
         for a in _table_fields(*shape):
             self._check(a, p)
 
-    @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
+    @pytest.mark.parametrize("p", P_F32)
     def test_matches_per_shift_prefix_max_on_the_staircase(self, p):
         """32^2 staircase: 225 of the 256 evaluated mixed windows tie the
-        running maximum."""
+        running maximum.  At p = 2 it is one of the L2_FIELDS."""
         self._check(gen_staircase(32).samples, p)
 
     @pytest.mark.parametrize("shape, seed", [((5, 9), 26), ((10, 6), 10), ((7, 6), 31)])
@@ -645,16 +636,13 @@ class TestTwoPassTables:
         few partners here, so the tables are also built keeping them all."""
         m, n = shape
         rng = np.random.default_rng(seed * 10007 + m * 1000 + n)
-        a = np.round(rng.normal(size=shape), 1)
-        self._check(a, p)
-        with mock.patch.object(modulus, "_l2_bounds", _keeping(math.inf)):
-            self._check(a, p)
+        self._check(np.round(rng.normal(size=shape), 1), p, TABLE_PATHS)
 
     @pytest.mark.parametrize("name", NON_SQUARE_FIELDS)
     @pytest.mark.parametrize("p", P_F32)
     def test_matches_on_non_square_fields_through_the_f32_pass(self, name, p):
         """The NON_SQUARE_FIELDS at the p of P_F32, through each of
-        F32_PATHS.  With every partner through the float32 pass, each mixed
+        DEFAULT_PATHS.  With every partner through the float32 pass, each mixed
         partner is bounded from the transposed float32 windows of
         modulus._shift_norms, so windows that swapped M and N fail here."""
         self._check(NON_SQUARE_FIELDS[name], p)
@@ -708,12 +696,17 @@ class TestTwoPassTables:
         among the listed shifts are counted.  At p != 2 a table bounds the
         partners that the p = 2 bounds leave out, most of them on these
         fields, with the float32 pass, whose call lists partners only.
+
+        At p = 2 a table makes one call, which lists fewer than 2 % of its
+        shifts: the bounds leave out the partners as well as the mirrors.
         """
         counts = {True: [], False: []}
+        listed = {True: [], False: []}
 
         def counted(a, p, mixed, rows, cols):
             mirror = modulus._mirrors(*a.shape, mixed)[3]
             counts[mixed].append(int(mirror[rows, cols].sum()))
+            listed[mixed].append(len(rows))
             return shift_norms(a, p, mixed, rows, cols)
 
         shift_norms = modulus._shift_norms
@@ -725,6 +718,10 @@ class TestTwoPassTables:
                 modulus_iso_2d(f, Exponent(p))
         for mixed, total in mirrored.items():
             assert max(counts[mixed]) < 0.01 * total, counts
+        if p == 2.0:
+            assert len(listed[True]) == len(listed[False]) == 3, listed
+            assert max(listed[True]) < 0.02 * 63 * 63, listed
+            assert max(listed[False]) < 0.02 * 64 * 64, listed
 
     def test_peak_memory_at_the_cap(self):
         """The tracemalloc peaks of the 128^2 tables at p = 1.5 and p = 2 stay
@@ -743,51 +740,22 @@ class TestTwoPassTables:
                     tracemalloc.stop()
                 assert peak < 1.05 * limit * 2**20, (table.__name__, p, peak)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS))
+    @pytest.mark.parametrize("name", L2_FIELDS)
     def test_matches_per_shift_prefix_max_at_p2(self, name):
-        """The L2_FIELDS and the range-end fields at p = 2, where the tables
-        evaluate only the shifts that the bounds of _l2_bounds keep."""
-        a = L2_FIELDS[name] if name in L2_FIELDS else RANGE_END_FIELDS[name]
+        """The L2_FIELDS at p = 2, where the tables evaluate only the shifts
+        that the bounds of _l2_bounds keep (the range-end fields at p = 2 are
+        test_matches_at_the_ends_of_the_float_range[2.0]).  _check takes no
+        (N, 1) column, as modulus_1d passes them: those are compared here."""
+        a = L2_FIELDS[name]
+        if a.shape[1] > 1:
+            self._check(a, 2.0)
+            return
         for mixed in (False, True):
             want = _prefix_max(_per_shift_table(a, 2.0, mixed))
             assert np.array_equal(_bits(_prefix_max_table(a, 2.0, mixed)), _bits(want))
-        if a.shape[1] == 1:
-            pe = Exponent(2.0)
-            g = Grid1(a[:, 0])
-            norms = [shift_norm_1d(g, s % g.n, pe) for s in range(g.n + 1)]
-            want = np.maximum.accumulate(norms)
-            assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(want))
-        else:
-            self._check(a, 2.0)
-
-    @pytest.mark.skipif(_NO_AVX512, reason="the host has none of the SIMD features to disable")
-    def test_matches_at_p2_under_the_other_simd_dispatch(self):
-        """The bit comparison above, once more in a fresh process with numpy's
-        AVX-512 loops disabled (ROADMAP item 12)."""
-        run = _other_dispatch(f"tests/{Path(__file__).name}::TestTwoPassTables::"
-                              "test_matches_per_shift_prefix_max_at_p2")
-        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-
-    def test_few_shifts_are_evaluated_at_p2(self):
-        """At p = 2 a table lists fewer than 2 % of its shifts to _shift_norms
-        on Gaussian 64^2 fields: the bounds leave out the partners as well as
-        the mirrors."""
-        counts = {True: [], False: []}
-
-        def counted(a, p, mixed, rows, cols):
-            counts[mixed].append(len(rows))
-            return shift_norms(a, p, mixed, rows, cols)
-
-        shift_norms = modulus._shift_norms
-        with mock.patch.object(modulus, "_shift_norms", counted):
-            for seed in range(3):
-                f = Grid2(np.random.default_rng(seed).normal(size=(64, 64)))
-                modulus_mixed(f, Exponent(2.0))
-                modulus_iso_2d(f, Exponent(2.0))
-        assert len(counts[True]) == len(counts[False]) == 3, counts
-        assert max(counts[True]) < 0.02 * 63 * 63, counts
-        assert max(counts[False]) < 0.02 * 64 * 64, counts
+        g, pe = Grid1(a[:, 0]), Exponent(2.0)
+        norms = [shift_norm_1d(g, s % g.n, pe) for s in range(g.n + 1)]
+        assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(np.maximum.accumulate(norms)))
 
     def test_a_large_mean_does_not_stop_the_pruning_at_p2(self):
         """The "offset" field, 1e8 plus unit noise, lists fewer than 10 % of
@@ -989,17 +957,23 @@ class TestF32Bounds:
             assert f64 < 0.01 * live[mixed], (p, mixed, listed)
             assert f64 + f32 >= partners[mixed], (p, mixed, listed)
 
-    @pytest.mark.skipif(_NO_AVX512, reason="the host has none of the SIMD features to disable")
-    def test_hold_under_the_other_simd_dispatch(self):
-        """test_bounds_hold and the power tests, once more in a fresh process
-        with numpy's AVX-512 loops disabled, where float32 power takes
-        another loop (measured within 0.5 ulp there, against 1 ulp with
-        AVX-512).  The 128^2 field is left out: float64 power runs about 5x
-        slower there."""
-        node = f"tests/{Path(__file__).name}::TestF32Bounds"
-        run = _other_dispatch(f"{node}::test_bounds_hold",
-                              f"{node}::test_float32_power_is_within_the_assumed_error",
-                              f"{node}::test_sqrt_and_multiply_power_is_within_the_derived_error",
-                              f"{node}::test_float64_power_is_within_one_ulp",
-                              "-k", "not normal-128")
-        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+
+@needs_avx512
+def test_under_the_other_simd_dispatch():
+    """The p = 2 table tests, test_bounds_hold and the power tests once more,
+    in one fresh process with numpy's AVX-512 power loops disabled (ROADMAP
+    item 12).  float32 power takes another loop there (measured within 0.5
+    ulp, against 1 ulp with AVX-512).  The 128^2 field is left out: float64
+    power runs about 5x slower there."""
+    nodes = [f"tests/{Path(__file__).name}::{node}" for node in (
+        "TestTwoPassTables::test_matches_per_shift_prefix_max_at_p2",
+        "TestTwoPassTables::test_matches_at_the_ends_of_the_float_range[2.0]",
+        "TestF32Bounds::test_bounds_hold",
+        "TestF32Bounds::test_float32_power_is_within_the_assumed_error",
+        "TestF32Bounds::test_sqrt_and_multiply_power_is_within_the_derived_error",
+        "TestF32Bounds::test_float64_power_is_within_one_ulp",
+    )]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "not normal-128"]
+    run = subprocess.run([*cmd, *nodes], cwd=Path(__file__).resolve().parents[1],
+                         env=other_dispatch_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

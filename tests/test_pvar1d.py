@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import two_sum
 from pvarlab import (
     CyclicPartition,
     Exponent,
@@ -100,20 +101,13 @@ def _p1_grids(n: int) -> list[np.ndarray]:
     return [tiny] + [10.0**k * rng.normal(size=n) for k in ks]
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as an exact head/tail pair (Knuth's two-sum)."""
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
 def _reference_sum_p1(xs: list[float]) -> float:
     """Reference p = 1 cyclic sum: each |x - y| as an exact head/tail pair,
     negated when negative, then one fsum of every pair.  It shares no code
     with pvar1d, whose p = 1 terms are signed samples."""
     terms = []
     for x, y in zip(xs[1:] + xs[:1], xs):
-        s, e = _two_sum(x, -y)
+        s, e = two_sum(x, -y)
         terms += (-s, -e) if s < 0.0 or (s == 0.0 and e < 0.0) else (s, e)
     return math.fsum(terms)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import two_sum
 from pvarlab import (
     AscentResult,
     CyclicPartition,
@@ -92,20 +93,13 @@ def _per_anchor_chain_max(cost: np.ndarray) -> tuple[float, list[int]]:
     return best_val, best_chain
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as an exact head/tail pair (Knuth's two-sum)."""
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
 def _abs_cell_expansion(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     """|a - b - c + d| as an exact four-term expansion from a two-sum
     cascade, negated when the correctly rounded cell is negative.  It shares
     no code with vitali2d, whose p = 1 terms are signed corner samples."""
-    s1, e1 = _two_sum(a, -b)
-    s2, e2 = _two_sum(s1, -c)
-    s3, e3 = _two_sum(s2, d)
+    s1, e1 = two_sum(a, -b)
+    s2, e2 = two_sum(s1, -c)
+    s3, e3 = two_sum(s2, d)
     if math.fsum((a, -b, -c, d)) < 0.0:
         return (-s3, -e3, -e2, -e1)
     return (s3, e3, e2, e1)
