@@ -1,6 +1,7 @@
 """L^p moduli of continuity: tables, invariants and the difference lemmas."""
 
 import contextlib
+import functools
 import math
 import subprocess
 import sys
@@ -585,6 +586,63 @@ def _built(p: float, paths=DEFAULT_PATHS):
             yield path, mock.patch.object(modulus, "_l2_bounds", stand_in)
 
 
+# The (shape, bytes, p, path) of each table that _check has compared in this
+# process.  The staircase and the range-end fields at p = 2 each belong to two
+# tests; whichever runs second builds nothing again.
+_COMPARED: set = set()
+
+
+@functools.cache
+def _listed_at_64(p: float) -> tuple[dict, dict]:
+    """Per table built at p on three Gaussian 64^2 fields, plain (False) and
+    mixed (True): the mirrored shifts among those it lists to _shift_norms,
+    and the number of shifts it lists, one entry per call."""
+    counts = {True: [], False: []}
+    listed = {True: [], False: []}
+
+    def counted(a, p, mixed, rows, cols):
+        mirror = modulus._mirrors(*a.shape, mixed)[3]
+        counts[mixed].append(int(mirror[rows, cols].sum()))
+        listed[mixed].append(len(rows))
+        return shift_norms(a, p, mixed, rows, cols)
+
+    shift_norms = modulus._shift_norms
+    with mock.patch.object(modulus, "_shift_norms", counted):
+        for seed in range(3):
+            f = Grid2(np.random.default_rng(seed).normal(size=(64, 64)))
+            modulus_mixed(f, Exponent(p))
+            modulus_iso_2d(f, Exponent(p))
+    return counts, listed
+
+
+@pytest.fixture(scope="module")
+def other_dispatch_run():
+    """The nodes below run once more, in one fresh process with numpy's AVX-512
+    power loops disabled (ROADMAP item 12), without the 128^2 field: float64
+    power runs about 5x slower there.  Every node is named, so a missing one
+    ends the child with code 4, and -rfE lists each node that fails."""
+    nodes = [f"tests/{Path(__file__).name}::{node}" for node in (
+        "TestTwoPassTables::test_matches_per_shift_prefix_max_at_p2",
+        "TestTwoPassTables::test_matches_at_the_ends_of_the_float_range[2.0]",
+        "TestF32Bounds::test_bounds_hold",
+        "TestF32Bounds::test_float32_power_is_within_the_assumed_error",
+        "TestF32Bounds::test_sqrt_and_multiply_power_is_within_the_derived_error",
+        "TestF32Bounds::test_float64_power_is_within_one_ulp",
+    )]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+           "-k", "not normal-128"]
+    return subprocess.run([*cmd, *nodes], cwd=Path(__file__).resolve().parents[1],
+                          env=other_dispatch_env(), capture_output=True, text=True)
+
+
+def _passed_under_the_other_dispatch(run, cls: str) -> None:
+    """The child process of other_dispatch_run finished (code 1: some node
+    failed), and no node of cls failed in it."""
+    failed = [line for line in run.stdout.splitlines()
+              if line.startswith(("FAILED", "ERROR")) and f"::{cls}::" in line]
+    assert run.returncode in (0, 1) and not failed, run.stdout[-3000:] + run.stderr[-3000:]
+
+
 class TestTwoPassTables:
     """modulus_mixed and modulus_iso_2d against the prefix max of the per-shift
     norms, compared with == on bits.
@@ -593,7 +651,8 @@ class TestTwoPassTables:
     shifts that the autocorrelation bounds keep; at other p the partners
     that those bounds keep and then only the shifts whose float32 or
     mirror bounds can set a maximum.  _check computes the references once and
-    builds each table once by each of the paths it is given (_built).  Ties
+    builds each table once by each of the paths it is given (_built), skipping
+    the paths that it has compared on the same field and p (_COMPARED).  Ties
     between a mirror and its partner need the exact mirror: the {0, 1, 2}-valued,
     {0, 1}-valued and 0.1-rounded fields tie often, and a 0.1-rounded 5x9 mixed
     table at p = 1 needs the bound's width (see _partner_bounds) to keep its bits.
@@ -601,18 +660,23 @@ class TestTwoPassTables:
 
     @staticmethod
     def _check(a: np.ndarray, p: float, paths=DEFAULT_PATHS) -> None:
+        key = (a.shape, a.tobytes(), p)
+        todo = [(path, patch) for path, patch in _built(p, paths) if (*key, path) not in _COMPARED]
+        if not todo:
+            return
         f, pe = Grid2(a), Exponent(p)
         mixed = _prefix_max(_per_shift_table(a, p, mixed=True))
         plain = _prefix_max(_per_shift_table(a, p, mixed=False))
         K = max(f.m, f.n)
         ks = np.arange(K + 1)
         iso = plain[ks * f.m // K, ks * f.n // K]
-        for path, patch in _built(p, paths):
+        for path, patch in todo:
             with patch:
                 assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed)), path
                 full = _prefix_max_table(a, p, mixed=False)
                 assert np.array_equal(_bits(full), _bits(plain)), path
                 assert np.array_equal(_bits(modulus_iso_2d(f, pe).values), _bits(iso)), path
+            _COMPARED.add((*key, path))
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
@@ -620,10 +684,10 @@ class TestTwoPassTables:
         for a in _table_fields(*shape):
             self._check(a, p)
 
-    @pytest.mark.parametrize("p", P_F32)
+    @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
     def test_matches_per_shift_prefix_max_on_the_staircase(self, p):
         """32^2 staircase: 225 of the 256 evaluated mixed windows tie the
-        running maximum.  At p = 2 it is one of the L2_FIELDS."""
+        running maximum.  At p = 2 it is also one of the L2_FIELDS."""
         self._check(gen_staircase(32).samples, p)
 
     @pytest.mark.parametrize("shape, seed", [((5, 9), 26), ((10, 6), 10), ((7, 6), 31)])
@@ -696,32 +760,21 @@ class TestTwoPassTables:
         among the listed shifts are counted.  At p != 2 a table bounds the
         partners that the p = 2 bounds leave out, most of them on these
         fields, with the float32 pass, whose call lists partners only.
-
-        At p = 2 a table makes one call, which lists fewer than 2 % of its
-        shifts: the bounds leave out the partners as well as the mirrors.
         """
-        counts = {True: [], False: []}
-        listed = {True: [], False: []}
-
-        def counted(a, p, mixed, rows, cols):
-            mirror = modulus._mirrors(*a.shape, mixed)[3]
-            counts[mixed].append(int(mirror[rows, cols].sum()))
-            listed[mixed].append(len(rows))
-            return shift_norms(a, p, mixed, rows, cols)
-
-        shift_norms = modulus._shift_norms
+        counts = _listed_at_64(p)[0]
         mirrored = {True: 63 * 63 - 32 * 32, False: 31 * 64 + 2 * 31}  # at 64^2
-        with mock.patch.object(modulus, "_shift_norms", counted):
-            for seed in range(3):
-                f = Grid2(np.random.default_rng(seed).normal(size=(64, 64)))
-                modulus_mixed(f, Exponent(p))
-                modulus_iso_2d(f, Exponent(p))
         for mixed, total in mirrored.items():
             assert max(counts[mixed]) < 0.01 * total, counts
-        if p == 2.0:
-            assert len(listed[True]) == len(listed[False]) == 3, listed
-            assert max(listed[True]) < 0.02 * 63 * 63, listed
-            assert max(listed[False]) < 0.02 * 64 * 64, listed
+
+    def test_few_shifts_are_evaluated_at_p2(self):
+        """At p = 2 a table makes one call to _shift_norms on Gaussian 64^2
+        fields, which lists fewer than 2 % of its shifts: the bounds leave out
+        the partners as well as the mirrors.  The tables are those of
+        test_few_mirrors_are_re_evaluated[2.0] (_listed_at_64)."""
+        listed = _listed_at_64(2.0)[1]
+        assert len(listed[True]) == len(listed[False]) == 3, listed
+        assert max(listed[True]) < 0.02 * 63 * 63, listed
+        assert max(listed[False]) < 0.02 * 64 * 64, listed
 
     def test_peak_memory_at_the_cap(self):
         """The tracemalloc peaks of the 128^2 tables at p = 1.5 and p = 2 stay
@@ -740,13 +793,14 @@ class TestTwoPassTables:
                     tracemalloc.stop()
                 assert peak < 1.05 * limit * 2**20, (table.__name__, p, peak)
 
-    @pytest.mark.parametrize("name", L2_FIELDS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS))
     def test_matches_per_shift_prefix_max_at_p2(self, name):
-        """The L2_FIELDS at p = 2, where the tables evaluate only the shifts
-        that the bounds of _l2_bounds keep (the range-end fields at p = 2 are
-        test_matches_at_the_ends_of_the_float_range[2.0]).  _check takes no
-        (N, 1) column, as modulus_1d passes them: those are compared here."""
-        a = L2_FIELDS[name]
+        """The L2_FIELDS and the range-end fields at p = 2, where the tables
+        evaluate only the shifts that the bounds of _l2_bounds keep.  _check
+        takes no (N, 1) column, as modulus_1d passes them: those are compared
+        here."""
+        a = {**L2_FIELDS, **RANGE_END_FIELDS}[name]
         if a.shape[1] > 1:
             self._check(a, 2.0)
             return
@@ -756,6 +810,12 @@ class TestTwoPassTables:
         g, pe = Grid1(a[:, 0]), Exponent(2.0)
         norms = [shift_norm_1d(g, s % g.n, pe) for s in range(g.n + 1)]
         assert np.array_equal(_bits(modulus_1d(g, pe).values), _bits(np.maximum.accumulate(norms)))
+
+    @needs_avx512
+    def test_matches_at_p2_under_the_other_simd_dispatch(self, other_dispatch_run):
+        """The p = 2 bit comparisons above, once more under the other dispatch
+        (other_dispatch_run)."""
+        _passed_under_the_other_dispatch(other_dispatch_run, "TestTwoPassTables")
 
     def test_a_large_mean_does_not_stop_the_pruning_at_p2(self):
         """The "offset" field, 1e8 plus unit noise, lists fewer than 10 % of
@@ -958,22 +1018,9 @@ class TestF32Bounds:
             assert f64 + f32 >= partners[mixed], (p, mixed, listed)
 
 
-@needs_avx512
-def test_under_the_other_simd_dispatch():
-    """The p = 2 table tests, test_bounds_hold and the power tests once more,
-    in one fresh process with numpy's AVX-512 power loops disabled (ROADMAP
-    item 12).  float32 power takes another loop there (measured within 0.5
-    ulp, against 1 ulp with AVX-512).  The 128^2 field is left out: float64
-    power runs about 5x slower there."""
-    nodes = [f"tests/{Path(__file__).name}::{node}" for node in (
-        "TestTwoPassTables::test_matches_per_shift_prefix_max_at_p2",
-        "TestTwoPassTables::test_matches_at_the_ends_of_the_float_range[2.0]",
-        "TestF32Bounds::test_bounds_hold",
-        "TestF32Bounds::test_float32_power_is_within_the_assumed_error",
-        "TestF32Bounds::test_sqrt_and_multiply_power_is_within_the_derived_error",
-        "TestF32Bounds::test_float64_power_is_within_one_ulp",
-    )]
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "not normal-128"]
-    run = subprocess.run([*cmd, *nodes], cwd=Path(__file__).resolve().parents[1],
-                         env=other_dispatch_env(), capture_output=True, text=True)
-    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    @needs_avx512
+    def test_hold_under_the_other_simd_dispatch(self, other_dispatch_run):
+        """test_bounds_hold and the power tests, once more under the other
+        dispatch (other_dispatch_run), where float32 power takes another loop
+        (measured within 0.5 ulp there, against 1 ulp with AVX-512)."""
+        _passed_under_the_other_dispatch(other_dispatch_run, "TestF32Bounds")
