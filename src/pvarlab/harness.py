@@ -26,6 +26,7 @@ from .modulus import (
     MIXED_TABLE_CAP,
     lp_norm,
     modulus_1d,
+    mixed_ratio_sup,
     modulus_mixed,
     averaged_modulus_check,
     diff_modulus_bound_check,
@@ -194,20 +195,16 @@ def _corpus_2d(rng: np.random.Generator) -> list[tuple[str, Grid2]]:
 def hardy_littlewood_check(f: Grid2) -> dict:
     """sup over grid shifts of omega(u,v)_1 / (uv) against the finest-net 1-variation.
 
-    The ratios are read from the uncapped p = 1 mixed table T at u = s/M,
-    v = t/N over the nonzero shifts.  Their largest equals the largest raw
-    ratio ||D(s,t)||_1 / (u v) bit for bit.  T[s, t] is at least raw[s, t],
-    and equals raw[s', t'] for some s' <= s, t' <= t, which is 0 where s'
-    or t' is 0.  fl(u v) is nondecreasing in (s, t), and for positive
-    operands fl(x / y) is nondecreasing in x and nonincreasing in y.  So
-    each table ratio is at least the raw ratio at (s, t), and at most the
-    raw ratio at (s', t') or 0.
+    The sup is modulus.mixed_ratio_sup, the largest raw ratio ||D(s,t)||_1
+    / (u v) over the nonzero shifts, u = s/M, v = t/N, and so the largest
+    ratio T[s, t] / (u v) of the uncapped p = 1 mixed table T bit for bit.
+    T[s, t] is at least raw[s, t], and equals raw[s', t'] for some s' <= s,
+    t' <= t, which is 0 where s' or t' is 0.  fl(u v) is nondecreasing in
+    (s, t), and for positive operands fl(x / y) is nondecreasing in x and
+    nonincreasing in y.  So each table ratio is at least the raw ratio at
+    (s, t), and at most the raw ratio at (s', t') or 0.
     """
-    m, n = f.m, f.n
-    table = modulus_mixed(f, Exponent(1.0), cap=max(m, n)).values
-    u = np.arange(1, m) / m
-    v = np.arange(1, n) / n
-    s_best = max(0.0, float((table[1:m, 1:n] / (u[:, None] * v[None, :])).max()))
+    s_best = mixed_ratio_sup(f)
     v1 = vitali_finest(f, Exponent(1.0))
     gap = abs(s_best - v1) / v1 if v1 > 0 else 0.0
     return {

@@ -39,7 +39,11 @@ pick the partners to evaluate first, the likely maxima, and no
 certificate rests on them: one _shift_norms pass over a centred, scaled
 float32 copy of the field bounds the other partners within a few parts
 in 10^6 (_f32_bounds), and each mirror is bounded through its partner
-(_partner_bounds).
+(_partner_bounds).  mixed_ratio_sup, the largest Hardy-Littlewood ratio
+||D(s, t)||_1 / (u v), builds no table and is the one other reader of
+these bounds: _l2_bounds, widened to bound a p = 1 norm, and one
+_f32_bounds pass leave out every shift whose upper ratio lies below the
+ratio of an evaluated shift.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "modulus_1d",
     "modulus_iso_2d",
     "modulus_mixed",
+    "mixed_ratio_sup",
     "averaged_modulus_check",
     "diff_modulus_bound_check",
     "omega_sandwich_check",
@@ -615,6 +620,66 @@ def modulus_mixed(f: Grid2, p: Exponent, cap: int = MIXED_TABLE_CAP) -> ModulusT
     """
     table = _prefix_max_table(_capped(f, cap), p.p, mixed=True)
     return ModulusTable2D(table, p, (1.0 / f.m, 1.0 / f.n))
+
+
+def mixed_ratio_sup(f: Grid2) -> float:
+    """The largest ratio ||D(s, t)||_1 / (u v), u = s/M, v = t/N, over the
+    mixed shifts 0 < s < M, 0 < t < N of f, bit for bit: the largest fl(r/w),
+    r the p = 1 norm that _shift_norms computes and w = fl(fl(s/M) fl(t/N)).
+
+    No table is built.  For w > 0, fl(x/w) is nondecreasing in x, so a
+    bound lo <= r <= hi gives fl(lo/w) <= fl(r/w) <= fl(hi/w).  Every
+    shift is evaluated or has an upper ratio strictly below the ratio of an
+    evaluated shift, as in _prefix_max_table, and ties are evaluated:
+
+    1. hi bounds r from the upper bound h2 of _l2_bounds on the computed
+       p = 2 norm r2 of the same float64 differences d (below).
+    2. The shift of the largest upper ratio is evaluated; its ratio is R.
+    3. The shifts whose upper ratio reaches R get the bounds of one
+       _f32_bounds pass at p = 1.
+    4. One _shift_norms call evaluates those whose float32 upper ratio
+       reaches the larger of R and their largest float32 lower ratio,
+       which is the lower bound of a shift evaluated here.
+
+    The widening, with k = M*N, u = 2^-53 and gamma_j = ju/(1 - ju):
+
+    - r = fl(S1/k), S1 a float sum of the k terms |d| with real sum T1,
+      so r <= (1 + gamma_(k-1))(1 + u) T1/k in any order (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, ch. 4).
+    - r2 is the root, within 2u (assumed, as in _partner_bounds), of
+      fl(S2/k), S2 a float sum of the squares, each within u, with real
+      sum T2: r2 >= (1 - 2u)(1 - u)(1 - gamma_(k-1))^(1/2) (T2/k)^(1/2).
+    - Cauchy-Schwarz: T1/k <= (T2/k)^(1/2).  With x = (k - 1)u,
+      (1 + gamma_(k-1))/(1 - gamma_(k-1))^(1/2) = 1/((1 - x)(1 - 2x))^(1/2)
+      <= 1/(1 - 2x), a geometric mean being at least the smaller number,
+      and (1 + u)/((1 - 2u)(1 - u)) <= 1/(1 - 4u).  So r <= r2/(1 -
+      (2k + 2)u).
+    - Underflow moves the mean of squares by at most 2^-1073 (_l2_bounds),
+      its root by at most 2^-536.5, and the p = 1 mean by at most 2^-1075;
+      float sums of the |d| do not underflow.  So r <= r2/(1 - (2k + 2)u)
+      + 2^-536.
+    - hi = fl(fl(h2 grow) + 2^-535), grow = fl(1/(1 - (2k + 6)u)), whose
+      divisor is exact, as in _partner_bounds.  The three roundings each
+      lose at most a factor 1 - u (h2 >= 2^-535 is normal), and (1 -
+      u)^3/(1 - (2k + 6)u) >= 1/(1 - (2k + 3)u), so hi >= r.
+    - A sum of the |d| can overflow only when T1 >= 2^1023(1 - gamma_(k-1)),
+      which puts (T2/k)^(1/2) >= T1/k far above _ceil(k, 2), where h2 is
+      inf.
+    """
+    a = f.samples
+    m, n = a.shape
+    w = (np.arange(1, m) / m)[:, None] * (np.arange(1, n) / n)
+    grow = 1.0 / (1.0 - (2 * a.size + 6) * _U)
+    upper = (_l2_bounds(a, True)[1][1:, 1:] * grow + 2.0**-535) / w
+    s, t = np.unravel_index(np.argmax(upper), upper.shape)
+    best = float(_shift_norms(a, 1.0, True, np.array([s + 1]), np.array([t + 1]))[0] / w[s, t])
+    rows, cols = np.nonzero(upper >= best)
+    del upper  # freed before the float32 pass, whose buffers set the peak
+    lo, hi = _f32_bounds(a, 1.0, True, rows + 1, cols + 1)
+    w = w[rows, cols]
+    kept = hi / w >= max(best, float((lo / w).max()))
+    rows, cols, w = rows[kept] + 1, cols[kept] + 1, w[kept]
+    return max(best, float((_shift_norms(a, 1.0, True, rows, cols) / w).max()))
 
 
 def averaged_modulus_check(g: Grid1, p: Exponent) -> dict:

@@ -177,6 +177,15 @@ def test_row_norms_has_one_reader():
     assert readers == ["modulus._shift_norms"], readers
 
 
+def test_bounds_have_two_readers():
+    """The bounds that leave shifts out each have two top-level readers:
+    modulus._l2_bounds is read by _prefix_max_table and mixed_ratio_sup,
+    and _f32_bounds by _partner_bounds and mixed_ratio_sup, whose docstrings
+    derive what they exclude.  A third reader fails here until it does."""
+    assert _top_level_readers("_l2_bounds") == ["modulus._prefix_max_table", "modulus.mixed_ratio_sup"]
+    assert _top_level_readers("_f32_bounds") == ["modulus._partner_bounds", "modulus.mixed_ratio_sup"]
+
+
 def test_stack_has_two_readers():
     """modulus._STACK, the number of float32 terms in a partial of the
     float32 pass, is read by _row_norms, which sums in partials of that

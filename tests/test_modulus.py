@@ -31,7 +31,7 @@ from pvarlab import (
     modulus_iso_2d,
     modulus_mixed,
 )
-from pvarlab import modulus
+from pvarlab import harness, modulus
 from pvarlab.modulus import (
     _BLOCK,
     _POW32,
@@ -47,6 +47,7 @@ from pvarlab.modulus import (
     _shift_norm_table,
     averaged_modulus_check,
     diff_modulus_bound_check,
+    mixed_ratio_sup,
     omega_sandwich_check,
 )
 from pvarlab.pvar1d import _U, _pow32_roundings
@@ -355,6 +356,26 @@ def _range_end_fields() -> dict:
     return {"big": big, "tiny": tiny, "steps": steps, "constant": np.full((6, 6), 0.5)}
 
 
+def _ratio_fields() -> dict:
+    """Fields on which the steps of modulus.mixed_ratio_sup decide: 64^2
+    sine and tent x sine products, whose p = 2 bounds keep 378 and 91
+    shifts for the float32 pass, which keeps one; a 48x64 double-cumsum
+    walk and a 64^2 {0, 1, 2}-valued field; and the 32^2 sum of a +-1.25
+    column and a +-0.25 row, all of one binade, with a 1e-9 Gaussian mixed
+    part that the float32 copy rounds away: only the width of _f32_bounds
+    keeps its shifts, and without it the float32 step keeps none."""
+    rng = np.random.default_rng(38)
+    col = 1.25 * rng.permutation(np.repeat([-1.0, 1.0], 16))
+    row = 0.25 * rng.permutation(np.repeat([-1.0, 1.0], 16))
+    return {
+        "sine-64": gen_product(gen_sine(1, 64), gen_sine(1, 64)).samples,
+        "tent-sine-64": gen_product(gen_tent_scaled(1, 64), gen_sine(1, 64)).samples,
+        "walk-48x64": np.cumsum(np.cumsum(rng.normal(size=(48, 64)), axis=0), axis=1),
+        "012-64": rng.integers(0, 3, size=(64, 64)).astype(float),
+        "below-float32": col[:, None] + row[None, :] + 1e-9 * rng.normal(size=(32, 32)),
+    }
+
+
 class TestKernelBitwise:
     """The batched kernel against the per-shift np.roll norms, compared with ==.
 
@@ -491,14 +512,13 @@ class TestKernelBitwise:
             for m, n in TABLE_SHAPES
             for kind, a in zip(TABLE_FIELD_KINDS, _table_fields(m, n))
         ]
-        + [pytest.param(a, id=k) for k, a in _range_end_fields().items() if k != "big"],
+        + [pytest.param(a, id=k) for k, a in _range_end_fields().items() if k != "big"]
+        + [pytest.param(a, id=k) for k, a in _ratio_fields().items()],
     )
     def test_hardy_littlewood_matches_per_shift_loop(self, a):
-        """sup_ratio, read from the p = 1 mixed table, against the largest
-        ratio over every shift, on the table fields and the tiny, subnormal-
-        step and constant fields.  No mirror can set the largest ratio: its
-        norm lies within a factor 1 + w of its partner's, and its u v is
-        larger by a factor of at least 1 + 2/max(M, N)."""
+        """sup_ratio, modulus.mixed_ratio_sup, against the largest ratio over
+        every shift, on the table fields, the tiny, subnormal-step and
+        constant fields and the fields of _ratio_fields."""
         f = Grid2(a)
         m, n = a.shape
         s_best = 0.0
@@ -781,17 +801,20 @@ class TestTwoPassTables:
         within 5 % of 1.88 and 1.51 MiB, the peaks at p = 1.5 of a kernel
         that evaluated every mirror: evaluating the partners and a few
         mirrors, or at p = 2 the autocorrelation and the few shifts its
-        bounds keep, must not add to them."""
+        bounds keep, must not add to them.  hardy_littlewood_check on the
+        same field stays below 1.23 MiB, its peak here when it read the
+        uncapped p = 1 mixed table (1.00 MiB since mixed_ratio_sup)."""
         f = Grid2(np.random.default_rng(5).normal(size=(128, 128)))
-        for p in (1.5, 2.0):
-            for table, limit in ((modulus_mixed, 1.88), (modulus_iso_2d, 1.51)):
-                tracemalloc.start()
-                try:
-                    table(f, Exponent(p))
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < 1.05 * limit * 2**20, (table.__name__, p, peak)
+        runs = [(functools.partial(table, f, Exponent(p)), 1.05 * limit) for p in (1.5, 2.0)
+                for table, limit in ((modulus_mixed, 1.88), (modulus_iso_2d, 1.51))]
+        for run, limit in runs + [(functools.partial(hardy_littlewood_check, f), 1.23)]:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * 2**20, (run.func.__name__, run.args[1:], peak)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("name", list(L2_FIELDS) + list(RANGE_END_FIELDS))
@@ -1024,3 +1047,73 @@ class TestF32Bounds:
         dispatch (other_dispatch_run), where float32 power takes another loop
         (measured within 0.5 ulp there, against 1 ulp with AVX-512)."""
         _passed_under_the_other_dispatch(other_dispatch_run, "TestF32Bounds")
+
+
+def _ratio_fields_128() -> dict:
+    """The 128^2 Gaussian field of _gaussian_128 and the sine and tent
+    products, whose p = 1 mixed tables take the float32 pass."""
+    return {
+        "normal": Grid2(_gaussian_128()),
+        "sine": gen_product(gen_sine(1, 128), gen_sine(1, 128)),
+        "tent": gen_product(gen_tent_scaled(1, 128), gen_tent_scaled(1, 128)),
+    }
+
+
+class TestMixedRatioSup:
+    """modulus.mixed_ratio_sup, the sup of hardy_littlewood_check, against the
+    table it replaced and on the bounds it prunes with."""
+
+    @pytest.mark.parametrize("name", ["normal", "sine", "tent"])
+    def test_matches_the_ratio_of_the_p1_table(self, name):
+        """== against the largest ratio of the uncapped p = 1 mixed table,
+        which hardy_littlewood_check read before, at 128^2."""
+        f = _ratio_fields_128()[name]
+        m, n = f.m, f.n
+        table = modulus_mixed(f, Exponent(1.0), cap=128).values[1:m, 1:n]
+        w = (np.arange(1, m) / m)[:, None] * (np.arange(1, n) / n)
+        assert mixed_ratio_sup(f) == float((table / w).max())
+
+    def test_grow_is_needed_where_cauchy_schwarz_is_tight(self):
+        """With _l2_bounds as tight as it may be, its upper bound the computed
+        p = 2 norms themselves, the bits hold on an 8^2 +-c checkerboard.
+        Every |d| of an odd mixed shift is 4c, so Cauchy-Schwarz is an
+        equality and the computed p = 1 norm of shift (1, 1) rounds one ulp
+        above the p = 2 norm: without its grow, the p = 1 upper ratios all
+        lie below the ratio of the evaluated shift (1, 1), and none is left
+        for the float32 step."""
+        c = 0.9689525543179947
+        a = c * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
+        r2 = _shift_norm_table(a, 2.0, mixed=True)[:8, :8]
+        r1 = _shift_norm_table(a, 1.0, mixed=True)[1, 1]
+        assert r1 > r2[1, 1]
+        with mock.patch.object(modulus, "_l2_bounds", lambda a, mixed: (r2, r2)):
+            assert mixed_ratio_sup(Grid2(a)) == r1 * 64.0
+
+    def test_few_shifts_reach_float64(self):
+        """At 128^2 the Gaussian field lists at most 3 shifts to the float64
+        evaluation and the sine product fewer than 1 % of its 127^2: the
+        shift of the largest p = 2 upper ratio and those that the float32
+        step keeps (2 on each, measured)."""
+        shift_norms = modulus._shift_norms
+        for name in ("normal", "sine"):
+            listed = [0, 0]  # float64, float32
+
+            def counted(a, p, mixed, rows, cols):
+                listed[a.dtype == np.float32] += len(rows)
+                return shift_norms(a, p, mixed, rows, cols)
+
+            with mock.patch.object(modulus, "_shift_norms", counted):
+                mixed_ratio_sup(_ratio_fields_128()[name])
+            assert listed[0] <= (3 if name == "normal" else 0.01 * 127 * 127), (name, listed)
+
+    def test_hardy_littlewood_builds_no_table(self):
+        """hardy_littlewood_check calls neither modulus_mixed nor
+        _prefix_max_table: a return to the p = 1 table fails here."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a modulus table was built")
+
+        with mock.patch.object(modulus, "modulus_mixed", refuse), \
+                mock.patch.object(harness, "modulus_mixed", refuse), \
+                mock.patch.object(modulus, "_prefix_max_table", refuse):
+            hardy_littlewood_check(gen_product(gen_sine(1, 64), gen_sine(1, 64)))
