@@ -41,9 +41,10 @@ float32 copy of the field bounds the other partners within a few parts
 in 10^6 (_f32_bounds), and each mirror is bounded through its partner
 (_partner_bounds).  mixed_ratio_sup, the largest Hardy-Littlewood ratio
 ||D(s, t)||_1 / (u v), builds no table and is the one other reader of
-these bounds: _l2_bounds, widened to bound a p = 1 norm, and one
-_f32_bounds pass leave out every shift whose upper ratio lies below the
-ratio of an evaluated shift.
+these bounds: it reads only the partners, as no mirror's ratio exceeds
+its partner's, and _l2_bounds, widened to bound a p = 1 norm, and one
+_f32_bounds pass leave out every partner whose upper ratio lies below
+the ratio of an evaluated one.
 """
 
 from __future__ import annotations
@@ -109,13 +110,6 @@ def lp_norm(f: Grid1 | Grid2, p: Exponent | float) -> float:
     return _norm(f.samples, pp)
 
 
-def _view(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
-    """A strided view of buf, of buf's dtype, offset and steps in elements;
-    np.ndarray checks that it fits in buf."""
-    size = buf.itemsize
-    return np.ndarray(shape, buf.dtype, buf, size * start, tuple(size * k for k in steps))
-
-
 # The number of float32 terms in each float32 partial sum of _row_norms,
 # whose rounding _f32_bounds' width covers.
 _STACK = 16
@@ -130,15 +124,13 @@ def _row_norms(d: np.ndarray, p: float):
     difference of a tie-heavy field on its flat patches.  _abs_pow powers
     such a block without numpy's slow path for vectors holding a zero.
     Each mean is np.add.reduce over one contiguous row, divided by M*N: for
-    float64 d the operations of _norm on the same numbers in the same order.
-    A float32 d is powered in float32, by square root and products at the
-    p of pvar1d._pow32_roundings.  Its row of M*N terms is cut into _STACK
+    float64 d the operations of _norm on the row.  A float32 d is powered
+    in float32, by square root and products at the p of
+    pvar1d._pow32_roundings.  Its row of M*N terms is cut into _STACK
     slices of q = M*N // _STACK terms and a tail of the rest; the slices
     are added in float32, elementwise, into q partials of _STACK terms
     each (one array of 1/_STACK of the block), and the partials and the
-    tail are summed in float64.  A mixed d holds its differences
-    transposed (_shift_norms), so they are summed in another order; both
-    orders are within _f32_bounds' width.
+    tail are summed in float64.
     """
     _abs_pow(d, p)
     if d.dtype == np.float32:
@@ -207,64 +199,51 @@ def _shift_norms(
 ) -> np.ndarray:
     """||D(rows[i], cols[i])||_p for each listed shift of the (M, N) array a.
 
-    The shifts are sorted by group, the row shift of a mixed difference or
-    the column shift of a plain one, and then by window.  Each group forms
-    its windows once in a reused array: the ds of its row shift with columns
-    doubled, whose window t is ds(., . + t), or a rolled by its column shift
-    with rows doubled, whose flat window s is a(. + s, . + t).  Each run of
-    consecutive windows is cut into chunks of at most _BLOCK values; a chunk
-    is one basic slice of the windows, subtracted from the shared base (ds,
-    or a) into a reused buffer, whose rows _row_norms finishes.  Every
-    difference is the same subtraction of the same two floats as the
-    per-shift norm's, so every value equals it bit for bit.  A float32 a
-    (_f32_bounds) gets float32 windows and buffers, and float64 norms.  Its
-    mixed group stores ds transposed with rows doubled, (2N, M), so that
-    window t, ds(., . + t) transposed, is one flat slice of M*N values, as
-    a plain window is: the same differences, in another order.  A float64
-    a keeps the row layout, whose order sets the bits.
+    The shifts are sorted by group, the column shift of a plain difference
+    or the row shift of a mixed one, and then by window.  Each group fills
+    one reused array two, (2K, M*N/K) with its K rows doubled, so that
+    window i is one flat slice of M*N values, from row i on: plain window s
+    is a(. + s, . + t), from a rolled by t columns, subtracted from a; mixed
+    window t is ds(., . + t) transposed, from the ds of row shift s
+    transposed, subtracted from ds transposed.  Each run of consecutive
+    windows is cut into chunks of at most _BLOCK values, each subtracted
+    from the shared base into a reused buffer, whose rows _row_norms
+    finishes.  Each difference is the per-shift norm's subtraction of the
+    same two floats, summed in the same order (a mixed one transposed), so
+    every norm equals the per-shift references bit for bit.  A float32 a
+    (_f32_bounds) gets float32 windows and buffers, and float64 norms.
     """
     m, n = a.shape
     mn = a.size
     key, pick = (rows, cols) if mixed else (cols, rows)
-    span = (n if mixed else m) + 1  # a gap between the windows of two groups
+    K = n if mixed else m  # the windows of a group
+    span = K + 1  # a gap between the windows of two groups
     pos = key * span + pick
     order = np.argsort(pos)
     pos = pos[order]
     starts = np.flatnonzero(np.diff(pos, prepend=-2) != 1).tolist()
     width = max(1, min(_BLOCK // mn, len(pos)))
     buf = np.empty((width, mn), a.dtype)
-    flat = not mixed or a.dtype == np.float32  # windows that are flat slices
-    if not mixed:  # window s of a(., . + t): a(. + s, . + t), subtracted from a
-        two = np.empty((2 * m, n), a.dtype)
-        windows, base = _view(two, 0, (m, mn), (n, 1)), a.ravel()
-    elif flat:  # window t of ds transposed: ds(., . + t), subtracted from ds
-        two = np.empty((2 * n, m), a.dtype)
-        windows, base = _view(two, 0, (n, mn), (m, 1)), two[:n].reshape(mn)
-        src = np.concatenate((a.T, a.T), axis=1)
-    else:  # window t of ds: ds(., . + t), subtracted from ds
-        two = np.empty((m, 2 * n), a.dtype)
-        windows, base = _view(two, 0, (n, m, n), (1, 2 * n, 1)), two[:, :n]
-        src = np.concatenate((a, a))
-    blocks = buf.reshape((width,) + windows.shape[1:])
+    two = np.empty((2 * K, mn // K), a.dtype)
+    # window i: the M*N values from row i of two; np.ndarray checks that they fit
+    windows = np.ndarray((K, mn), a.dtype, two, 0, (two.strides[0], two.itemsize))
+    src = np.concatenate((a.T, a.T) if mixed else (a, a), axis=1)  # columns doubled
+    base = two[:K].reshape(mn) if mixed else a.ravel()
     vals = np.empty(len(pos))
     group = None
     for i0, i1 in zip(starts, starts[1:] + [len(pos)]):
         g, w0 = divmod(int(pos[i0]), span)
         if g != group:
             group = g
-            if mixed and flat:
-                np.subtract(src[:, g : g + m], src[:, :m], out=two[:n])
-                two[n:] = two[:n]
-            elif mixed:
-                np.subtract(src[g : g + m], a, out=base)
-                two[:, n:] = base
-            else:
-                two[:m, : n - g], two[:m, n - g :] = a[:, g:], a[:, :g]
-                two[m:] = two[:m]
+            if mixed:  # ds transposed
+                np.subtract(src[:, g : g + m], src[:, :m], out=two[:K])
+            else:  # a rolled by g columns
+                two[:K] = src[:, g : g + n]
+            two[K:] = two[:K]
         for j in range(i0, i1, width):
             k = min(width, i1 - j)
             w = w0 + j - i0
-            np.subtract(windows[w : w + k], base, out=blocks[:k])
+            np.subtract(windows[w : w + k], base, out=buf[:k])
             vals[j : j + k] = _row_norms(buf[:k], p)
     norms = np.empty(len(pos))
     norms[order] = vals
@@ -372,11 +351,11 @@ _POW32 = 2.0**-21
 _TAU = 2.0**-120  # the smallest term |d|^p that _f32_bounds bounds relatively
 
 
-def _term_error(p: float) -> float:
+def _term_error(p: float, p32: float) -> float:
     """The relative error of the float32 power of a float32 |d| < 1 as a
-    bound on |d|^p, where |d|^p >= _TAU: (1 + rho)(1 + _POW32) - 1, rho
-    covering the rounding of p (see _f32_bounds)."""
-    rho = math.expm1(abs(float(np.float32(p)) - p) * -math.log(_TAU) / p)
+    bound on |d|^p, where |d|^p >= _TAU and p32 = fl32(p): (1 + rho)(1 +
+    _POW32) - 1, rho covering the rounding of p (see _f32_bounds)."""
+    rho = math.expm1(abs(p32 - p) * -math.log(_TAU) / p)
     return rho + _POW32 + rho * _POW32
 
 
@@ -432,9 +411,9 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
       x^(p32 - p), and a term x^p >= tau = 2^-120 has |ln x| <= 120 ln
       2/p, so the rounding of p moves it by a factor within 1 +- rho, rho =
       expm1(|p32 - p| 120 ln 2/p): zero at p = 1, 1.5, 3 and 8, 1.8e-6 (30
-      v) at p = 1.1.  So such a term is within _term_error(p) relative of
-      x^p.  A term below tau, subnormal and flushed ones among them, has
-      x^p and its computed power within 1.01 tau of 0.
+      v) at p = 1.1.  So such a term is within _term_error(p, p32)
+      relative of x^p.  A term below tau, subnormal and flushed ones
+      among them, has x^p and its computed power within 1.01 tau of 0.
     - The sums and the means.  _row_norms adds the terms in float32
       partials of _STACK = 16 terms each, and sums the partials and the
       other terms in float64.  The terms are nonnegative, and a float32
@@ -445,12 +424,11 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
       16 and cannot overflow.  Each partial, and each float32 term, is
       exact in float64, so S, a float64 sum of at most k of them, and the
       division by k add a factor within gamma_(k+1), in any order of the
-      terms, the transposed one of mixed windows too.  The mean is read
-      back from r32 as r32^p (pvar1d._abs_pow), which the root within 2u
-      and the power within 2u move by at most (2p + 2)u.  So ||D32||^p
-      lies within eps = 1.1 (_term_error(p) + gamma32 + (k + 2p + 16)u)
-      relative and 2 tau absolute of that mean, and its root is taken in
-      float64 within 2u.
+      terms.  The mean is read back from r32 as r32^p (pvar1d._abs_pow),
+      which the root within 2u and the power within 2u move by at most
+      (2p + 2)u.  So ||D32||^p lies within eps = 1.1 (_term_error(p, p32)
+      + gamma32 + (k + 2p + 16)u) relative and 2 tau absolute of that
+      mean, and its root is taken in float64 within 2u.
     - r.  Its differences round within u relative (and a mixed one by the
       absolute part in A), its powers within 2u (below one ulp, assumed
       as in _partner_bounds), its sum, mean and root within gamma_(k+1)
@@ -472,7 +450,7 @@ def _f32_bounds(a: np.ndarray, p: float, mixed: bool, rows: np.ndarray, cols: np
     means = _abs_pow(_shift_norms(b, p, mixed, rows, cols), p)
     k = a.size
     stack = (_STACK - 1) * _V / (1.0 - (_STACK - 1) * _V)  # gamma32
-    eps = 1.1 * (_term_error(p) + stack + (k + 2.0 * p + 16.0) * _U)
+    eps = 1.1 * (_term_error(p, float(np.float32(p))) + stack + (k + 2.0 * p + 16.0) * _U)
     width = (9.0 if mixed else 3.0) * _V * top + 2.0**-146
     g = 2.0 * _V + 1.01 * (k + 40.0) * _U
     floor = 2.0 ** (-1000.0 / p)
@@ -627,19 +605,21 @@ def mixed_ratio_sup(f: Grid2) -> float:
     mixed shifts 0 < s < M, 0 < t < N of f, bit for bit: the largest fl(r/w),
     r the p = 1 norm that _shift_norms computes and w = fl(fl(s/M) fl(t/N)).
 
-    No table is built.  For w > 0, fl(x/w) is nondecreasing in x, so a
+    No table is built, and only the partners 0 < s <= M/2, 0 < t <= N/2
+    of _mirrors are bounded and evaluated: no mirror's ratio exceeds its
+    partner's (below).  For w > 0, fl(x/w) is nondecreasing in x, so a
     bound lo <= r <= hi gives fl(lo/w) <= fl(r/w) <= fl(hi/w).  Every
-    shift is evaluated or has an upper ratio strictly below the ratio of an
-    evaluated shift, as in _prefix_max_table, and ties are evaluated:
+    partner is evaluated or has an upper ratio strictly below the ratio of
+    an evaluated one, as in _prefix_max_table, and ties are evaluated:
 
     1. hi bounds r from the upper bound h2 of _l2_bounds on the computed
        p = 2 norm r2 of the same float64 differences d (below).
-    2. The shift of the largest upper ratio is evaluated; its ratio is R.
-    3. The shifts whose upper ratio reaches R get the bounds of one
+    2. The partner of the largest upper ratio is evaluated; its ratio is R.
+    3. The partners whose upper ratio reaches R get the bounds of one
        _f32_bounds pass at p = 1.
     4. One _shift_norms call evaluates those whose float32 upper ratio
        reaches the larger of R and their largest float32 lower ratio,
-       which is the lower bound of a shift evaluated here.
+       which is the lower bound of a partner evaluated here.
 
     The widening, with k = M*N, u = 2^-53 and gamma_j = ju/(1 - ju):
 
@@ -662,15 +642,32 @@ def mixed_ratio_sup(f: Grid2) -> float:
       divisor is exact, as in _partner_bounds.  The three roundings each
       lose at most a factor 1 - u (h2 >= 2^-535 is normal), and (1 -
       u)^3/(1 - (2k + 6)u) >= 1/(1 - (2k + 3)u), so hi >= r.
-    - A sum of the |d| can overflow only when T1 >= 2^1023(1 - gamma_(k-1)),
-      which puts (T2/k)^(1/2) >= T1/k far above _ceil(k, 2), where h2 is
-      inf.
+
+    Mirrors, with K = max(M, N): a mirror (s', t') of (s, t) has s' = M -
+    s > s or t' = N - t > t, say the first, so s'/s >= (M + 1)/(M - 1) >=
+    (K + 1)/(K - 1) and, with the three roundings of w, w'/w >= (K + 1)/(K
+    - 1) (1 - 6u).  Its terms |d| are its partner's (module docstring):
+    its sum S' and the partner's S add the same k terms, of real sum T.  If
+    T < 2^-1021 both sums are exact (every float is a multiple of 2^-1074,
+    and floats below 2^-1021 are spaced 2^-1074), so r' = r.  Otherwise
+    S'/S <= 1/(1 - (2k - 2)u), both sums exceed 2^-1022, and the division
+    by k rounds within ku relative, subnormal or not (2^-1075 = u 2^-1022),
+    so r'/r <= 1/(1 - (4k - 2)u).  Then r'/w' <= r/w, so fl(r'/w') <=
+    fl(r/w), when (1 - 6u)(1 - (4k - 2)u) >= (K - 1)/(K + 1), which (2k +
+    2)(K + 1)u < 1 ensures, with ku < 1/6; larger grids are refused.  So
+    are grids whose fl(fl(max - min) k) reaches 2^1021: below it each |d|
+    <= 2 (max - min)(1 + u)^2, and no sum of k of them overflows.
     """
     a = f.samples
     m, n = a.shape
-    w = (np.arange(1, m) / m)[:, None] * (np.arange(1, n) / n)
-    grow = 1.0 / (1.0 - (2 * a.size + 6) * _U)
-    upper = (_l2_bounds(a, True)[1][1:, 1:] * grow + 2.0**-535) / w
+    k = a.size
+    if (2 * k + 2) * (max(m, n) + 1) >= 2**53:
+        raise ValueError(f"grid {m}x{n} is too large for the mirror bound of mixed_ratio_sup")
+    if (float(a.max()) - float(a.min())) * k >= 2.0**1021:
+        raise ValueError("the samples' range times M*N reaches 2^1021; a sum of |d| may overflow")
+    w = (np.arange(1, m // 2 + 1) / m)[:, None] * (np.arange(1, n // 2 + 1) / n)
+    grow = 1.0 / (1.0 - (2 * k + 6) * _U)
+    upper = (_l2_bounds(a, True)[1][1 : m // 2 + 1, 1 : n // 2 + 1] * grow + 2.0**-535) / w
     s, t = np.unravel_index(np.argmax(upper), upper.shape)
     best = float(_shift_norms(a, 1.0, True, np.array([s + 1]), np.array([t + 1]))[0] / w[s, t])
     rows, cols = np.nonzero(upper >= best)

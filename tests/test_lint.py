@@ -195,6 +195,24 @@ def test_stack_has_two_readers():
     assert readers == ["modulus._row_norms", "modulus._f32_bounds"], readers
 
 
+def test_float32_has_two_readers():
+    """In modulus, float32 (np.float32, or the name imported) is read by
+    two top-level definitions: _row_norms, which sums float32 rows in
+    partials, and _f32_bounds, which makes the float32 copy and bounds its
+    rounding.  So no window layout or other kernel path branches on the
+    dtype."""
+    readers = [
+        f"modulus.{getattr(node, 'name', type(node).__name__)}"
+        for node in MODULES["modulus"].body
+        if any(
+            isinstance(x, ast.Attribute) and x.attr == "float32"
+            or isinstance(x, ast.Name) and x.id == "float32"
+            for x in ast.walk(node)
+        )
+    ]
+    assert readers == ["modulus._row_norms", "modulus._f32_bounds"], readers
+
+
 def test_chain_dp_has_two_readers():
     """pvar1d._chain_dp is read by _pvar_lanes, which gives it each lane's
     _extrema points at p > 1, and by vitali2d._chain_max, whose pair costs

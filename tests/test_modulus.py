@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -63,11 +64,17 @@ def shift_norm_1d(g: Grid1, s: int, p: Exponent) -> float:
     return _norm(np.roll(a, -s) - a, p.p)
 
 
+def mixed_diff(a: np.ndarray, s: int, t: int) -> np.ndarray:
+    """The doubly-circular mixed difference ds(., . + t) - ds of a, with
+    ds = a(. + s, .) - a, transposed and contiguous: the order in which
+    _shift_norms sums it."""
+    ds = np.roll(a, -s, axis=0) - a
+    return np.ascontiguousarray((np.roll(ds, -t, axis=1) - ds).T)
+
+
 def mixed_diff_norm(f: Grid2, s_idx: int, t_idx: int, p: Exponent) -> float:
     """L^p norm of the doubly-circular mixed difference at shift (s/M, t/N)."""
-    a = f.samples
-    ds = np.roll(a, -s_idx, axis=0) - a
-    return _norm(np.roll(ds, -t_idx, axis=1) - ds, p.p)
+    return _norm(mixed_diff(f.samples, s_idx, t_idx), p.p)
 
 
 def _random_grid1(seed: int, n: int = 16) -> Grid1:
@@ -304,16 +311,15 @@ class _NumpyCountingTables:
 def _per_shift_table(a: np.ndarray, p: float, mixed: bool, rows=None) -> np.ndarray:
     """The rows of the kernel's table from one np.roll difference per shift.
 
-    The mixed entries repeat the operations of mixed_diff_norm, which needs a
-    Grid2 and so no length-1 axis.
+    The mixed entries are the norms of mixed_diff, as in mixed_diff_norm,
+    which needs a Grid2 and so no length-1 axis.
     """
     m, n = a.shape
     rows = range(m + 1) if rows is None else rows
     want = []
     for s in rows:
         if mixed:
-            ds = np.roll(a, -s, axis=0) - a
-            want.append([_norm(np.roll(ds, -t, axis=1) - ds, p) for t in range(n + 1)])
+            want.append([_norm(mixed_diff(a, s, t), p) for t in range(n + 1)])
         else:
             want.append([_norm(np.roll(a, (-s, -t), axis=(0, 1)) - a, p) for t in range(n + 1)])
     return np.array(want)
@@ -363,16 +369,24 @@ def _ratio_fields() -> dict:
     walk and a 64^2 {0, 1, 2}-valued field; and the 32^2 sum of a +-1.25
     column and a +-0.25 row, all of one binade, with a 1e-9 Gaussian mixed
     part that the float32 copy rounds away: only the width of _f32_bounds
-    keeps its shifts, and without it the float32 step keeps none."""
+    keeps its shifts, and without it the float32 step keeps none.  Two
+    64^2 fields on which no bound can leave a partner out: a constant one,
+    where every bound reaches R = 0, and 10^3 (sin 2 pi x + cos 2 pi y) +
+    10^-6 sin 2 pi x sin 4 pi y, nearly additive, whose mixed part lies
+    below the float32 resolution."""
     rng = np.random.default_rng(38)
     col = 1.25 * rng.permutation(np.repeat([-1.0, 1.0], 16))
     row = 0.25 * rng.permutation(np.repeat([-1.0, 1.0], 16))
+    x = np.arange(64) / 64
+    sx, cy, s2y = np.sin(2 * np.pi * x), np.cos(2 * np.pi * x), np.sin(4 * np.pi * x)
     return {
         "sine-64": gen_product(gen_sine(1, 64), gen_sine(1, 64)).samples,
         "tent-sine-64": gen_product(gen_tent_scaled(1, 64), gen_sine(1, 64)).samples,
         "walk-48x64": np.cumsum(np.cumsum(rng.normal(size=(48, 64)), axis=0), axis=1),
         "012-64": rng.integers(0, 3, size=(64, 64)).astype(float),
         "below-float32": col[:, None] + row[None, :] + 1e-9 * rng.normal(size=(32, 32)),
+        "constant-64": np.full((64, 64), 0.5),
+        "additive-64": 1e3 * (sx[:, None] + cy[None, :]) + 1e-6 * np.outer(sx, s2y),
     }
 
 
@@ -523,11 +537,9 @@ class TestKernelBitwise:
         m, n = a.shape
         s_best = 0.0
         for s in range(1, m):
-            ds = np.roll(a, -s, axis=0) - a
             u = s / m
             for t in range(1, n):
-                d = np.roll(ds, -t, axis=1) - ds
-                val = float(np.mean(np.abs(d))) / (u * (t / n))
+                val = float(np.mean(np.abs(mixed_diff(a, s, t)))) / (u * (t / n))
                 if val > s_best:
                     s_best = val
         r = hardy_littlewood_check(f)
@@ -943,7 +955,7 @@ class TestF32Bounds:
         exact = math.fsum(d[0].tolist()) / k
         miss = float(np.abs(modulus._row_norms(d, 1.0) - exact).max()) / exact
         j = modulus._STACK - 1
-        without = 1.1 * (modulus._term_error(1.0) + (k + 2.0 + 16.0) * _U)
+        without = 1.1 * (modulus._term_error(1.0, 1.0) + (k + 2.0 + 16.0) * _U)
         eps = without + 1.1 * j * _V / (1.0 - j * _V)
         assert without < miss <= eps, (miss / _V, without / _V, eps / _V)
 
@@ -976,7 +988,7 @@ class TestF32Bounds:
     @pytest.mark.parametrize("p", P_POWER)
     def test_float32_power_is_within_the_assumed_error(self, p):
         """The float32 power lies within modulus._POW32 (4 ulps) of x^p32 at
-        every normal result, and within _term_error(p) of x^p at every
+        every normal result, and within _term_error(p, p32) of x^p at every
         result of at least _TAU, the errors that _f32_bounds' width takes.
         Where numpy's float32 power computes it this is an assumption; at
         the p of _pow32_roundings the test below derives a tighter bound.
@@ -984,7 +996,7 @@ class TestF32Bounds:
         fails."""
         to_p32, to_p = self._power_errors(p)
         assert to_p32 <= _POW32, to_p32 / 2.0**-23
-        assert to_p <= modulus._term_error(p), to_p / 2.0**-23
+        assert to_p <= modulus._term_error(p, float(np.float32(p))), to_p / 2.0**-23
 
     @pytest.mark.parametrize("p", [p for p in (1.0,) + P_POWER if _pow32_roundings(p) is not None])
     def test_sqrt_and_multiply_power_is_within_the_derived_error(self, p):
@@ -1105,6 +1117,16 @@ class TestMixedRatioSup:
             with mock.patch.object(modulus, "_shift_norms", counted):
                 mixed_ratio_sup(_ratio_fields_128()[name])
             assert listed[0] <= (3 if name == "normal" else 0.01 * 127 * 127), (name, listed)
+
+    def test_refuses_grids_outside_the_mirror_bound(self):
+        """A grid with (2k + 2)(max(M, N) + 1)u >= 1, here 2 x 2^26 as a
+        broadcast view that holds one float, is refused before any work,
+        and so is one whose range times k reaches 2^1021, where a sum of
+        the |d| could overflow."""
+        with pytest.raises(ValueError, match="too large"):
+            mixed_ratio_sup(types.SimpleNamespace(samples=np.broadcast_to(0.0, (2, 2**26))))
+        with pytest.raises(ValueError, match="overflow"):
+            mixed_ratio_sup(Grid2(np.array([[2.0**1020, -(2.0**1020)], [0.0, 0.0]])))
 
     def test_hardy_littlewood_builds_no_table(self):
         """hardy_littlewood_check calls neither modulus_mixed nor
