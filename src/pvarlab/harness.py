@@ -29,13 +29,13 @@ from .modulus import (
     mixed_ratio_sup,
     modulus_mixed,
     averaged_modulus_check,
-    diff_modulus_bound_check,
     omega_sandwich_check,
 )
 from .pvar1d import pvar_cyclic, pvar_oracle
 from .smoothness import (
     FieldContext,
     chain_check,
+    diff_modulus_bound_check,
     estimate_bracket,
     integral_I,
     integral_J,
@@ -66,7 +66,7 @@ TOL = 1e-9
 
 # The report's schema, in meta: raised whenever the bytes that a fixed seed
 # gives move on purpose (README lists what each value moved).
-SCHEMA = 2
+SCHEMA = 3
 
 # The suite's fixed inputs: its exponents (all above 1), the corpus sizes
 # and the sizes of its oracle cross-checks.  _meta records the first three.
@@ -235,10 +235,11 @@ def embedding_1d_check(g: Grid1, p: Exponent) -> dict:
 def main_estimate_check(f: Grid2 | FieldContext, p: Exponent) -> dict:
     """Measured constants for the main Vitali-variation and sup-norm estimates.
 
-    Applied to the doubly mean-free core against smoothness.estimate_bracket.
-    The Vitali value is vitali2d.certified_vitali (the oracle on grids up to
-    ORACLE_MAX_SIDE, an ascent lower bound otherwise), so the recorded ratios
-    are lower bounds on the sharp constant.
+    Applied to the doubly mean-free core against smoothness.estimate_bracket
+    of the core's mixed table, which is f's (FieldContext).  The Vitali
+    value is vitali2d.certified_vitali (the oracle on grids up to
+    ORACLE_MAX_SIDE, an ascent lower bound otherwise), so the recorded
+    ratios are lower bounds on the sharp constant.
     """
     if p.p == 1.0:
         raise ValueError("the main estimate requires p > 1")
@@ -482,9 +483,8 @@ def _lemma_checks(run: _Run):
         yield (f"averaged_modulus_{name}", "omega(delta) <= (3/delta) integral of shift norms",
                name, -r["min_margin"], 0.0)
     for name, ctx in run.corpus2[:3]:
-        f = ctx.field
         for p in (1.5, 2.0):
-            r = diff_modulus_bound_check(f, max(1, f.m // 8), Exponent(p))
+            r = diff_modulus_bound_check(ctx, max(1, ctx.field.m // 8), Exponent(p))
             yield (f"diff_modulus_{name}_p{p}",
                    "omega(D1(h)f; u,v) <= 2 min(omega(f;u,v), omega(f;h,v))",
                    name, -min(r["mixed_min_margin"], r["iso_min_margin"]), 0.0)

@@ -57,7 +57,8 @@ def w_p_estimate_check(f: Grid2 | FieldContext, p: Exponent) -> dict:
     """Measured constant for the W_p estimate, applied to the mean-free core.
 
     The ratio W_p(core) / [omega(1,1) + K/(pp') + I/(pp')^2] is recorded;
-    enclosure uppers stand in for the integrals.  Degenerate zero brackets
+    enclosure uppers stand in for the integrals, read off the core's mixed
+    table, which is f's (FieldContext).  Degenerate zero brackets
     are flagged and skipped.
     """
     if p.p == 1.0:

@@ -66,7 +66,6 @@ __all__ = [
     "modulus_mixed",
     "mixed_ratio_sup",
     "averaged_modulus_check",
-    "diff_modulus_bound_check",
     "omega_sandwich_check",
     "MIXED_TABLE_CAP",
 ]
@@ -701,36 +700,6 @@ def averaged_modulus_check(g: Grid1, p: Exponent) -> dict:
         rhs = 3.0 / delta * integral
         rows.append({"delta": delta, "lhs": table[k], "rhs": rhs, "margin": rhs - table[k]})
     return {"rows": rows, "min_margin": min(r["margin"] for r in rows)}
-
-
-def diff_modulus_bound_check(f: Grid2, h_idx: int, p: Exponent) -> dict:
-    """First-difference moduli against twice the minimum of the parent moduli.
-
-    Checks omega(D1(h)f; u, v) <= 2 min(omega(f; u, v), omega(f; h, v))
-    entrywise on the mixed tables, and the isotropic analogue.  h_idx indexes
-    the row shift h = h_idx/M and must lie in [0, M].
-    """
-    if not 0 <= h_idx <= f.m:
-        raise ValueError(f"h_idx must lie in [0, {f.m}], got {h_idx}")
-    a = f.samples
-    g = Grid2(np.roll(a, -(h_idx % f.m), axis=0) - a) if h_idx % f.m else None
-
-    if g is None:
-        return {"mixed_min_margin": 0.0, "iso_min_margin": 0.0, "h_idx": h_idx}
-
-    tf = modulus_mixed(f, p)
-    tg = modulus_mixed(g, p)
-    bound = 2.0 * np.minimum(tf.values, tf.values[h_idx, :][None, :])
-    mixed_margin = float(np.min(bound - tg.values))
-
-    sf = modulus_iso_2d(f, p)
-    sg = modulus_iso_2d(g, p)
-    # the smallest delta = k/K whose ball reaches the row shift h: k M // K >= h_idx
-    k_h = -(-h_idx * (sf.values.size - 1) // f.m)
-    iso_bound = 2.0 * np.minimum(sf.values, sf.values[k_h])
-    iso_margin = float(np.min(iso_bound - sg.values))
-
-    return {"mixed_min_margin": mixed_margin, "iso_min_margin": iso_margin, "h_idx": h_idx}
 
 
 def omega_sandwich_check(g: Grid1, p: Exponent) -> dict:

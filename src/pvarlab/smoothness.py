@@ -30,6 +30,7 @@ __all__ = [
     "EstimateBracket",
     "estimate_bracket",
     "chain_check",
+    "diff_modulus_bound_check",
 ]
 
 
@@ -73,11 +74,21 @@ class FieldContext:
     holds v_p of every row section (axis 0) or column section (axis 1).  A
     context holds its results for as long as it lives, so callers keep one
     only as long as they work on that field (run_suite: one call).
+
+    A core shares its parent's mixed tables.  The mixed modulus reads only
+    the differences D_s D_t f, and D_s D_t (phi1(x) + phi2(y)) = 0, so f and
+    its core f - phi1 - phi2 have one mixed modulus: core.mixed(p) is the
+    parent's table, modulus_mixed(parent.field, p), built once with the
+    same bits whichever context asks first.  The core keeps its own iso(p)
+    and sections(p, axis), which do see the marginals.  It holds the
+    parent's field and memo, not the parent, so the two form no cycle.
     """
 
     def __init__(self, field: Grid2):
         self.field = field
         self._memo: dict[tuple, Any] = {}
+        # the field whose mixed tables this context reads, and the memo holding them
+        self._mixed_source = (field, self._memo)
 
     @classmethod
     def of(cls, f: Grid2 | FieldContext) -> FieldContext:
@@ -86,25 +97,30 @@ class FieldContext:
 
     @cached_property
     def core(self) -> FieldContext:
-        return FieldContext(decompose_lp0(self.field))
-
-    def _held(self, key: tuple, make: Callable[[], Any]) -> Any:
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+        core = FieldContext(decompose_lp0(self.field))
+        core._mixed_source = self._mixed_source
+        return core
 
     def mixed(self, p: Exponent) -> ModulusTable2D:
-        return self._held(("mixed", p.p), lambda: modulus_mixed(self.field, p))
+        field, memo = self._mixed_source
+        return _held(memo, ("mixed", p.p), lambda: modulus_mixed(field, p))
 
     def iso(self, p: Exponent) -> ModulusTable1D:
-        return self._held(("iso", p.p), lambda: modulus_iso_2d(self.field, p))
+        return _held(self._memo, ("iso", p.p), lambda: modulus_iso_2d(self.field, p))
 
     def sections(self, p: Exponent, axis: int) -> np.ndarray:
         """v_p of every row section (axis 0) or column section (axis 1), read-only."""
         if axis not in (0, 1):
             raise ValueError(f"axis must be 0 (rows) or 1 (columns), got {axis!r}")
         a = self.field.samples.T if axis else self.field.samples
-        return self._held(("sections", p.p, axis), lambda: _freeze(_pvar_rows(a, p)))
+        return _held(self._memo, ("sections", p.p, axis), lambda: _freeze(_pvar_rows(a, p)))
+
+
+def _held(memo: dict, key: tuple, make: Callable[[], Any]) -> Any:
+    """memo[key], made by make() on first use."""
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _require_p_gt_1(p: Exponent) -> None:
@@ -216,7 +232,9 @@ def chain_check(f: Grid2 | FieldContext, p: Exponent) -> list[dict]:
 
     Asserted in the certified directions: K.lo <= (4/p') I.hi,
     omega(1,1) <= (4/p'^2) I.hi, and J.lo(core) <= 3 K.hi(core); all
-    integrals share one truncation domain.
+    integrals share one truncation domain.  K(core) reads the core's mixed
+    table, which is f's (FieldContext), so K(core) = K; J(core) reads the
+    core's own isotropic table.
     """
     _require_p_gt_1(p)
     pc = p.conj
@@ -251,3 +269,35 @@ def chain_check(f: Grid2 | FieldContext, p: Exponent) -> list[dict]:
         r["margin"] = r["rhs"] - r["lhs"]
         r["pass"] = r["margin"] >= 0.0
     return rows
+
+
+def diff_modulus_bound_check(f: Grid2 | FieldContext, h_idx: int, p: Exponent) -> dict:
+    """First-difference moduli against twice the minimum of the parent moduli.
+
+    Checks omega(D1(h)f; u, v) <= 2 min(omega(f; u, v), omega(f; h, v))
+    entrywise on the mixed tables, and the isotropic analogue.  h_idx indexes
+    the row shift h = h_idx/M and must lie in [0, M].  The tables of f are
+    the context's; those of the difference D1(h)f are built here.
+    """
+    ctx = FieldContext.of(f)
+    f = ctx.field
+    if not 0 <= h_idx <= f.m:
+        raise ValueError(f"h_idx must lie in [0, {f.m}], got {h_idx}")
+    if h_idx % f.m == 0:
+        return {"mixed_min_margin": 0.0, "iso_min_margin": 0.0, "h_idx": h_idx}
+    a = f.samples
+    g = Grid2(np.roll(a, -h_idx, axis=0) - a)
+
+    tf = ctx.mixed(p)
+    tg = modulus_mixed(g, p)
+    bound = 2.0 * np.minimum(tf.values, tf.values[h_idx, :][None, :])
+    mixed_margin = float(np.min(bound - tg.values))
+
+    sf = ctx.iso(p)
+    sg = modulus_iso_2d(g, p)
+    # the smallest delta = k/K whose ball reaches the row shift h: k M // K >= h_idx
+    k_h = -(-h_idx * (sf.values.size - 1) // f.m)
+    iso_bound = 2.0 * np.minimum(sf.values, sf.values[k_h])
+    iso_margin = float(np.min(iso_bound - sg.values))
+
+    return {"mixed_min_margin": mixed_margin, "iso_min_margin": iso_margin, "h_idx": h_idx}

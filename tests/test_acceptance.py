@@ -19,6 +19,7 @@ from pvarlab import (
     Grid2,
     chain_check,
     decompose_lp0,
+    diff_modulus_bound_check,
     gen_cumulative,
     gen_product,
     gen_series_f,
@@ -45,7 +46,6 @@ from pvarlab.modulus import (
     ModulusTable1D,
     ModulusTable2D,
     averaged_modulus_check,
-    diff_modulus_bound_check,
     omega_sandwich_check,
 )
 

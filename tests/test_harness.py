@@ -3,7 +3,7 @@
 import hashlib
 import json
 import sys
-from collections import Counter
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
@@ -92,20 +92,32 @@ class TestSuite:
 
 class TestDerivedOnce:
     def test_each_core_and_iso_table_computed_once(self, monkeypatch):
-        """run_suite derives each (field, p) core and isotropic table once."""
+        """run_suite derives each (field, p) core, isotropic table and mixed
+        table once, and makes at most 54 mixed tables.  A mixed table is
+        built again only by the sweeps (_sweep_row), whose t1xt1 field is a
+        corpus field; none is built on a core, whose mixed tables are its
+        parent's."""
         from pvarlab import modulus, smoothness
 
-        seen = Counter()
+        seen = defaultdict(list)  # (function, shape, digest, p) -> the callers
+        cores = set()
+
+        def _key(f):
+            return f.samples.shape, hashlib.sha256(f.samples.tobytes()).hexdigest()
 
         def counted(fn):
             def wrapper(f, *args, **kwargs):
                 p = args[0].p if args else None
-                digest = hashlib.sha256(f.samples.tobytes()).hexdigest()
-                seen[fn.__name__, f.samples.shape, digest, p] += 1
-                return fn(f, *args, **kwargs)
+                seen[fn.__name__, *_key(f), p].append(sys._getframe(1).f_code.co_name)
+                out = fn(f, *args, **kwargs)
+                if fn.__name__ == "decompose_lp0":
+                    cores.add(_key(out))
+                return out
             return wrapper
 
-        for module, name in ((smoothness, "decompose_lp0"), (modulus, "modulus_iso_2d")):
+        names = ((smoothness, "decompose_lp0"), (modulus, "modulus_iso_2d"),
+                 (modulus, "modulus_mixed"))
+        for module, name in names:
             original = getattr(module, name)
             wrapper = counted(original)
             for mod in list(sys.modules.values()):
@@ -113,8 +125,14 @@ class TestDerivedOnce:
                 if in_package and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, wrapper)
         assert run_suite(7).all_pass
-        assert {key[0] for key in seen} == {"decompose_lp0", "modulus_iso_2d"}
-        assert [key for key, calls in seen.items() if calls > 1] == []
+        assert {key[0] for key in seen} == {name for _, name in names}
+        repeated = {key: callers for key, callers in seen.items() if len(callers) > 1}
+        assert all(key[0] == "modulus_mixed" and callers.count("_sweep_row") == len(callers) - 1
+                   for key, callers in repeated.items()), repeated
+        mixed = {key[1:]: len(callers) for key, callers in seen.items()
+                 if key[0] == "modulus_mixed"}
+        assert sum(mixed.values()) <= 54, sum(mixed.values())
+        assert not cores & {key[:2] for key in mixed}
 
     def test_modulus_invariants_compute_each_1d_table_once(self, monkeypatch):
         """Check 5 reads its table checks and its sandwich off one 1-D

@@ -21,6 +21,7 @@ from pvarlab import (
     Grid1,
     Grid2,
     ModulusTable1D,
+    diff_modulus_bound_check,
     gen_product,
     gen_sine,
     gen_staircase,
@@ -47,7 +48,6 @@ from pvarlab.modulus import (
     _prefix_max_table,
     _shift_norm_table,
     averaged_modulus_check,
-    diff_modulus_bound_check,
     mixed_ratio_sup,
     omega_sandwich_check,
 )
@@ -619,9 +619,11 @@ def _built(p: float, paths=DEFAULT_PATHS):
 
 
 # The (shape, bytes, p, path) of each table that _check has compared in this
-# process.  The staircase and the range-end fields at p = 2 each belong to two
-# tests; whichever runs second builds nothing again.
-_COMPARED: set = set()
+# process, with the number of shifts that the last plain (False) and mixed
+# (True) table it built there listed to _shift_norms.  The staircase and the
+# range-end fields at p = 2 each belong to two tests; whichever runs second
+# builds nothing again.
+_COMPARED: dict = {}
 
 
 @functools.cache
@@ -702,13 +704,20 @@ class TestTwoPassTables:
         K = max(f.m, f.n)
         ks = np.arange(K + 1)
         iso = plain[ks * f.m // K, ks * f.n // K]
+        shift_norms = modulus._shift_norms
         for path, patch in todo:
-            with patch:
+            listed = {}
+
+            def counted(a, p, mixed, rows, cols):
+                listed[mixed] = len(rows)
+                return shift_norms(a, p, mixed, rows, cols)
+
+            with patch, mock.patch.object(modulus, "_shift_norms", counted):
                 assert np.array_equal(_bits(modulus_mixed(f, pe).values), _bits(mixed)), path
                 full = _prefix_max_table(a, p, mixed=False)
                 assert np.array_equal(_bits(full), _bits(plain)), path
                 assert np.array_equal(_bits(modulus_iso_2d(f, pe).values), _bits(iso)), path
-            _COMPARED.add((*key, path))
+            _COMPARED[(*key, path)] = listed
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     @pytest.mark.parametrize("p", TestKernelBitwise.P_KERNEL)
@@ -856,19 +865,13 @@ class TestTwoPassTables:
         """The "offset" field, 1e8 plus unit noise, lists fewer than 10 % of
         its shifts to _shift_norms at p = 2: _l2_estimate centres the field,
         so its width scales with the noise, not with the mean.  Without
-        the centring it lists every live shift, 288 plain and 255 mixed."""
-        counts = {}
-
-        def counted(a, p, mixed, rows, cols):
-            counts[mixed] = len(rows)
-            return shift_norms(a, p, mixed, rows, cols)
-
-        shift_norms = modulus._shift_norms
+        the centring it lists every live shift, 288 plain and 255 mixed.
+        The counts are those of the tables that
+        test_matches_per_shift_prefix_max_at_p2[offset] builds (_COMPARED)."""
         a = L2_FIELDS["offset"]
         m, n = a.shape
-        with mock.patch.object(modulus, "_shift_norms", counted):
-            for mixed in (False, True):
-                _prefix_max_table(a, 2.0, mixed)
+        self._check(a, 2.0)
+        counts = _COMPARED[(a.shape, a.tobytes(), 2.0, "as-built")]
         assert counts[False] < 0.1 * m * n and counts[True] < 0.1 * (m - 1) * (n - 1), counts
 
 

@@ -1,5 +1,8 @@
 """Marginal decomposition and certified enclosures of the weighted integrals."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from pvarlab import (
     modulus_mixed,
 )
 from pvarlab.modulus import ModulusTable1D, ModulusTable2D
+from pvarlab.smoothness import FieldContext
 
 P_SMALL = (1.1, 1.5, 2.0, 3.0, 8.0)
 
@@ -63,6 +67,43 @@ class TestDecomposition:
     def test_idempotent(self, seed):
         core = decompose_lp0(_random_grid2(seed, side=8))
         assert np.allclose(decompose_lp0(core).samples, core.samples, atol=1e-12)
+
+
+class TestFieldContext:
+    @staticmethod
+    def _field() -> Grid2:
+        """A 9x12 field with large marginals, so its core differs from it."""
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(9, 12)) + 5.0 * rng.normal(size=(9, 1)) + rng.normal(size=(1, 12))
+        return Grid2(a)
+
+    @pytest.mark.parametrize("core_first", (True, False))
+    @pytest.mark.parametrize("p", (1.5, 2.0))
+    def test_core_reads_the_parents_mixed_table(self, p, core_first):
+        """core.mixed(p) is the parent's table, bit for bit modulus_mixed(f, p),
+        whichever context asks first; the core's isotropic table is its own."""
+        f, pe = self._field(), Exponent(p)
+        ctx = FieldContext(f)
+        first, second = (ctx.core, ctx) if core_first else (ctx, ctx.core)
+        table = first.mixed(pe)
+        assert second.mixed(pe) is table and ctx.core.core.mixed(pe) is table
+        assert table.values.tobytes() == modulus_mixed(f, pe).values.tobytes()
+        core = ctx.core.field
+        assert not np.array_equal(core.samples, f.samples)
+        assert ctx.core.iso(pe).values.tobytes() == modulus_iso_2d(core, pe).values.tobytes()
+
+    def test_a_core_keeps_no_reference_to_its_parent(self):
+        """Without the cycle collector, a context that has read its core's
+        mixed table dies on del: the core holds no reference back to it."""
+        ctx = FieldContext(self._field())
+        ctx.core.mixed(Exponent(2.0))
+        ref = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestIntegralJ:
