@@ -390,13 +390,14 @@ def _near_max(naive: np.ndarray, k: int, p: float) -> np.ndarray:
     1/p-th power (the identity at p = 1).  At p > 1 the terms are CPython
     pow of float differences; at p = 1 they are the exact |differences|
     (|cells| for nets), which the exact path feeds to fsum as signed
-    samples summing exactly to them.  naive[i] must be a float sum, in any
-    order, of the candidate's terms as priced by the exact path (at p > 1
-    the same CPython pow of the same float difference) or correctly
-    rounded from the exact terms (at p = 1).  For nets both paths take
-    their terms from one routine, vitali2d._cell_terms, so this holds by
-    construction there.  With u = 2^-53 and gamma_j = ju/(1 - ju), and all
-    terms nonnegative:
+    samples, or exact multiples of them, summing exactly to their total.
+    naive[i] must be a float sum, in any order, of the candidate's terms
+    as priced by the exact path (at p > 1 the same CPython pow of the same
+    float difference) or correctly rounded from the exact terms (at
+    p = 1).  For nets the naive terms come from vitali2d._cell_terms,
+    which gives vitali_sum its terms at p > 1 and rounds each exact |cell|
+    correctly at p = 1, so this holds by construction there.  With
+    u = 2^-53 and gamma_j = ju/(1 - ju), and all terms nonnegative:
 
     - naive_i = T_i(1 + theta), |theta| <= gamma_k: each
       priced term is off by at most u, and a float sum of

@@ -5,8 +5,11 @@ supremum at p = 1, lower bound otherwise), an exhaustive oracle for tiny
 grids, and an alternating coordinate-ascent maximizer that returns a
 certified lower bound together with the net that attains it.
 
-An exact p = 1 net sum is one fsum of every cell's signed corners, walked
-one row step at a time (_signed_corners).  The oracle and the ascent's
+An exact p = 1 net sum is one fsum of the net's samples, each entering
+as a multiple k in {-4, -2, 0, 2, 4} of itself, k counting the signs of
+the four cells it is a corner of (_p1_terms, in row blocks).  Those signs come
+from the float cells where a two-sum bound certifies them and from one
+fsum of the corners elsewhere (_cell_signs).  The oracle and the ascent's
 exhaustive branch price many nets at once as naive sums of cell terms
 (_cell_terms: the powered float cells vitali_sum sums at p > 1, the
 correctly rounded |cells| at p = 1) and call vitali_sum only on the nets
@@ -87,15 +90,24 @@ class AscentResult:
 def vitali_sum(f: Grid2, net: Net, p: Exponent) -> float:
     """Mixed-difference sum over one net, both index chains cyclic.
 
-    At p = 1 one fsum of every cell's signed corners (_signed_corners, one
-    row step at a time), which sum exactly to the real sum of the |cells|,
-    so the value is that sum correctly rounded; at p > 1 a compensated sum
-    of the cells' _cell_terms.
+    At p = 1 the real sum of the |cells|, correctly rounded: one fsum, fed
+    block by block, of the net samples, each entering as k times its
+    value, k in {-4, -2, 0, 2, 4} the signed count of the four cells it is
+    a corner of (_p1_terms).  A cell's sign is its float value's where a
+    two-sum bound certifies it, and its corners' fsum's elsewhere
+    (_cell_signs).  If a partial sum in that order leaves the float range,
+    the same cells are summed again as signed corners, cell by cell, whose
+    partial sums follow the running sum of the |cells|; OverflowError if
+    that overflows too.  At p > 1 a compensated sum of the cells'
+    _cell_terms.
     """
     net.validate(f.m, f.n)
     rows, cols = net.rows.indices, net.cols.indices
     if p.p == 1.0:
-        return math.fsum(_chain.from_iterable(_signed_corners(f.samples, rows, cols)))
+        try:
+            return math.fsum(_chain.from_iterable(_p1_terms(f.samples, rows, cols, False)))
+        except OverflowError:
+            return math.fsum(_chain.from_iterable(_p1_terms(f.samples, rows, cols, True)))
     r0, r1 = np.array([rows, rows[1:] + rows[:1]])[:, :, None]
     c0, c1 = np.array([cols, cols[1:] + cols[:1]])
     return _root(math.fsum(_cell_terms(f.samples, r0, r1, c0, c1, p.p).ravel()), p.p)
@@ -112,23 +124,81 @@ def vitali_finest(f: Grid2, p: Exponent) -> float:
     return vitali_sum(f, _net(range(f.m), range(f.n)), p)
 
 
-def _signed_corners(
-    a: np.ndarray, rows: Sequence[int], cols: Sequence[int]
-) -> Iterator[tuple[float, ...]]:
-    """The corners (a, -b, -c, d) of each cell a - b - c + d of the net
-    (rows, cols), negated when their fsum is negative, one row step at a
-    time: two rows of samples are held as Python floats.
+def _p1_terms(
+    a: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...], by_cell: bool
+) -> Iterator[list[float]]:
+    """Floats whose exact sum is the p = 1 sum of the net (rows, cols), one
+    list per block of row steps (_BLOCK // 16 samples, at least one row
+    step), so that one block's arrays and list are alive at a time.
 
-    fsum is correctly rounded, so the sign of fsum((a, -b, -c, d)) is the
-    sign of the exact cell, and the four terms sum exactly to |cell|.  One
-    fsum of every term therefore rounds the exact p = 1 net sum once, so
-    nets that tie in exact arithmetic tie in floats.
+    A block gathers the samples of its row steps with one more row and
+    column on each side, cyclically, and takes the signs (+-1, either for
+    a cell that is 0) of its cells (_cell_signs): its own, those of the
+    row step before it and those of the wrap column.  Sample (i, j) is a
+    corner of the cells (i - 1, j - 1) and (i, j) with coefficient +1 and
+    of (i - 1, j) and (i, j - 1) with -1, so it enters as k a, k the
+    signed sum of those four cells' signs.  k is 0, +-2 or +-4, so k a is
+    exact (|a| <= 2^1021), zero terms are left out, and the k a sum
+    exactly to the sum of sign * cell = |cell|.  With by_cell each cell
+    instead lists its corners (a, -b, -c, d) times its sign, row step by
+    row step: the same exact sum in the order of the running sum of the
+    |cells|, four floats per cell.
     """
-    for r0, r1 in _steps(rows):
-        hi, lo = a[r1, cols].tolist(), a[r0, cols].tolist()
-        for x, y, z, w in zip(hi[1:] + hi[:1], hi, lo[1:] + lo[:1], lo):
-            t = (x, -y, -z, w)
-            yield t if math.fsum(t) >= 0.0 else (-x, y, z, -w)
+    r = len(rows)
+    idx = np.array(rows[-1:] + rows + rows[:1] + cols[-1:] + cols + cols[:1])
+    ri, ci = idx[: r + 2, None], idx[r + 2 :]
+    width = max(1, _BLOCK // (16 * len(cols)))
+    for k0 in range(0, r, width):
+        g = a[ri[k0 : k0 + width + 2], ci]
+        s = _cell_signs(g)
+        if by_cell:
+            corners = (g[2:, 2:], -g[2:, 1:-1], -g[1:-1, 2:], g[1:-1, 1:-1])
+            t = np.stack(corners, axis=-1) * s[1:, 1:, None]
+        else:
+            t = s[1:] - s[:-1]
+            t = (t[:, 1:] - t[:, :-1]) * g[1:-1, 1:-1]
+            t = t[t != 0]
+        yield t.ravel().tolist()
+
+
+def _cell_signs(g: np.ndarray) -> np.ndarray:
+    """The signs of the exact cells
+    g[i + 1, j + 1] - g[i + 1, j] - g[i, j + 1] + g[i, j] of a block: -1.0
+    where a cell is negative, 1.0 where it is positive, either where it
+    is 0.
+
+    The float cell is c = d1 - d0, d = hi - lo its row differences at its
+    two columns, as _cell_terms computes it at p > 1.  Their two-sum
+    errors e make hi - lo = d + e exact (nothing overflows: |d| <= 2^1022
+    and |c| <= 2^1023), so the exact cell is (d1 - d0) + (e1 - e0), with
+    d1 - d0 = c/(1 + r), |r| <= u = 2^-53 (r = 0 where c is subnormal, as
+    subnormal differences are exact).  The sign of c is the cell's, and c
+    is 0 only where the cell is, when |c| >= 2|fl(e1 - e0)| (2x is exact):
+    - if fl(e1 - e0) = 0, then e1 = e0 (gradual underflow), and the cell is
+      c/(1 + r).  This covers every cell whose two differences are exact,
+      as on the staircase, constant and small-integer fields;
+    - otherwise |fl(e1 - e0)| >= (1 - u)|e1 - e0| and c != 0, so
+      |c/(1 + r)| >= 2(1 - u)/(1 + u) |e1 - e0| > |e1 - e0|.
+    Where the test holds the sign is copysign(1, c); elsewhere it is that
+    of the correctly rounded fsum of the cell's corners (_corner_sign).
+    """
+    hi, lo = g[1:], g[:-1]
+    d = hi - lo
+    bv = d - hi
+    e = (hi - (d - bv)) - (lo + bv)
+    e = e[:, 1:] - e[:, :-1]
+    c = d[:, 1:] - d[:, :-1]
+    s = np.copysign(1.0, c)
+    e += e
+    for i, j in zip(*(np.abs(c) < np.abs(e, out=e)).nonzero()):
+        s[i, j] = _corner_sign(g[i + 1, j + 1], g[i + 1, j], g[i, j + 1], g[i, j])
+    return s
+
+
+def _corner_sign(a: float, b: float, c: float, d: float) -> float:
+    """-1.0 where the exact a - b - c + d is negative, else 1.0: the sign of
+    its correctly rounded fsum."""
+    return -1.0 if math.fsum((a, -b, -c, d)) < 0.0 else 1.0
 
 
 def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
@@ -139,11 +209,11 @@ def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
     At p > 1 each term is CPython pow of the float cell
     (a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]); at p = 1 it is the
     correctly rounded |exact cell|, abs(fsum((a, -b, -c, d))) of its
-    corners, one fsum per cell.  Rounding is symmetric, so that is the fsum
-    of the cell's _signed_corners, whose exact sum is the |cell| that
-    vitali_sum's one fsum adds up.  Reversing either step only negates the
-    float cell, so its term is the same.  p > 1 terms are powered a row of
-    cells at a time: no list of every cell's float is held.
+    corners, one fsum per cell.  vitali_sum's exact path rounds the real
+    sum of those exact |cells| once, and that is all pvar1d._near_max
+    needs of it.  Reversing either step only negates the float cell, so
+    its term is the same.  p > 1 terms are powered a row of cells at a
+    time: no list of every cell's float is held.
     """
     shape = np.broadcast(r0, r1, c0, c1).shape
     if pp == 1.0:
@@ -153,11 +223,6 @@ def _cell_terms(a: np.ndarray, r0, r1, c0, c1, pp: float) -> np.ndarray:
         cells = np.abs((a[r1, c1] - a[r0, c1]) - (a[r1, c0] - a[r0, c0]))
         terms = (x**pp for row in np.atleast_2d(cells) for x in row.tolist())
     return np.fromiter(terms, dtype=float, count=math.prod(shape)).reshape(shape)
-
-
-def _steps(idx: Sequence[int]) -> list[tuple[int, int]]:
-    """The cyclically consecutive pairs of a chain, wrap step last."""
-    return list(zip(idx, idx[1:] + idx[:1]))
 
 
 def _flat(chains) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Metamorphic relations of the brute-force oracles, the chain DP and the
-modulus tables.
+"""Metamorphic relations of the brute-force oracles, the chain DP, the
+p = 1 finest net sum and the modulus tables.
 
 Fields and samples are small integers and p is an integer, so every cell,
 difference, power and partial sum is an integer below 2^53 and exact in
 floats: each relation holds with == (or <= for refinement), with no
-tolerance, in whatever order a sum is taken.
+tolerance, in whatever order a sum is taken.  The p = 1 finest net sum
+rounds the exact sum of the |cells| once, so its relations that only
+permute or negate the cells hold with == on float fields too.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from pvarlab import (
     modulus_mixed,
     pvar_cyclic,
     pvar_oracle,
+    vitali_finest,
     vitali_oracle,
 )
 
@@ -46,6 +49,45 @@ def _field_and_images(draw) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         "negation": -a,
         "added marginals": a + phi[:, None] + psi[None, :],
     }
+
+
+@st.composite
+def _finest_field_and_images(draw) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A field of sides 9-64 and its images: a Gaussian scaled by 1,
+    10^300 or 10^-300, under rolls, reversals, transposition and negation,
+    or an integer field of |x| <= 3 under those and added marginals."""
+    m, n = draw(st.integers(9, 64)), draw(st.integers(9, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((None, 1.0, 1e300, 1e-300)))
+    if scale is None:
+        a = rng.integers(-3, 4, size=(m, n)).astype(float)
+    else:
+        a = scale * rng.normal(size=(m, n))
+    images = {
+        "row roll": np.roll(a, draw(st.integers(1, m - 1)), axis=0),
+        "column roll": np.roll(a, draw(st.integers(1, n - 1)), axis=1),
+        "row reversal": a[::-1],
+        "column reversal": a[:, ::-1],
+        "transposition": a.T,
+        "negation": -a,
+    }
+    if scale is None:
+        phi, psi = draw(_ints(m, 5)), draw(_ints(n, 5))
+        images["added marginals"] = a + phi[:, None] + psi[None, :]
+    return a, images
+
+
+@settings(max_examples=100, deadline=None)
+@given(_finest_field_and_images())
+def test_vitali_finest_p1_relations(field_images):
+    """Rolls, reversals and transposition permute the cells of the finest
+    net (a reversed step negates its cells), negation negates them, and
+    added marginals leave every exact cell as it is."""
+    a, images = field_images
+    pe = Exponent(1.0)
+    base = vitali_finest(Grid2(a), pe)
+    for name, image in images.items():
+        assert vitali_finest(Grid2(image), pe) == base, name
 
 
 @st.composite

@@ -262,11 +262,23 @@ def _oracle_fields(m: int, n: int) -> list[Grid2]:
 def _p1_fields(m: int, n: int) -> list[Grid2]:
     """Fields for the p = 1 paths only (their powers underflow or overflow):
     signed zeros among the subnormals +-1e-310, and Gaussians scaled by 10^k
-    for k = -300, 299 and one k drawn from [-300, 300)."""
+    for k = -300, 299 and one k drawn from [-300, 300).  Then two fields of
+    cancelling corners, k drawn from 0-3:
+    - (-1)^i (1 + k 2^-52): a difference of two alternating rows rounds
+      to a multiple of 2^-51, so many float cells round to 0 or to the
+      wrong sign, and their signs come from the corners' fsum;
+    - 2^1020 (phi_i + psi_j)(1 - k 2^-50), phi and psi of +-1: samples up
+      to 2^1021 whose cells are near 2^970, so partial sums of the
+      samples' multiples (up to 2^1023) often pass 2^1024 while the net
+      sum stays finite, and the net is summed again cell by cell."""
     rng = np.random.default_rng(m * 10 + n + 1)
     tiny = rng.choice([0.0, -0.0, 1e-310, -1e-310], size=(m, n))
     ks = (-300, int(rng.integers(-300, 300)), 299)
-    return [Grid2(tiny)] + [Grid2(10.0**k * rng.normal(size=(m, n))) for k in ks]
+    fields = [Grid2(tiny)] + [Grid2(10.0**k * rng.normal(size=(m, n))) for k in ks]
+    alternating = (-1.0) ** np.arange(m)[:, None] * (1.0 + rng.integers(0, 4, (m, n)) * 2.0**-52)
+    phi, psi = rng.choice([-1.0, 1.0], m), rng.choice([-1.0, 1.0], n)
+    near_cap = 2.0**1020 * np.add.outer(phi, psi) * (1.0 - rng.integers(0, 4, (m, n)) * 2.0**-50)
+    return fields + [Grid2(alternating), Grid2(near_cap)]
 
 
 def _random_field(seed: int, side: int = 5) -> Grid2:
@@ -337,8 +349,10 @@ class TestVitaliSum:
         return [Net(chain(m, k), chain(n, l)) for k, l in sizes]
 
     @pytest.mark.parametrize("p", P_VALUES)
-    @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (8, 6), (16, 12), (6, 6)])
+    @pytest.mark.parametrize("shape", [(2, 7), (7, 2), (5, 5), (8, 6), (16, 12), (6, 6), (48, 100)])
     def test_matches_reference(self, shape, p):
+        """At 48 x 100 the finest net and the larger random nets span two or
+        three row blocks of the p = 1 pass (20 row steps each)."""
         pe = Exponent(p)
         fields = _oracle_fields(*shape)
         if p == 1.0:
@@ -366,12 +380,59 @@ class TestVitaliSum:
             want = np.array([math.fsum(_abs_cell_expansion(*x)) for x in cells])
             assert np.array_equal(terms.ravel().view(np.int64), want.view(np.int64)), a
 
+    @staticmethod
+    def _fallback_calls(f: Grid2, monkeypatch) -> int:
+        """Cells of vitali_finest(f, 1) whose sign the corners' fsum decides."""
+        calls = []
+
+        def corner_sign(*corners):
+            calls.append(corners)
+            return sign(*corners)
+
+        sign = vitali2d._corner_sign
+        monkeypatch.setattr(vitali2d, "_corner_sign", corner_sign)
+        vitali_finest(f, Exponent(1.0))
+        return len(calls)
+
+    def test_exact_differences_take_no_fallback(self, monkeypatch):
+        """Every row difference of the 128^2 staircase, a constant field and
+        a {0, 1, 2}-valued field is exact, so every cell's sign is its float
+        value's, with no per-cell fsum.  The cancelling field of _p1_fields
+        shows that the count sees the fallback."""
+        rng = np.random.default_rng(128)
+        for f in (
+            gen_staircase(128),
+            Grid2(np.full((128, 128), 0.3)),
+            Grid2(rng.integers(0, 3, size=(128, 128)).astype(float)),
+        ):
+            assert self._fallback_calls(f, monkeypatch) == 0
+        assert self._fallback_calls(_p1_fields(16, 12)[-2], monkeypatch) > 0
+
+    def test_overflowing_sample_order_is_summed_cell_by_cell(self, monkeypatch):
+        """On the near-cap field of _p1_fields at 16 x 12 a partial sum of
+        the samples' multiples passes the float range, though the net sum
+        is near 1e294: the finest net is summed again cell by cell, to the
+        reference's value."""
+        f = _p1_fields(16, 12)[-1]
+        orders = []
+
+        def p1_terms(a, rows, cols, by_cell):
+            orders.append(by_cell)
+            return terms(a, rows, cols, by_cell)
+
+        terms = vitali2d._p1_terms
+        monkeypatch.setattr(vitali2d, "_p1_terms", p1_terms)
+        value = vitali_finest(f, Exponent(1.0))
+        assert orders == [False, True]
+        assert value == _reference_sum_p1(f.samples, list(range(16)), list(range(12)))
+
     @pytest.mark.parametrize("p, limit", [(1.0, 0.5), (2.0, 0.75)])
     def test_finest_peak_memory_at_128(self, p, limit):
-        """Both exact paths stream their cells: about 0.02 MiB at p = 1 (the
-        samples of one row step as Python floats) and 0.5 MiB at p = 2 (a
-        few cell arrays).  Listing every cell's corners would add 2 MiB at
-        p = 1, and a list of every cell's terms 0.5 MiB at p = 2."""
+        """Both exact paths stream their cells: about 0.16 MiB at p = 1 (the
+        arrays and term list of one block of 16 row steps) and 0.5 MiB at
+        p = 2 (a few cell arrays).  Signs and terms of every cell at once
+        would add about 1 MiB at p = 1, and a list of every cell's terms
+        0.5 MiB at p = 2."""
         f = Grid2(np.random.default_rng(128).normal(size=(128, 128)))
         pe = Exponent(p)
         tracemalloc.start()
